@@ -12,6 +12,11 @@ import argparse
 import os
 import sys
 
+# One BLAS thread unless the caller says otherwise: the small matrix-vector
+# products here run slower with more (set before numpy is first imported).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from randkrylov.cli import main as cli_main
 
 CONFIG = """

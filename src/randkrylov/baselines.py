@@ -6,11 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from .irn import SolveResult, TraceRow, _objectives, _rel_error
+from .krylov import _finite_rhs
 from .weights import WeightSpec
 
 
 def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_rhs(b)
     if weight is None:
         weight = WeightSpec(p=1.0, tau=1e-10)
     L = A.norm_estimate() ** 2

@@ -46,7 +46,11 @@ from .irn import IRNConfig, SolveResult, TraceRow, irn_s2p_solve, irn_solve
 from .krylov import gmres_solve, lsqr_solve
 from .operators import DenseOperator, IdentityOperator
 from .regparam import LambdaPolicy
-from .sketching import build_leverage_sketch, estimate_leverage_scores
+from .sketching import (
+    build_flex_sketches,
+    build_leverage_sketch,
+    estimate_leverage_scores,
+)
 from .weights import WeightSpec
 
 CSV_COLUMNS = [
@@ -190,6 +194,8 @@ def load_bundle(path):
     for name in ("x_true", "b", "b_exact"):
         vecs[name] = np.fromfile(os.path.join(path, f"{name}.f64"),
                                  dtype="<f8")
+        if not np.all(np.isfinite(vecs[name])):
+            raise ConfigError(f"bundle {path}: {name} has non-finite entries")
     Af = os.path.join(path, "A.f64")
     if not os.path.exists(Af):
         raise ConfigError(f"bundle {path} has no materialized operator")
@@ -219,46 +225,6 @@ def _weight_spec(sec):
                       tau=_get(sec, "tau", float, 1e-10))
 
 
-def _pilot_krylov_bases(A, b, depth):
-    """Standard Golub-Kahan pilot bases: left vectors (data space, includes
-    the b direction) and right vectors (solution space)."""
-    us = [b / np.linalg.norm(b)]
-    vs = []
-    v = None
-    for _ in range(depth):
-        vhat = A.apply_adjoint(us[-1])
-        for w in vs:
-            vhat = vhat - (w @ vhat) * w
-        nv = np.linalg.norm(vhat)
-        if nv < 1e-14:
-            break
-        v = vhat / nv
-        vs.append(v)
-        uhat = A.apply(v)
-        for w in us:
-            uhat = uhat - (w @ uhat) * w
-        nu = np.linalg.norm(uhat)
-        if nu < 1e-14:
-            break
-        us.append(uhat / nu)
-    return np.stack(us, axis=1), (np.stack(vs, axis=1) if vs else None)
-
-
-def build_flex_sketches(A, b, k_max, multiplier, seed):
-    """Frozen leverage-score sketches for the flexible solvers, sampled
-    against a pilot Krylov subspace."""
-    depth = min(k_max, 20)
-    U, V = _pilot_krylov_bases(A, b, depth)
-    s = max(multiplier * k_max, U.shape[1] + 1)
-    p1 = estimate_leverage_scores(U)
-    S1 = build_leverage_sketch(p1, s, seed)
-    if V is None:
-        V = np.eye(A.ncols)
-    p2 = estimate_leverage_scores(V)
-    S2 = build_leverage_sketch(p2, s, seed + 1)
-    return S1, S2
-
-
 def _result_from_history(xs, A, b, weight, lam, x_true):
     from .irn import _objectives, _rel_error
 
@@ -278,42 +244,45 @@ def run_solver(name, cfg, inst):
     if "seed" not in sec:
         raise ConfigError(f"solver {name!r} is missing a seed")
     seed = _get(sec, "seed", int, required=True)
-    weight = _weight_spec(sec)
-    policy = _lambda_policy(sec, inst)
     k_max = _get(sec, "k_max", int, 50)
     x_true = inst.x_true
+    try:  # the configs validate themselves with ValueError
+        weight = _weight_spec(sec)
+        policy = _lambda_policy(sec, inst)
+        if family in ("irn", "irn_s2p"):
+            config = IRNConfig(
+                weight=weight,
+                outer_max=_get(sec, "outer_max", int, k_max),
+                inner_tol=_get(sec, "inner_tol", float, 1e-8),
+                inner_max=_get(sec, "inner_max", int, None),
+                lambda_policy=policy,
+                seed=seed,
+            )
+        elif family == "flex":
+            ell_raw = _get(sec, "ell", str, "4")
+            config = FlexSolverConfig(
+                basis=_get(sec, "basis", str, "golub_kahan"),
+                mode=_get(sec, "mode", str, "irw"),
+                scheme=_get(sec, "scheme", str, "sketch_and_solve"),
+                ell=None if ell_raw == "full" else int(ell_raw),
+                k_max=k_max,
+                weight=weight,
+                lambda_policy=policy,
+                inner_tol=_get(sec, "inner_tol", float, 1e-10),
+                seed=seed,
+            )
+    except ValueError as exc:
+        raise ConfigError(f"solver {name!r}: {exc}") from exc
 
-    if family in ("irn", "irn_s2p"):
-        config = IRNConfig(
-            weight=weight,
-            outer_max=_get(sec, "outer_max", int, k_max),
-            inner_tol=_get(sec, "inner_tol", float, 1e-8),
-            inner_max=_get(sec, "inner_max", int, None),
-            lambda_policy=policy,
-            seed=seed,
-        )
-        if family == "irn":
-            return irn_solve(inst.A, inst.psi, inst.b, config, x_true)
+    if family == "irn":
+        return irn_solve(inst.A, inst.psi, inst.b, config, x_true)
+    if family == "irn_s2p":
         mult = _get(sec, "sketch_multiplier", int, 4)
         M = inst.A.matrix if hasattr(inst.A, "matrix") else inst.A.materialize()
         p = estimate_leverage_scores(M)
         S = build_leverage_sketch(p, mult * inst.A.ncols, seed)
         return irn_s2p_solve(inst.A, inst.psi, inst.b, config, S, x_true)
-
     if family == "flex":
-        ell_raw = _get(sec, "ell", str, "4")
-        ell = None if ell_raw == "full" else int(ell_raw)
-        config = FlexSolverConfig(
-            basis=_get(sec, "basis", str, "golub_kahan"),
-            mode=_get(sec, "mode", str, "irw"),
-            scheme=_get(sec, "scheme", str, "sketch_and_solve"),
-            ell=ell,
-            k_max=k_max,
-            weight=weight,
-            lambda_policy=policy,
-            inner_tol=_get(sec, "inner_tol", float, 1e-10),
-            seed=seed,
-        )
         if config.scheme == "exact":
             return exact_flex_solve(inst.A, inst.psi, inst.b, config, x_true)
         mult = _get(sec, "sketch_multiplier", int, 4)
@@ -390,10 +359,11 @@ def summarize_traces(rows_by_solver, threshold=None):
             if not np.isnan(r["rel_error"]) and r["rel_error"] <= thr:
                 to_thr = r["cum_inner_iter"]
                 break
-        viol = 0
-        if objs:
-            slack = 1e-8 * objs[0]
-            viol = sum(1 for a, c in zip(objs, objs[1:]) if c > a + slack)
+        # a rise counts only between rows minimizing the same functional
+        slack = 1e-8 * objs[0] if objs else 0.0
+        viol = sum(1 for a, c in zip(rows, rows[1:])
+                   if c["lambda"] == a["lambda"]
+                   and c["objective_mm"] > a["objective_mm"] + slack)
         out.append({
             "solver": name,
             "best_rel_error": best,

@@ -1,18 +1,25 @@
 """Flexible Krylov solvers on ell-truncated bases: sketch-and-solve,
 sketch-to-precondition, and the exact (dense projected) reference scheme.
 
-All three share the same basis-growth loop: each iteration rebuilds the
-diagonal weights at the current iterate, expands the flexible factorization
-with the inverse weights as preconditioner, and solves a small regularized
-projected problem. They differ only in how that projected problem is posed
-and solved:
+All three run one loop (``_flex_loop``), in the flexible Golub-Kahan /
+Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
+the diagonal weights W at the current iterate, expands the flexible
+factorization by one column with W^{-1} as preconditioner, and updates one
+projected pair: R1 from an incremental QR of the columns A Psi^{-1} z_j
+(sketched by S1 or not) and R2 from a QR of W Zbar (sketched by S2 or not;
+the identity outside ``irw`` mode). The schemes differ only in how the
+projected Tikhonov problem in the coefficients y of x = Psi^{-1} Zbar y is
+then solved:
 
-* ``exact``: dense QR of the unsketched projected matrices.
-* ``sketch_and_solve``: QR of the sketched matrices; the projected problem is
-  itself sketched.
+* ``exact``: stacked QR of the unsketched pair.
+* ``sketch_and_solve``: stacked QR of the sketched pair; the projected
+  problem is itself sketched. Only this scheme records the distortion,
+  sketched-majorant and monotonicity diagnostics.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
-  right-preconditioned LSQR, with the preconditioner from the Cholesky factor
-  of the sketched Gram matrices.
+  LSQR, right-preconditioned by the Cholesky factor of the sketched Gram pair
+  R1^T R1 + lam R2^T R2. Once the basis is spent (breakdown, or k reaches
+  min(m, n)) this scheme alone switches to the identity basis, preconditioned
+  by the full sketched Gram matrices of A Psi^{-1} and W.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .operators import LinearOperator
 from .regparam import LambdaPolicy, dp_select, optimal_select, wgcv_select
 from .sketching import (
     apply_sketch,
+    apply_sketch_weighted,
     commute_diagonal,
     measure_distortion,
 )
@@ -106,6 +114,14 @@ class FlexSolverConfig:
         if self.scheme not in ("sketch_and_solve", "sketch_to_precondition",
                                "exact"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if min(self.k_max, self.eps_refresh, self.distortion_trials) < 1:
+            raise ValueError("k_max, eps_refresh and distortion_trials must "
+                             "be at least 1")
+        if self.ell is not None and self.ell < 1:
+            raise ValueError("ell must be at least 1, or None for full "
+                             "orthogonalization")
+        if not self.inner_tol > 0.0:
+            raise ValueError("inner_tol must be positive")
 
 
 class _StackedProjected(LinearOperator):
@@ -232,30 +248,43 @@ def exact_flex_solve(A, psi, b, config, x_true=None):
     return _flex_loop(A, psi, b, config, None, None, x_true)
 
 
+def s2p_flex_solve(A, psi, b, config, S1, S2, x_true=None):
+    """Sketch-to-precondition flexible Krylov iteration: the unsketched
+    projected problem is solved by LSQR, right-preconditioned with the
+    Cholesky factor of the sketched k-by-k Gram matrix."""
+    if config.scheme != "sketch_to_precondition":
+        raise ValueError("config.scheme must be 'sketch_to_precondition'")
+    if config.lambda_policy.kind in ("gcv", "wgcv"):
+        raise ValueError("sketch-to-precondition supports fixed, dp and "
+                         "optimal policies only")
+    return _flex_loop(A, psi, b, config, S1, S2, x_true)
+
+
 def _flex_loop(A, psi, b, config, S1, S2, x_true):
     b = np.asarray(b, dtype=np.float64)
-    n = A.ncols
-    m = A.nrows
+    n, m = A.ncols, A.nrows
     psi_inv = None if psi is None or psi.kind == "identity" else psi.inverse()
     weight = config.weight
     policy = config.lambda_policy
     sketched = S1 is not None
+    s2p = config.scheme == "sketch_to_precondition"
     b_norm = float(np.linalg.norm(b))
 
     fact = FlexibleFactorization(config.basis, A, psi_inv, b, ell=config.ell)
     qr1 = _IncrementalQR(S1.s if sketched else m)
     s1b = apply_sketch(S1, b) if sketched else b
     G2raw = np.empty((S2.s if sketched else 0, 0))  # gathered rows of Zbar
+    C_full = None  # sketched Gram of A Psi^{-1}: the s2p identity phase
 
     x = np.zeros(n)
     iterates, trace = [], []
+    cum_inner = 0
     eps_hat = float("nan")
-    qhat_prev_x = None
     for it in range(1, config.k_max + 1):
         z_prev = x if psi is None or psi.kind == "identity" else psi.apply(x)
         w = compute_weights(z_prev, weight)
 
-        if not fact.breakdown and fact.k < min(m, n):
+        if C_full is None and not fact.breakdown and fact.k < min(m, n):
             col = fact.expand(1.0 / w)
             if col is not None:
                 qr1.append(apply_sketch(S1, col) if sketched else col)
@@ -263,49 +292,48 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
                     G2raw = np.hstack(
                         [G2raw, fact.Z[:, -1][S2.selected_rows][:, None]]
                     )
-        k = fact.k
-        Z = fact.Z
+        elif s2p and C_full is None:
+            C_full = _sketched_gram_full(A, psi_inv, S1)
+        Z = fact.Z if C_full is None else None
 
-        R1 = qr1.R
         beta = qr1.Q.T @ s1b
         beta_perp = float(np.linalg.norm(s1b - qr1.Q @ beta))
-
-        WZ = None
         if config.mode == "irw":
-            if sketched:
-                wbar = commute_diagonal(S2, w)
-                M2 = (wbar[:, None] * G2raw) * S2.scales[:, None]
-            else:
-                M2 = w[:, None] * Z
-            WZ = w[:, None] * Z
+            M2 = (apply_sketch_weighted(S2, w, Z, gathered=G2raw)
+                  if sketched else w[:, None] * Z)
             R2 = np.linalg.qr(M2, mode="r")
         else:
-            R2 = np.eye(k)
-
-        pp = ProjectedProblem(R1, beta, beta_perp, R2, k)
+            R2 = np.eye(fact.k)
+        pp = ProjectedProblem(qr1.R, beta, beta_perp, R2, fact.k)
 
         def solution_map(y):
-            t = Z @ y
+            t = y if Z is None else Z @ y
             return t if psi_inv is None else psi_inv.apply(t)
 
-        if config.mode == "none":
-            lam = 0.0
+        if s2p:
+            lam = _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b,
+                                     b_norm, config, solution_map)
+            res = _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, C_full,
+                                       S2, config.inner_tol)
+            y, inner, stagnated = res.x, res.n_iter, res.stagnated
         else:
-            lam = _select_projected_lambda(
+            lam = 0.0 if config.mode == "none" else _select_projected_lambda(
                 policy, pp, config, b_norm,
                 S1.s if sketched else m, solution_map,
             )
-        try:
-            y = solve_projected_tikhonov(pp, lam)
-        except np.linalg.LinAlgError:
-            # rank-deficient R2 with lam ~ 0: apply the floor and retry
-            y = solve_projected_tikhonov(pp, max(lam, 1e-14))
+            try:
+                y = solve_projected_tikhonov(pp, lam)
+            except np.linalg.LinAlgError:
+                # rank-deficient R2 with lam ~ 0: apply the floor and retry
+                y = solve_projected_tikhonov(pp, max(lam, 1e-14))
+            inner, stagnated = 1, False
         x_new = solution_map(y)
+        cum_inner += inner
 
         mono = None
-        qhat_curr = float("nan")
-        if sketched:
+        if sketched and not s2p:
             if (it - 1) % config.eps_refresh == 0:
+                WZ = w[:, None] * Z if config.mode == "irw" else None
                 eps_hat = _distortion_pair(S1, S2, fact.AZ, b, WZ, config, it)
             qhat_curr = sketched_majorant_value(S1, S2, A, b, w, x_new, lam)
             qhat_prev_x = sketched_majorant_value(S1, S2, A, b, w, x, lam)
@@ -319,7 +347,7 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
         trace.append(
             TraceRow(
                 outer=it,
-                cum_inner=it,
+                cum_inner=cum_inner,
                 rel_error=_rel_error(x, x_true),
                 objective_mm=obj_mm,
                 objective_literal=obj_lit,
@@ -327,116 +355,34 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
                 eps_hat=eps_hat,
                 mono_satisfied=mono,
                 breakdown=fact.breakdown,
+                stagnated=stagnated,
             )
         )
     return SolveResult(iterates, trace)
 
 
-def s2p_flex_solve(A, psi, b, config, S1, S2, x_true=None):
-    """Sketch-to-precondition flexible Krylov iteration: the unsketched
-    projected problem is solved by LSQR, right-preconditioned with the
-    Cholesky factor of the sketched k-by-k Gram matrix."""
-    if config.scheme != "sketch_to_precondition":
-        raise ValueError("config.scheme must be 'sketch_to_precondition'")
-    b = np.asarray(b, dtype=np.float64)
-    n, m = A.ncols, A.nrows
-    psi_inv = None if psi is None or psi.kind == "identity" else psi.inverse()
-    weight = config.weight
-    policy = config.lambda_policy
-    if policy.kind in ("gcv", "wgcv"):
-        raise ValueError("sketch-to-precondition supports fixed, dp and "
-                         "optimal policies only")
-    b_norm = float(np.linalg.norm(b))
+def _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, C_full, S2, tol):
+    """LSQR on [A Psi^{-1} Zbar; sqrt(lam) W Zbar] y ~ [b; 0], right-
+    preconditioned by the Cholesky factor of the sketched Gram pair.
 
-    fact = FlexibleFactorization(config.basis, A, psi_inv, b, ell=config.ell)
-    Y = np.empty((S1.s, 0))
-    C = np.empty((0, 0))
-    G2raw = np.empty((S2.s, 0))
-    identity_phase = False
-    C_full = None
-
-    x = np.zeros(n)
-    iterates, trace = [], []
-    cum_inner = 0
-    for it in range(1, config.k_max + 1):
-        z_prev = x if psi is None or psi.kind == "identity" else psi.apply(x)
-        w = compute_weights(z_prev, weight)
-
-        if not identity_phase and not fact.breakdown and fact.k < min(m, n):
-            col = fact.expand(1.0 / w)
-            if col is not None:
-                ynew = apply_sketch(S1, col)
-                # bordered Gram update
-                cross = Y.T @ ynew
-                k0 = C.shape[0]
-                Cn = np.empty((k0 + 1, k0 + 1))
-                Cn[:k0, :k0] = C
-                Cn[:k0, k0] = cross
-                Cn[k0, :k0] = cross
-                Cn[k0, k0] = ynew @ ynew
-                C = Cn
-                Y = np.hstack([Y, ynew[:, None]])
-                G2raw = np.hstack(
-                    [G2raw, fact.Z[:, -1][S2.selected_rows][:, None]]
-                )
-        elif not identity_phase and (fact.breakdown or fact.k >= min(m, n)):
-            identity_phase = True
-            C_full = _sketched_gram_full(A, psi_inv, S1)
-
-        Z = None if identity_phase else fact.Z
-        k = n if identity_phase else fact.k
-
-        # Gram matrices of the sketched projected pair
-        if identity_phase:
-            Ck = C_full
-            wbar = commute_diagonal(S2, w)
-            dvals = np.zeros(n)
-            np.add.at(dvals, S2.selected_rows, (S2.scales * wbar) ** 2)
-            Dk = np.diag(dvals)
-        else:
-            Ck = C
-            if config.mode == "irw":
-                wbar = commute_diagonal(S2, w)
-                M2 = (wbar[:, None] * G2raw) * S2.scales[:, None]
-                Dk = M2.T @ M2
-            elif config.mode == "hybrid":
-                Dk = np.eye(k)
-            else:
-                Dk = np.zeros((k, k))
-
-        lam = _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b, b_norm,
-                                 config, identity_phase)
-
-        R = _chol_with_jitter(Ck + lam * Dk, lam)
-        right_precond = (
-            lambda v, R=R: scipy.linalg.solve_triangular(R, v, lower=False),
-            lambda v, R=R: scipy.linalg.solve_triangular(R, v, lower=False,
-                                                         trans="T"),
-        )
-        op = _StackedProjected(A, psi_inv, Z, w, lam)
-        rhs = np.concatenate([b, np.zeros(n)]) if lam > 0.0 else b
-        res = lsqr_solve(op, rhs, lam=0.0, right_precond=right_precond,
-                         tol=config.inner_tol, maxit=max(4 * k, 8))
-        y = res.x
-        t = y if Z is None else Z @ y
-        x = t if psi_inv is None else psi_inv.apply(t)
-        cum_inner += res.n_iter
-
-        obj_mm, obj_lit = _objectives(A, b, x, weight, lam, psi)
-        iterates.append(x.copy())
-        trace.append(
-            TraceRow(
-                outer=it,
-                cum_inner=cum_inner,
-                rel_error=_rel_error(x, x_true),
-                objective_mm=obj_mm,
-                objective_literal=obj_lit,
-                lam=lam,
-                breakdown=fact.breakdown,
-                stagnated=res.stagnated,
-            )
-        )
-    return SolveResult(iterates, trace)
+    Zbar = None is the identity basis, whose sketched Gram pair is C_full and
+    the diagonal (S2 W)^T (S2 W)."""
+    if Z is None:
+        dvals = np.zeros(w.size)
+        wbar = commute_diagonal(S2, w)
+        np.add.at(dvals, S2.selected_rows, (S2.scales * wbar) ** 2)
+        G1, G2 = C_full, np.diag(dvals)
+    else:
+        G1, G2 = pp.R1.T @ pp.R1, pp.R2.T @ pp.R2
+    R = _chol_with_jitter(G1 + lam * G2, lam)
+    right_precond = (
+        lambda v: scipy.linalg.solve_triangular(R, v, lower=False),
+        lambda v: scipy.linalg.solve_triangular(R, v, lower=False, trans="T"),
+    )
+    op = _StackedProjected(A, psi_inv, Z, w, lam)
+    rhs = np.concatenate([b, np.zeros(w.size)]) if lam > 0.0 else b
+    return lsqr_solve(op, rhs, lam=0.0, right_precond=right_precond, tol=tol,
+                      maxit=max(4 * op.ncols, 8))
 
 
 def _sketched_gram_full(A, psi_inv, S1):
@@ -470,27 +416,27 @@ def _chol_with_jitter(M, lam):
 
 
 def _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b, b_norm, config,
-                       identity_phase):
+                       solution_map):
     """Lambda for the sketch-to-precondition step, using the exact projected
-    Gram matrices (cheap at desk scale) for the dp and optimal rules."""
+    Gram matrices (cheap at desk scale) for the dp and optimal rules; Z = None
+    is the identity basis."""
     if config.mode == "none":
         return 0.0
     if policy.kind == "fixed":
         return policy.lam
-    if identity_phase or Z is None:
+    if Z is None:
         AZ = (A.matrix if hasattr(A, "matrix") else A.materialize())
         if psi_inv is not None:
             AZ = AZ @ psi_inv.materialize()
         WZ = np.diag(w)
-        Zb = None
     else:
         AZ = fact.AZ
         WZ = w[:, None] * Z
-        Zb = Z
     G_A = AZ.T @ AZ
     G_W = WZ.T @ WZ if config.mode == "irw" else np.eye(AZ.shape[1])
     c_A = AZ.T @ b
     bb = float(b @ b)
+    smax = float(np.linalg.norm(G_A, 2))
 
     def y_of(lam):
         return np.linalg.solve(G_A + lam * G_W, c_A)
@@ -502,13 +448,7 @@ def _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b, b_norm, config,
                                      0.0)))
 
         target = policy.tau_lambda * policy.nl * b_norm
-        smax = float(np.linalg.norm(G_A, 2))
         return dp_select(residual, target, scale=smax)
     # optimal
-    def solution_map(lam):
-        y = y_of(lam)
-        t = y if Zb is None else Zb @ y
-        return t if psi_inv is None else psi_inv.apply(t)
-
-    smax = float(np.linalg.norm(G_A, 2))
-    return optimal_select(solution_map, policy.x_true, scale=smax)
+    return optimal_select(lambda lam: solution_map(y_of(lam)), policy.x_true,
+                          scale=smax)

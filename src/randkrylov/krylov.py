@@ -17,6 +17,14 @@ import numpy as np
 BREAKDOWN_RTOL = 1e-14
 
 
+def _finite_rhs(b):
+    """b as float64; NaN or inf entries are refused."""
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
+    return b
+
+
 def _orthogonalize(q, basis, window):
     """MGS + one reorthogonalization pass of q against the last ``window``
     columns of ``basis`` (a list of vectors). Returns (q, coeffs) where coeffs
@@ -54,7 +62,7 @@ class FlexibleFactorization:
     def __post_init__(self):
         if self.kind not in ("arnoldi", "golub_kahan"):
             raise ValueError(f"unknown factorization kind {self.kind!r}")
-        b = np.asarray(self.b, dtype=np.float64)
+        b = _finite_rhs(self.b)
         self.beta1 = float(np.linalg.norm(b))
         if self.beta1 == 0.0:
             raise ValueError("cannot build a Krylov space from a zero vector")
@@ -137,12 +145,6 @@ class FlexibleFactorization:
         return q_raw
 
 
-def flex_expand(state, w_inv):
-    """Functional wrapper around ``FlexibleFactorization.expand``."""
-    state.expand(w_inv)
-    return state
-
-
 @dataclass
 class IterativeResult:
     x: np.ndarray
@@ -165,7 +167,7 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
     m, n = op.nrows, op.ncols
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_rhs(b)
     if b.shape[0] != m:
         raise ValueError(f"rhs length {b.shape[0]} does not match {m} rows")
     if maxit is None:
@@ -247,40 +249,33 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
 
 
 def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):
-    """Plain (unrestarted) GMRES for a square operator."""
+    """Plain (unrestarted) GMRES for a square operator, on a fully
+    orthogonalized Arnoldi factorization with unit weights."""
     if op.nrows != op.ncols:
         raise ValueError("GMRES needs a square operator")
-    b = np.asarray(b, dtype=np.float64)
+    b = _finite_rhs(b)
     n = op.ncols
     if maxit is None:
         maxit = n
     beta = np.linalg.norm(b)
     if beta == 0.0:
         return IterativeResult(np.zeros(n), np.array([0.0]), 0, converged=True)
-    us = [b / beta]
-    Hcols = []
+    fact = FlexibleFactorization("arnoldi", op, None, b)
+    ones = np.ones(n)
     residuals = [beta]
     x = np.zeros(n)
     for k in range(1, maxit + 1):
-        q = op.apply(us[-1])
-        q, coeffs = _orthogonalize(q, us, None)
-        hnew = np.linalg.norm(q)
-        Hcols.append(np.append(coeffs, hnew))
-        H = np.zeros((k + 1, k))
-        for j, col in enumerate(Hcols):
-            H[: len(col), j] = col
+        fact.expand(ones)
+        H = fact.H
         e1 = np.zeros(k + 1)
         e1[0] = beta
-        y, res, *_ = np.linalg.lstsq(H, e1, rcond=None)
+        y = np.linalg.lstsq(H, e1, rcond=None)[0]
         rnorm = np.linalg.norm(H @ y - e1)
         residuals.append(rnorm)
-        x = np.stack(us[:k], axis=1) @ y
+        x = fact.Z @ y
         if callback is not None:
             callback(x)
-        if rnorm <= tol * beta:
+        # converged, or happy breakdown: exact solution in the current space
+        if rnorm <= tol * beta or fact.breakdown:
             return IterativeResult(x, np.asarray(residuals), k, converged=True)
-        if hnew <= BREAKDOWN_RTOL * beta:
-            # happy breakdown: exact solution inside the current space
-            return IterativeResult(x, np.asarray(residuals), k, converged=True)
-        us.append(q / hnew)
     return IterativeResult(x, np.asarray(residuals), maxit)

@@ -168,10 +168,6 @@ class CompositeOperator(LinearOperator):
         return y
 
 
-def compose(ops):
-    return CompositeOperator(ops)
-
-
 def gaussian_kernel(sigma):
     """Normalized 2-D Gaussian kernel truncated at 4 sigma (odd size)."""
     radius = max(1, int(np.ceil(4.0 * sigma)))

@@ -30,8 +30,12 @@ class LambdaPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "dp", "gcv", "wgcv", "optimal"):
             raise ValueError(f"unknown lambda policy {self.kind!r}")
+        if self.lam < 0.0 or self.nl < 0.0:
+            raise ValueError("lambda and noise level must be non-negative")
         if self.kind == "dp" and self.tau_lambda <= 1.0:
             raise ValueError("dp safety factor must exceed 1")
+        if self.kind == "dp" and self.nl == 0.0:
+            raise ValueError("dp policy needs a positive noise level")
         if self.kind == "optimal" and self.x_true is None:
             raise ValueError("optimal policy needs x_true")
 

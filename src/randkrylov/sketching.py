@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .krylov import FlexibleFactorization
+
 
 @dataclass(frozen=True)
 class SketchOperator:
@@ -82,6 +84,24 @@ def build_leverage_sketch(p, s, seed):
     return SketchOperator(
         s=int(s), m=p.shape[0], selected_rows=rows, scales=scales, seed=int(seed)
     )
+
+
+def build_flex_sketches(A, b, k_max, multiplier, seed):
+    """Frozen leverage-score sketches for the flexible solvers: S1 sampled
+    against the left (data-space) and S2 against the right (solution-space)
+    basis of a depth-min(k_max, 20) Golub-Kahan pilot factorization of
+    (A, b) with unit weights."""
+    pilot = FlexibleFactorization("golub_kahan", A, None, b)
+    ones = np.ones(A.ncols)
+    while pilot.k < min(k_max, 20) and not pilot.breakdown:
+        pilot.expand(ones)
+    U, V = pilot.U, pilot.V
+    s = max(multiplier * k_max, U.shape[1] + 1)
+    S1 = build_leverage_sketch(estimate_leverage_scores(U), s, seed)
+    if not V.size:
+        V = np.eye(A.ncols)
+    S2 = build_leverage_sketch(estimate_leverage_scores(V), s, seed + 1)
+    return S1, S2
 
 
 def apply_sketch(S, M):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import randkrylov as rk
-from randkrylov.cli import build_flex_sketches, main
+from randkrylov.cli import main
 from randkrylov.flex import check_monotonicity_condition
 from randkrylov.regparam import _projected_gcv_terms, _wgcv_value
+from randkrylov.sketching import build_flex_sketches
 from randkrylov.weights import ObjectiveSpec, objective_value
 
 

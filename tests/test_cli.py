@@ -11,6 +11,7 @@ from randkrylov.cli import (
     main,
     parse_config,
     read_trace,
+    summarize_traces,
     write_bundle,
 )
 
@@ -115,15 +116,30 @@ def test_exit_code_2_on_config_errors(tmp_path):
     ), "badgen.cfg")
     assert main(["run", "--config", bad_gen,
                  "--out", str(tmp_path / "z")]) == 2
+    # values the solver configs reject with ValueError
+    base = ("problem.generator = subset_selection\nproblem.m = 20\n"
+            "problem.n = 6\nproblem.seed = 1\n")
+    for i, keys in enumerate([
+        "family = flex\nk_max = 0", "family = flex\nell = 0",
+        "family = flex\nell = two", "family = flex\ninner_tol = 0",
+        "family = irn\nlambda = -1", "family = irn\nnl = -0.1",
+        "family = irn\nlambda_policy = dp\nnl = 0",
+        "family = lsqr\nlambda = -1",
+    ]):
+        solver = "".join(f"solver.a.{kv}\n" for kv in
+                         ["seed = 1"] + keys.split("\n"))
+        cfg = _write(tmp_path, base + solver, f"bad{i}.cfg")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / f"b{i}")]) == 2, keys
 
 
 def test_exit_code_3_on_solver_failure(tmp_path):
-    # dp policy with zero noise level: the discrepancy target is invalid
+    # IRN rejects the projected-problem wgcv rule only once it runs
     cfg = _write(tmp_path, (
         "problem.generator = subset_selection\nproblem.m = 20\n"
         "problem.n = 6\nproblem.seed = 1\n"
         "solver.a.family = irn\nsolver.a.seed = 1\n"
-        "solver.a.lambda_policy = dp\nsolver.a.nl = 0\n"
+        "solver.a.lambda_policy = wgcv\n"
     ), "fail.cfg")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "f")]) == 3
 
@@ -179,3 +195,23 @@ def test_bundle_roundtrip_helpers(tmp_path):
     write_bundle(inst, str(tmp_path / "idb"))
     back = load_bundle(str(tmp_path / "idb"))
     np.testing.assert_array_equal(back.x_true, inst.x_true)
+    b = inst.b.copy()
+    b[2] = np.nan
+    b.astype("<f8").tofile(str(tmp_path / "idb" / "b.f64"))
+    with pytest.raises(ConfigError):
+        load_bundle(str(tmp_path / "idb"))
+
+
+def test_monotonicity_violations_compare_equal_lambda_only():
+    def rows(objs, lams):
+        return [{"rel_error": float("nan"), "cum_inner_iter": i + 1,
+                 "objective_mm": f, "lambda": lam}
+                for i, (f, lam) in enumerate(zip(objs, lams))]
+
+    rising = [1.0, 2.0, 3.0, 2.5, 4.0]
+    changing = summarize_traces({"dp": rows(rising, [1, 2, 3, 4, 5])})
+    fixed = summarize_traces({"fixed": rows(rising, [1.0] * 5)})
+    mixed = summarize_traces({"mixed": rows(rising, [1, 1, 2, 2, 2])})
+    assert changing[0]["monotonicity_violations"] == 0
+    assert fixed[0]["monotonicity_violations"] == 3
+    assert mixed[0]["monotonicity_violations"] == 2

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from randkrylov.baselines import fista_solve
 from randkrylov.flex import (
     FlexSolverConfig,
     ProjectedProblem,
@@ -10,6 +13,7 @@ from randkrylov.flex import (
     sns_flex_solve,
     solve_projected_tikhonov,
 )
+from randkrylov.irn import IRNConfig, irn_solve
 from randkrylov.krylov import gmres_solve, lsqr_solve
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy
@@ -72,6 +76,12 @@ def test_flex_config_validation():
         FlexSolverConfig(mode="strong")
     with pytest.raises(ValueError):
         FlexSolverConfig(scheme="guess")
+    for bad in ({"k_max": 0}, {"ell": 0}, {"eps_refresh": 0},
+                {"distortion_trials": 0}, {"inner_tol": 0.0},
+                {"inner_tol": -1e-8}):
+        with pytest.raises(ValueError):
+            FlexSolverConfig(**bad)
+    FlexSolverConfig(ell=None, k_max=1, eps_refresh=1, distortion_trials=1)
     with pytest.raises(ValueError):
         sns_flex_solve(None, None, None, FlexSolverConfig(scheme="exact"),
                        None, None)
@@ -201,3 +211,23 @@ def test_flex_mode_none_has_zero_lambda():
                            lambda_policy=LambdaPolicy(kind="fixed", lam=7.0))
     res = exact_flex_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
     assert all(r.lam == 0.0 for r in res.trace)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 29), st.sampled_from([np.nan, np.inf, -np.inf]),
+       st.sampled_from(["lsqr", "gmres", "exact_flex", "irn", "fista"]))
+def test_solvers_reject_non_finite_rhs(i, bad, solver):
+    # a NaN or inf in b is refused up front, never a silent NaN or zero x
+    inst = _square_instance()
+    b = inst.b.copy()
+    b[i] = bad
+    runs = {
+        "lsqr": lambda: lsqr_solve(inst.A, b),
+        "gmres": lambda: gmres_solve(inst.A, b),
+        "exact_flex": lambda: exact_flex_solve(
+            inst.A, inst.psi, b, FlexSolverConfig(scheme="exact", k_max=3)),
+        "irn": lambda: irn_solve(inst.A, inst.psi, b, IRNConfig(outer_max=2)),
+        "fista": lambda: fista_solve(inst.A, b, 0.1, n_iter=3),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        runs[solver]()

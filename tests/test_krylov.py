@@ -4,7 +4,6 @@ import scipy.sparse.linalg
 
 from randkrylov.krylov import (
     FlexibleFactorization,
-    flex_expand,
     gmres_solve,
     lsqr_solve,
 )
@@ -160,11 +159,3 @@ def test_factorization_rejects_bad_input():
     with pytest.raises(ValueError):
         fact.expand(np.array([1.0, -1.0]))
 
-
-def test_flex_expand_wrapper():
-    rng = _rng(11)
-    M = rng.standard_normal((5, 5))
-    fact = FlexibleFactorization("arnoldi", DenseOperator(M), None,
-                                 rng.standard_normal(5))
-    out = flex_expand(fact, np.ones(5))
-    assert out is fact and fact.k == 1

@@ -24,6 +24,14 @@ def test_lambda_policy_validation():
         LambdaPolicy(kind="dp", tau_lambda=1.0)
     with pytest.raises(ValueError):
         LambdaPolicy(kind="optimal")
+    with pytest.raises(ValueError):
+        LambdaPolicy(kind="fixed", lam=-1e-3)
+    with pytest.raises(ValueError):
+        LambdaPolicy(kind="fixed", nl=-0.01)
+    with pytest.raises(ValueError):
+        LambdaPolicy(kind="dp", nl=0.0)
+    LambdaPolicy(kind="fixed", lam=0.0)
+    LambdaPolicy(kind="dp", nl=0.01)
     LambdaPolicy(kind="optimal", x_true=np.zeros(3))
 
 

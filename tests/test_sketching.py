@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randkrylov.operators import IdentityOperator
+from randkrylov.problems import (
+    add_noise,
+    gen_starfield_deblur,
+    gen_subset_selection,
+    gen_tomo,
+)
 from randkrylov.sketching import (
     SketchOperator,
     apply_sketch,
     apply_sketch_weighted,
+    build_flex_sketches,
     build_leverage_sketch,
     commute_diagonal,
     estimate_leverage_scores,
@@ -160,3 +168,61 @@ def test_sketch_operator_validation():
         build_leverage_sketch(np.zeros(4), 3, seed=0)
     with pytest.raises(ValueError):
         build_leverage_sketch(np.ones(4), 0, seed=0)
+
+
+def _golub_kahan_reference(A, b, depth):
+    """Textbook Golub-Kahan bidiagonalization of (A, b) with full modified
+    Gram-Schmidt reorthogonalization (two passes); stops at breakdown."""
+    tol = 1e-14 * np.linalg.norm(b)
+    us, vs = [b / np.linalg.norm(b)], []
+    for _ in range(depth):
+        v = A.apply_adjoint(us[-1])
+        for _ in range(2):
+            for q in vs:
+                v = v - (q @ v) * q
+        if np.linalg.norm(v) <= tol:
+            break
+        vs.append(v / np.linalg.norm(v))
+        u = A.apply(vs[-1])
+        for _ in range(2):
+            for q in us:
+                u = u - (q @ u) * q
+        if np.linalg.norm(u) <= tol:
+            break
+        us.append(u / np.linalg.norm(u))
+    return np.stack(us, axis=1), (np.stack(vs, axis=1) if vs
+                                  else np.eye(A.ncols))
+
+
+def _pilot_problem(name):
+    """(A, b, k_max, seed): the criterion-4 problems, the deblurring and
+    tomography experiments, and an operator that breaks down at once."""
+    if name == "identity":
+        return IdentityOperator(12), _rng(5).standard_normal(12), 6, 7
+    inst, k_max, seed = {
+        "subset": (lambda: add_noise(gen_subset_selection(200, 50, seed=41),
+                                     0.02, 42), 40, 45),
+        "starfield32": (lambda: add_noise(gen_starfield_deblur(32, seed=43),
+                                          0.01, 44), 40, 45),
+        "deblur": (lambda: add_noise(gen_starfield_deblur(
+            64, sigma_blur=1.5, seed=21), 0.01, 22), 50, 23),
+        "tomo": (lambda: add_noise(gen_tomo(64, n_angles=18, seed=31),
+                                   0.01, 32), 30, 33),
+    }[name]
+    inst = inst()
+    return inst.A, inst.b, k_max, seed
+
+
+@pytest.mark.parametrize("name", ["subset", "starfield32", "deblur", "tomo",
+                                  "identity"])
+def test_flex_sketches_match_reference_pilot(name):
+    # S1 samples the left and S2 the right pilot basis, depth min(k_max, 20)
+    A, b, k_max, seed = _pilot_problem(name)
+    U, V = _golub_kahan_reference(A, b, min(k_max, 20))
+    s = max(4 * k_max, U.shape[1] + 1)
+    refs = (build_leverage_sketch(estimate_leverage_scores(U), s, seed),
+            build_leverage_sketch(estimate_leverage_scores(V), s, seed + 1))
+    for got, ref in zip(build_flex_sketches(A, b, k_max, 4, seed), refs):
+        assert got.s == s
+        np.testing.assert_array_equal(got.selected_rows, ref.selected_rows)
+        np.testing.assert_allclose(got.scales, ref.scales, rtol=1e-12)
