@@ -76,6 +76,7 @@ from .weights import (
     majorant_constant,
     majorant_value,
     objective_value,
+    objective_values,
     sketched_majorant_value,
     smoothed_penalty,
 )

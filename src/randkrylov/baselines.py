@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .irn import SolveResult, TraceRow, _objectives, _rel_error
+from .irn import SolveResult, TraceRow, _rel_error
 from .krylov import _finite_rhs
-from .weights import WeightSpec
+from .weights import WeightSpec, objective_values
 
 
 def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
@@ -31,7 +31,7 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         v = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-        obj_mm, obj_lit = _objectives(A, b, x, weight, lam, None)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
         iterates.append(x.copy())
         trace.append(
             TraceRow(

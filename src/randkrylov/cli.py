@@ -42,7 +42,7 @@ from .flex import (
     s2p_flex_solve,
     sns_flex_solve,
 )
-from .irn import IRNConfig, SolveResult, TraceRow, irn_s2p_solve, irn_solve
+from .irn import IRNConfig, SolveResult, TraceRow, _rel_error, irn_s2p_solve, irn_solve
 from .krylov import gmres_solve, lsqr_solve
 from .operators import DenseOperator, IdentityOperator
 from .regparam import LambdaPolicy
@@ -51,7 +51,7 @@ from .sketching import (
     build_leverage_sketch,
     estimate_leverage_scores,
 )
-from .weights import WeightSpec
+from .weights import WeightSpec, objective_values
 
 CSV_COLUMNS = [
     "solver", "outer_iter", "cum_inner_iter", "rel_error", "objective_mm",
@@ -226,11 +226,9 @@ def _weight_spec(sec):
 
 
 def _result_from_history(xs, A, b, weight, lam, x_true):
-    from .irn import _objectives, _rel_error
-
     trace = []
     for it, x in enumerate(xs, 1):
-        obj_mm, obj_lit = _objectives(A, b, x, weight, lam, None)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
         trace.append(TraceRow(
             outer=it, cum_inner=it, rel_error=_rel_error(x, x_true),
             objective_mm=obj_mm, objective_literal=obj_lit, lam=lam,

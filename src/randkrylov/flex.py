@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import FlexibleFactorization, lsqr_solve
-from .irn import SolveResult, TraceRow, _objectives, _rel_error
+from .irn import SolveResult, TraceRow, _rel_error
 from .operators import LinearOperator
 from .regparam import LambdaPolicy, dp_select, optimal_select, wgcv_select
 from .sketching import (
@@ -39,7 +39,12 @@ from .sketching import (
     commute_diagonal,
     measure_distortion,
 )
-from .weights import WeightSpec, compute_weights, sketched_majorant_value
+from .weights import (
+    WeightSpec,
+    compute_weights,
+    objective_values,
+    sketched_majorant_value,
+)
 
 
 @dataclass
@@ -342,7 +347,7 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
                     qhat_prev_x, qhat_curr, eps_hat
                 )
         x = x_new
-        obj_mm, obj_lit = _objectives(A, b, x, weight, lam, psi)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, psi)
         iterates.append(x.copy())
         trace.append(
             TraceRow(

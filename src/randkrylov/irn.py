@@ -17,7 +17,7 @@ import scipy.linalg
 from .krylov import lsqr_solve
 from .operators import CompositeOperator, DiagonalOperator
 from .sketching import apply_sketch
-from .weights import ObjectiveSpec, WeightSpec, compute_weights
+from .weights import WeightSpec, compute_weights, objective_values
 
 
 from .regparam import LambdaPolicy
@@ -35,6 +35,10 @@ class IRNConfig:
     def __post_init__(self):
         if self.outer_max < 1:
             raise ValueError("need at least one outer iteration")
+        if self.inner_max is not None and self.inner_max < 1:
+            raise ValueError("inner_max must be at least 1, or None for 2n")
+        if not self.inner_tol > 0.0:
+            raise ValueError("inner_tol must be positive")
 
 
 @dataclass
@@ -68,14 +72,6 @@ def _rel_error(x, x_true):
     if x_true is None:
         return float("nan")
     return float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
-
-
-def _objectives(A, b, x, weight, lam, psi):
-    mm = ObjectiveSpec(weight, lam, psi, "mm_consistent")
-    lit = ObjectiveSpec(weight, lam, psi, "paper_literal")
-    from .weights import objective_value
-
-    return objective_value(A, b, x, mm), objective_value(A, b, x, lit)
 
 
 def _dense_system_matrix(A, psi_inv, w_inv):
@@ -204,7 +200,7 @@ def _irn_loop(A, psi, b, config, x_true, sketch):
         if psi_inv is not None:
             x = psi_inv.apply(x)
         cum_inner += res.n_iter
-        obj_mm, obj_lit = _objectives(A, b, x, weight, lam, psi)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, psi)
         iterates.append(x.copy())
         trace.append(
             TraceRow(

@@ -8,7 +8,6 @@ consistent with each other: <Ax, y> == <x, A^T y> up to rounding.
 from __future__ import annotations
 
 import numpy as np
-import scipy.ndimage
 import scipy.sparse
 
 
@@ -181,8 +180,13 @@ class Convolution2DOperator(LinearOperator):
     """Periodic 2-D convolution of an nx-by-nx image with a fixed kernel.
 
     Images are passed as flattened row-major vectors of length nx*nx. The
-    adjoint of periodic convolution is periodic correlation with the same
-    kernel, so adjoint consistency is exact up to rounding.
+    operator is circulant-with-circulant-blocks, so the 2-D DFT diagonalizes
+    it (Hansen, Nagy & O'Leary, Deblurring Images, SIAM 2006): the kernel is
+    wrapped, centered, into an nx-by-nx point spread function once, and each
+    apply multiplies the image's spectrum by the PSF's. Kernel entries that
+    wrap onto the same pixel are added, so a kernel wider than the image
+    still gives true periodic convolution. The adjoint, periodic correlation,
+    uses the conjugate spectrum.
     """
 
     kind = "convolution2d"
@@ -198,16 +202,22 @@ class Convolution2DOperator(LinearOperator):
         if kernel.shape[0] % 2 == 0 or kernel.shape[1] % 2 == 0:
             raise ValueError("kernel must have odd dimensions")
         self.kernel = kernel
+        rows = (np.arange(kernel.shape[0]) - kernel.shape[0] // 2) % self.nx
+        cols = (np.arange(kernel.shape[1]) - kernel.shape[1] // 2) % self.nx
+        psf = np.zeros((self.nx, self.nx))
+        np.add.at(psf, (rows[:, None], cols[None, :]), kernel)
+        self._transfer = np.fft.rfft2(psf)
+
+    def _filter(self, v, transfer):
+        img = v.reshape(self.nx, self.nx)
+        out = np.fft.irfft2(np.fft.rfft2(img) * transfer, s=(self.nx, self.nx))
+        return out.ravel()
 
     def _apply(self, x):
-        img = x.reshape(self.nx, self.nx)
-        out = scipy.ndimage.convolve(img, self.kernel, mode="wrap")
-        return out.ravel()
+        return self._filter(x, self._transfer)
 
     def _apply_adjoint(self, y):
-        img = y.reshape(self.nx, self.nx)
-        out = scipy.ndimage.correlate(img, self.kernel, mode="wrap")
-        return out.ravel()
+        return self._filter(y, self._transfer.conj())
 
 
 def _siddon_row(nx, theta_rad, offset):

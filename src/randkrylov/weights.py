@@ -61,17 +61,31 @@ def _psi_apply(psi, x):
     return x if psi is None else psi.apply(x)
 
 
-def objective_value(A, b, x, spec):
-    """Value of the regularized objective at x, per the spec's variant."""
-    x = np.asarray(x, dtype=np.float64)
-    r = A.apply(x) - b
-    z = _psi_apply(spec.psi, x)
-    fit = float(r @ r)
+def _penalized(fit, z, spec):
+    """The data fit |Ax-b|^2 plus the spec variant's penalty at z = Psi x."""
     ws = spec.weight
     if spec.variant == "paper_literal":
         w = compute_weights(z, ws)
         return fit + spec.lam * float(np.sum((w * z) ** 2))
     return fit + (2.0 * spec.lam / ws.p) * smoothed_penalty(z, ws)
+
+
+def objective_value(A, b, x, spec):
+    """Value of the regularized objective at x, per the spec's variant."""
+    x = np.asarray(x, dtype=np.float64)
+    r = A.apply(x) - b
+    return _penalized(float(r @ r), _psi_apply(spec.psi, x), spec)
+
+
+def objective_values(A, b, x, weight, lam, psi=None):
+    """(mm_consistent, paper_literal) objectives at x from one residual, so
+    one apply of A; each equals its objective_value bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    r = A.apply(x) - b
+    fit = float(r @ r)
+    z = _psi_apply(psi, x)
+    return tuple(_penalized(fit, z, ObjectiveSpec(weight, lam, psi, variant))
+                 for variant in ("mm_consistent", "paper_literal"))
 
 
 def majorant_constant(z_prev, spec):

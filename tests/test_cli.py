@@ -124,6 +124,7 @@ def test_exit_code_2_on_config_errors(tmp_path):
         "family = flex\nell = two", "family = flex\ninner_tol = 0",
         "family = irn\nlambda = -1", "family = irn\nnl = -0.1",
         "family = irn\nlambda_policy = dp\nnl = 0",
+        "family = irn\ninner_max = 0", "family = irn\ninner_tol = 0",
         "family = lsqr\nlambda = -1",
     ]):
         solver = "".join(f"solver.a.{kv}\n" for kv in

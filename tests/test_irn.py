@@ -148,5 +148,8 @@ def test_irn_rejects_wgcv():
 
 
 def test_irn_config_validation():
-    with pytest.raises(ValueError):
-        IRNConfig(outer_max=0)
+    for bad in ({"outer_max": 0}, {"inner_max": 0}, {"inner_tol": 0.0},
+                {"inner_tol": -1e-8}, {"inner_tol": float("nan")}):
+        with pytest.raises(ValueError):
+            IRNConfig(**bad)
+    IRNConfig(inner_max=1, inner_tol=1e-12)

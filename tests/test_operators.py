@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +107,28 @@ def test_convolution_constant_image_invariant():
     op = Convolution2DOperator(10, sigma=1.7)
     x = np.full(100, 3.25)
     np.testing.assert_allclose(op.apply(x), x, rtol=1e-13)
+
+
+@pytest.mark.parametrize("nx, kernel", [
+    (12, gaussian_kernel(1.3)),
+    # non-symmetric: a flipped orientation would not match
+    (10, _rng(5).standard_normal((5, 3))),
+    # 9x9 kernel on an 8x8 image: entries wrap onto the same pixels
+    (8, gaussian_kernel(0.9)),
+])
+def test_convolution_matches_ndimage_wrap(nx, kernel):
+    # [DERIVED] scipy.ndimage's mode="wrap" convolution and correlation are
+    # the periodic blur and its adjoint, computed directly in the pixel domain
+    op = Convolution2DOperator(nx, kernel=kernel)
+    rng = _rng(11)
+    for _ in range(3):
+        img = rng.standard_normal((nx, nx))
+        conv = scipy.ndimage.convolve(img, kernel, mode="wrap")
+        corr = scipy.ndimage.correlate(img, kernel, mode="wrap")
+        np.testing.assert_allclose(op.apply(img.ravel()), conv.ravel(),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(op.apply_adjoint(img.ravel()), corr.ravel(),
+                                   rtol=0, atol=1e-13)
 
 
 def test_siddon_horizontal_ray_oracle():

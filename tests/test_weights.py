@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randkrylov.operators import DenseOperator
+from randkrylov.operators import DenseOperator, DiagonalOperator
 from randkrylov.sketching import identity_sketch
 from randkrylov.weights import (
     ObjectiveSpec,
@@ -12,6 +12,7 @@ from randkrylov.weights import (
     majorant_constant,
     majorant_value,
     objective_value,
+    objective_values,
     sketched_majorant_value,
     smoothed_penalty,
 )
@@ -74,6 +75,33 @@ def test_objective_variants():
     expect_lit = r @ r + lam * np.sum((w * x) ** 2)
     np.testing.assert_allclose(mm, expect_mm, rtol=1e-12)
     np.testing.assert_allclose(lit, expect_lit, rtol=1e-12)
+
+
+class _CountingDense(DenseOperator):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.applies = 0
+
+    def _apply(self, x):
+        self.applies += 1
+        return super()._apply(x)
+
+
+@pytest.mark.parametrize(
+    "psi", [None, DiagonalOperator(np.linspace(0.5, 2.0, 5))])
+def test_objective_values_apply_once_and_match(psi):
+    rng = _rng(4)
+    A = _CountingDense(rng.standard_normal((9, 5)))
+    b = rng.standard_normal(9)
+    x = rng.standard_normal(5)
+    ws = WeightSpec(p=1.0, tau=0.05)
+    mm, lit = objective_values(A, b, x, ws, 0.7, psi)
+    assert A.applies == 1
+    for value, variant in ((mm, "mm_consistent"), (lit, "paper_literal")):
+        spec = ObjectiveSpec(ws, 0.7, psi, variant)
+        assert value == objective_value(A, b, x, spec)
+    with pytest.raises(ValueError):
+        objective_values(A, b, x, ws, -1.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
