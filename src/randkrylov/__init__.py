@@ -53,10 +53,11 @@ from .problems import (
 from .regparam import (
     LambdaPolicy,
     dp_select,
-    gcv_full_select,
     gsvd_small,
     optimal_select,
-    wgcv_select,
+    projected_pair,
+    select_lambda,
+    svd_pair,
 )
 from .sketching import (
     SketchOperator,

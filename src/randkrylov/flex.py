@@ -30,9 +30,9 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import FlexibleFactorization, lsqr_solve
-from .irn import SolveResult, TraceRow, _rel_error
+from .irn import SolveResult, TraceRow, _dense_system_matrix, _rel_error
 from .operators import LinearOperator
-from .regparam import LambdaPolicy, dp_select, optimal_select, wgcv_select
+from .regparam import LambdaPolicy, projected_pair, select_lambda, svd_pair
 from .sketching import (
     apply_sketch,
     apply_sketch_weighted,
@@ -196,31 +196,13 @@ class _IncrementalQR:
         self.R = newR
 
 
-def _select_projected_lambda(policy, pp, config, b_norm, sketch_rows,
-                             solution_map):
+def _select_projected_lambda(policy, pp, b_norm, sketch_rows, solution_map):
     """One lambda choice per iteration on the (possibly sketched) projected
     problem."""
     if policy.kind == "fixed":
         return policy.lam
-    sv = np.linalg.svd(pp.R1, compute_uv=False)
-    smax_sq = float(sv[0] ** 2) if sv.size else 1.0
-    if policy.kind == "dp":
-        def residual(lam):
-            y = solve_projected_tikhonov(pp, lam)
-            r = pp.R1 @ y - pp.beta
-            return float(np.sqrt(r @ r + pp.beta_perp**2))
-
-        target = policy.tau_lambda * policy.nl * b_norm
-        return dp_select(residual, target, scale=smax_sq)
-    if policy.kind in ("gcv", "wgcv"):
-        omega = 1.0 if policy.kind == "gcv" else None
-        return wgcv_select(pp, sketch_rows, k=pp.k, omega=omega)
-    # optimal
-    return optimal_select(
-        lambda lam: solution_map(solve_projected_tikhonov(pp, lam)),
-        policy.x_true,
-        scale=smax_sq,
-    )
+    pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
+    return select_lambda(policy, pair, b_norm, solution_map, sketch_rows)
 
 
 def _distortion_pair(S1, S2, AZ, b, WZ, config, it):
@@ -315,17 +297,20 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
             t = y if Z is None else Z @ y
             return t if psi_inv is None else psi_inv.apply(t)
 
-        if s2p:
+        if config.mode == "none":
+            lam = 0.0
+        elif s2p:
             lam = _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b,
-                                     b_norm, config, solution_map)
+                                     b_norm, config.mode, solution_map)
+        else:
+            lam = _select_projected_lambda(policy, pp, b_norm,
+                                           S1.s if sketched else m,
+                                           solution_map)
+        if s2p:
             res = _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, C_full,
                                        S2, config.inner_tol)
             y, inner, stagnated = res.x, res.n_iter, res.stagnated
         else:
-            lam = 0.0 if config.mode == "none" else _select_projected_lambda(
-                policy, pp, config, b_norm,
-                S1.s if sketched else m, solution_map,
-            )
             try:
                 y = solve_projected_tikhonov(pp, lam)
             except np.linalg.LinAlgError:
@@ -420,40 +405,21 @@ def _chol_with_jitter(M, lam):
             ) from exc
 
 
-def _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b, b_norm, config,
+def _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b, b_norm, mode,
                        solution_map):
-    """Lambda for the sketch-to-precondition step, using the exact projected
-    Gram matrices (cheap at desk scale) for the dp and optimal rules; Z = None
-    is the identity basis."""
-    if config.mode == "none":
-        return 0.0
+    """Lambda for the sketch-to-precondition step, chosen on the unsketched
+    projected problem. Z = None is the identity basis, where that problem is
+    IRN's subproblem in s = W y (W = I outside ``irw`` mode)."""
     if policy.kind == "fixed":
         return policy.lam
     if Z is None:
-        AZ = (A.matrix if hasattr(A, "matrix") else A.materialize())
-        if psi_inv is not None:
-            AZ = AZ @ psi_inv.materialize()
-        WZ = np.diag(w)
-    else:
-        AZ = fact.AZ
-        WZ = w[:, None] * Z
-    G_A = AZ.T @ AZ
-    G_W = WZ.T @ WZ if config.mode == "irw" else np.eye(AZ.shape[1])
-    c_A = AZ.T @ b
-    bb = float(b @ b)
-    smax = float(np.linalg.norm(G_A, 2))
-
-    def y_of(lam):
-        return np.linalg.solve(G_A + lam * G_W, c_A)
-
-    if policy.kind == "dp":
-        def residual(lam):
-            y = y_of(lam)
-            return float(np.sqrt(max(y @ (G_A @ y) - 2.0 * (y @ c_A) + bb,
-                                     0.0)))
-
-        target = policy.tau_lambda * policy.nl * b_norm
-        return dp_select(residual, target, scale=smax)
-    # optimal
-    return optimal_select(lambda lam: solution_map(y_of(lam)), policy.x_true,
-                          scale=smax)
+        w_inv = 1.0 / w if mode == "irw" else np.ones_like(w)
+        pair = svd_pair(_dense_system_matrix(A, psi_inv) * w_inv[None, :], b)
+        return select_lambda(policy, pair, b_norm,
+                             lambda s: solution_map(w_inv * s))
+    k = fact.k
+    R = np.linalg.qr(np.column_stack([fact.AZ, b]), mode="r")
+    R2 = np.linalg.qr(w[:, None] * Z, mode="r") if mode == "irw" else np.eye(k)
+    beta_perp = abs(R[k, k]) if R.shape[0] > k else 0.0
+    pair = projected_pair(R[:k, :k], R[:k, k], beta_perp, R2)
+    return select_lambda(policy, pair, b_norm, solution_map)

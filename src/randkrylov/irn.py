@@ -16,11 +16,9 @@ import scipy.linalg
 
 from .krylov import lsqr_solve
 from .operators import CompositeOperator, DiagonalOperator
+from .regparam import LambdaPolicy, select_lambda, svd_pair
 from .sketching import apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
-
-
-from .regparam import LambdaPolicy
 
 
 @dataclass(frozen=True)
@@ -74,46 +72,20 @@ def _rel_error(x, x_true):
     return float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
 
 
-def _dense_system_matrix(A, psi_inv, w_inv):
-    """Materialized A Psi^{-1} W^{-1}; desk-scale only, used by the dp/gcv/
-    optimal policies which need the residual as a cheap function of lambda."""
+def _dense_system_matrix(A, psi_inv):
+    """Materialized A Psi^{-1} (desk scale only): the irn-s2p sketch and the
+    SVD behind the dp, gcv and optimal policies start from it."""
     M = A.matrix if hasattr(A, "matrix") else A.materialize()
-    if psi_inv is not None:
-        M = M @ psi_inv.materialize()
-    return M * w_inv[None, :]
+    return M if psi_inv is None else M @ psi_inv.materialize()
 
 
-def _select_lambda(policy, A, psi_inv, w_inv, b, x_true):
-    """One lambda update per outer iteration, via an SVD of the current
-    reweighted system matrix (desk scale)."""
-    from . import regparam
-
+def _select_lambda(policy, AP, w_inv, b, solution_map):
+    """One lambda update per outer iteration, from the SVD of the current
+    reweighted system matrix A Psi^{-1} W^{-1} (desk scale)."""
     if policy.kind == "fixed":
         return policy.lam
-    if policy.kind == "wgcv":
-        raise ValueError("wgcv is a projected-problem policy; IRN supports "
-                         "fixed, dp, gcv and optimal")
-    M = _dense_system_matrix(A, psi_inv, w_inv)
-    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    beta = U.T @ b
-    perp2 = max(float(b @ b - beta @ beta), 0.0)
-
-    if policy.kind == "dp":
-        def residual(lam):
-            filt = lam / (sv**2 + lam) if lam > 0 else np.where(sv > 0, 0.0, 1.0)
-            return float(np.sqrt(np.sum((filt * beta) ** 2) + perp2))
-
-        target = policy.tau_lambda * policy.nl * float(np.linalg.norm(b))
-        return regparam.dp_select(residual, target, scale=float(sv[0] ** 2))
-    if policy.kind == "gcv":
-        return regparam.gcv_full_select(M, b)
-    # optimal
-    def solution_map(lam):
-        y = Vt.T @ (sv / (sv**2 + lam) * beta)
-        x = w_inv * y
-        return x if psi_inv is None else psi_inv.apply(x)
-
-    return regparam.optimal_select(solution_map, x_true)
+    pair = svd_pair(AP * w_inv[None, :], b)
+    return select_lambda(policy, pair, float(np.linalg.norm(b)), solution_map)
 
 
 def irn_solve(A, psi, b, config, x_true=None):
@@ -156,13 +128,12 @@ def _irn_loop(A, psi, b, config, x_true, sketch):
     policy = config.lambda_policy
     weight = config.weight
 
+    AP = None
+    if sketch is not None or policy.kind != "fixed":
+        AP = _dense_system_matrix(A, psi_inv)
     C0 = None
     if sketch is not None:
-        # Y0 = S A Psi^{-1}, materialized column-wise through the sketch.
-        M = A.matrix if hasattr(A, "matrix") else A.materialize()
-        if psi_inv is not None:
-            M = M @ psi_inv.materialize()
-        Y0 = apply_sketch(sketch, M)
+        Y0 = apply_sketch(sketch, AP)  # S A Psi^{-1}
         C0 = Y0.T @ Y0
 
     x = np.zeros(n)
@@ -173,7 +144,12 @@ def _irn_loop(A, psi, b, config, x_true, sketch):
         z = x if psi is None or psi.kind == "identity" else psi.apply(x)
         w = compute_weights(z, weight)
         w_inv = 1.0 / w
-        lam = _select_lambda(policy, A, psi_inv, w_inv, b, x_true)
+
+        def to_x(s):
+            x = w_inv * s
+            return x if psi_inv is None else psi_inv.apply(x)
+
+        lam = _select_lambda(policy, AP, w_inv, b, to_x)
 
         ops = [A]
         if psi_inv is not None:
@@ -195,10 +171,7 @@ def _irn_loop(A, psi, b, config, x_true, sketch):
             op_k, b, lam=lam, right_precond=right_precond,
             tol=config.inner_tol, maxit=inner_max,
         )
-        s = res.x
-        x = w_inv * s
-        if psi_inv is not None:
-            x = psi_inv.apply(x)
+        x = to_x(res.x)
         cum_inner += res.n_iter
         obj_mm, obj_lit = objective_values(A, b, x, weight, lam, psi)
         iterates.append(x.copy())

@@ -1,6 +1,7 @@
 """Regularization-parameter selection: discrepancy principle, (weighted) GCV
-on projected problems through a small GSVD, full-problem GCV for dense desk
-cases, and the optimal-parameter oracle."""
+and the optimal-parameter oracle, all evaluated by ``select_lambda`` from the
+filter factors of one spectral pair. A pair comes from a small GSVD of a
+projected problem or from a dense SVD of a full reweighted system."""
 
 from __future__ import annotations
 
@@ -30,6 +31,9 @@ class LambdaPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "dp", "gcv", "wgcv", "optimal"):
             raise ValueError(f"unknown lambda policy {self.kind!r}")
+        if not np.all(np.isfinite([self.lam, self.nl, self.tau_lambda])):
+            raise ValueError("lambda, noise level and tau_lambda must be "
+                             "finite")
         if self.lam < 0.0 or self.nl < 0.0:
             raise ValueError("lambda and noise level must be non-negative")
         if self.kind == "dp" and self.tau_lambda <= 1.0:
@@ -142,13 +146,6 @@ def gsvd_small(R1, R2):
     return U, V, Xt, c, s
 
 
-def _projected_gcv_terms(pp):
-    """Per-direction filter ingredients for the projected (W)GCV function."""
-    U, _, _, c, s = gsvd_small(pp.R1, pp.R2)
-    beta_t = U.T @ pp.beta
-    return c, s, beta_t
-
-
 def _wgcv_value(lam, c, s, beta_t, k, omega):
     gamma = np.where(s > 0, c**2 / (c**2 + lam * s**2), 1.0)
     num = k * float(np.sum(((1.0 - gamma) * beta_t) ** 2))
@@ -158,45 +155,103 @@ def _wgcv_value(lam, c, s, beta_t, k, omega):
     return num / den
 
 
-def wgcv_select(pp, s_rows, k=None, omega=None):
-    """Argmin of the weighted projected GCV function, omega = (k+1)/s."""
-    if k is None:
-        k = pp.k
-    if omega is None:
-        omega = (k + 1) / s_rows
-    c, svals, beta_t = _projected_gcv_terms(pp)
-    sigma_max_sq = float(np.max(np.linalg.svd(pp.R1, compute_uv=False)) ** 2) \
-        if pp.R1.size else 1.0
-    fun = lambda lam: _wgcv_value(lam, c, svals, beta_t, k, omega)
-    lam, _flagged = _grid_argmin(fun, sigma_max_sq)
-    return lam
-
-
-def gcv_full_select(A_k, b):
-    """Argmin of the dense GCV function via an SVD of A_k (desk scale)."""
-    A_k = np.asarray(A_k, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    U, sv, _ = np.linalg.svd(A_k, full_matrices=False)
-    beta = U.T @ b
-    perp2 = max(float(b @ b - beta @ beta), 0.0)
-    m = A_k.shape[0]
-
-    def gfun(lam):
-        filt = lam / (sv**2 + lam)
-        res2 = float(np.sum((filt * beta) ** 2)) + perp2
-        tr = float(np.sum(filt)) + (m - sv.size)
-        if tr == 0.0:
-            return np.inf
-        return res2 / tr**2
-
-    lam, _flagged = _grid_argmin(gfun, float(sv[0] ** 2) if sv.size else 1.0)
-    return lam
-
-
 def optimal_select(solution_map, x_true, scale=1.0):
     """Oracle parameter: argmin over the search grid (plus golden refinement)
     of the error against the known true solution."""
     x_true = np.asarray(x_true, dtype=np.float64)
     fun = lambda lam: float(np.linalg.norm(solution_map(lam) - x_true))
     lam, _flagged = _grid_argmin(fun, scale)
+    return lam
+
+
+@dataclass(frozen=True)
+class SpectralPair:
+    """Filter-factor data of one Tikhonov family min |A y - b|^2 + lam |L y|^2.
+
+    (c, s) are the generalized singular values of (A, L), beta_t the
+    coefficients of b along the left singular vectors of A, beta_perp the
+    norm of the rest of b, and coef the k-by-k map from filtered coefficients
+    to y. Every rule searches a range anchored at smax_sq = sigma_max(A)^2.
+    ``m`` is the row count of a full system, whose GCV counts all m rows;
+    None marks a projected pair, whose (W)GCV is the projected function.
+    """
+
+    c: np.ndarray
+    s: np.ndarray
+    beta_t: np.ndarray
+    beta_perp: float
+    coef: np.ndarray
+    smax_sq: float
+    m: int | None = None
+
+
+def projected_pair(R1, beta, beta_perp, R2):
+    """Pair of the projected problem min |R1 y - beta|^2 + lam |R2 y|^2 (plus
+    the constant beta_perp^2), through the small GSVD: y = X^{-T} filtered."""
+    U, _, Xt, c, s = gsvd_small(R1, R2)
+    smax_sq = float(np.linalg.norm(R1, 2) ** 2) if R1.size else 1.0
+    return SpectralPair(c, s, U.T @ beta, float(beta_perp), np.linalg.inv(Xt),
+                        smax_sq)
+
+
+def svd_pair(M, b):
+    """Pair of the standard-form problem min |M y - b|^2 + lam |y|^2, through
+    a dense SVD of M: c = sigma, s = 1, and the coefficient map is V."""
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    beta_t = U.T @ b
+    beta_perp = np.sqrt(max(float(b @ b - beta_t @ beta_t), 0.0))
+    return SpectralPair(sv, np.ones_like(sv), beta_t, float(beta_perp), Vt.T,
+                        float(sv[0] ** 2) if sv.size else 1.0, M.shape[0])
+
+
+def _filters(lam, c, s):
+    """Residual filter 1 - gamma = lam s^2 / (c^2 + lam s^2) and solution
+    filter c / (c^2 + lam s^2). At lam = 0 a null direction of A (c = 0)
+    keeps its whole residual and adds nothing to y."""
+    if lam == 0.0:
+        live = c > 0
+        return (np.where(live, 0.0, 1.0),
+                np.divide(1.0, c, out=np.zeros_like(c), where=live))
+    den = c**2 + lam * s**2
+    return lam * s**2 / den, c / den
+
+
+def select_lambda(policy, pair, b_norm, solution_map=None, sketch_rows=None):
+    """The policy's lambda, every rule read from the filter factors of one
+    spectral pair: dp and (w)gcv in O(k) per lambda, the optimal oracle in a
+    k-by-k matvec plus ``solution_map`` (coefficients y to the solution that
+    is compared with x_true). ``b_norm`` scales the dp target, and
+    ``sketch_rows`` sets the wgcv weight omega = (k+1)/sketch_rows."""
+    if policy.kind == "fixed":
+        return policy.lam
+    # Closures capture only these O(k) arrays, never the pair: brentq keeps
+    # the dp residual in a reference cycle that outlives this call.
+    c, s, beta_t, beta_perp = pair.c, pair.s, pair.beta_t, pair.beta_perp
+    if policy.kind == "dp":
+        def residual(lam):
+            comp = _filters(lam, c, s)[0]
+            return float(np.sqrt(np.sum((comp * beta_t) ** 2) + beta_perp**2))
+
+        target = policy.tau_lambda * policy.nl * b_norm
+        return dp_select(residual, target, scale=pair.smax_sq)
+    if policy.kind == "optimal":
+        coef = pair.coef
+        return optimal_select(
+            lambda lam: solution_map(coef @ (_filters(lam, c, s)[1] * beta_t)),
+            policy.x_true, scale=pair.smax_sq)
+    k, m = c.size, pair.m
+    if m is None:
+        omega = 1.0 if policy.kind == "gcv" else (k + 1) / sketch_rows
+        fun = lambda lam: _wgcv_value(lam, c, s, beta_t, k, omega)
+    elif policy.kind == "wgcv":
+        raise ValueError("wgcv is a projected-problem policy; a full system "
+                         "supports fixed, dp, gcv and optimal")
+    else:
+        def fun(lam):  # (|r|^2 + beta_perp^2) / (m - sum(gamma))^2
+            comp = _filters(lam, c, s)[0]
+            tr = float(np.sum(comp)) + (m - k)
+            if tr == 0.0:
+                return np.inf
+            return (float(np.sum((comp * beta_t) ** 2)) + beta_perp**2) / tr**2
+    lam, _flagged = _grid_argmin(fun, pair.smax_sq)
     return lam

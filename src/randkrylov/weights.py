@@ -23,8 +23,8 @@ class WeightSpec:
     def __post_init__(self):
         if not (0.0 < self.p <= 2.0):
             raise ValueError("p must lie in (0, 2]")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
 
 
 def compute_weights(z, spec):

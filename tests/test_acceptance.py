@@ -10,7 +10,7 @@ import pytest
 import randkrylov as rk
 from randkrylov.cli import main
 from randkrylov.flex import check_monotonicity_condition
-from randkrylov.regparam import _projected_gcv_terms, _wgcv_value
+from randkrylov.regparam import _grid_argmin, _wgcv_value
 from randkrylov.sketching import build_flex_sketches
 from randkrylov.weights import ObjectiveSpec, objective_value
 
@@ -442,16 +442,17 @@ def test_criterion_11_parameter_rules():
     rng = _rng(111)
     k, s_rows = 5, 64
     R1 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
-    from randkrylov.flex import ProjectedProblem
-
-    pp = ProjectedProblem(R1, rng.standard_normal(k), 0.0, np.eye(k), k)
-    omega_exact = rk.wgcv_select(pp, s_rows) == rk.wgcv_select(
-        pp, s_rows, omega=(k + 1) / s_rows)
+    pair = rk.projected_pair(R1, rng.standard_normal(k), 0.0, np.eye(k))
+    explicit, _ = _grid_argmin(
+        lambda lam: _wgcv_value(lam, pair.c, pair.s, pair.beta_t, k,
+                                (k + 1) / s_rows), pair.smax_sq)
+    omega_exact = rk.select_lambda(rk.LambdaPolicy(kind="wgcv"), pair, 1.0,
+                                   sketch_rows=s_rows) == explicit
     # GSVD-filter evaluation of the GCV function vs dense influence matrix
     R2 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     beta = rng.standard_normal(k)
-    pp = ProjectedProblem(R1, beta, 0.0, R2, k)
-    c, s, beta_t = _projected_gcv_terms(pp)
+    pair = rk.projected_pair(R1, beta, 0.0, R2)
+    c, s, beta_t = pair.c, pair.s, pair.beta_t
     g_worst = 0.0
     for lam in (1e-6, 1e-3, 1e-1, 1.0, 10.0, 1e3):
         K = R1.T @ R1 + lam * (R2.T @ R2)

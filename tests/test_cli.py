@@ -126,6 +126,10 @@ def test_exit_code_2_on_config_errors(tmp_path):
         "family = irn\nlambda_policy = dp\nnl = 0",
         "family = irn\ninner_max = 0", "family = irn\ninner_tol = 0",
         "family = lsqr\nlambda = -1",
+        "family = irn\ntau = nan", "family = fista\ntau = inf",
+        "family = irn\nlambda = nan", "family = flex\nlambda = inf",
+        "family = irn\nlambda_policy = dp\nnl = nan",
+        "family = irn\nlambda_policy = dp\nnl = 0.1\ntau_lambda = inf",
     ]):
         solver = "".join(f"solver.a.{kv}\n" for kv in
                          ["seed = 1"] + keys.split("\n"))

@@ -16,9 +16,9 @@ from randkrylov.flex import (
 from randkrylov.irn import IRNConfig, irn_solve
 from randkrylov.krylov import gmres_solve, lsqr_solve
 from randkrylov.problems import add_noise, gen_subset_selection
-from randkrylov.regparam import LambdaPolicy
+from randkrylov.regparam import LambdaPolicy, dp_select, optimal_select
 from randkrylov.sketching import identity_sketch
-from randkrylov.weights import WeightSpec
+from randkrylov.weights import WeightSpec, compute_weights
 
 
 def _rng(seed=0):
@@ -147,37 +147,76 @@ def test_sns_identity_sketch_matches_exact():
 def test_s2p_identity_sketch_matches_exact():
     inst = _tall_instance(m=40, n=18)
     ws = WeightSpec(p=1.0, tau=1e-4)
-    pol = LambdaPolicy(kind="fixed", lam=0.5)
-    base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=10,
-                weight=ws, lambda_policy=pol, seed=1)
-    ref = exact_flex_solve(inst.A, inst.psi, inst.b,
-                           FlexSolverConfig(scheme="exact", **base),
-                           inst.x_true)
     S1, S2 = identity_sketch(40), identity_sketch(18)
-    got = s2p_flex_solve(inst.A, inst.psi, inst.b,
-                         FlexSolverConfig(scheme="sketch_to_precondition",
-                                          inner_tol=1e-13, **base),
-                         S1, S2, inst.x_true)
-    for xr, xg in zip(ref.iterates, got.iterates):
-        np.testing.assert_allclose(xg, xr, rtol=1e-7, atol=1e-8)
+    for pol in (LambdaPolicy(kind="fixed", lam=0.5),
+                LambdaPolicy(kind="dp", nl=0.02),
+                LambdaPolicy(kind="optimal", x_true=inst.x_true)):
+        base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=10,
+                    weight=ws, lambda_policy=pol, seed=1)
+        ref = exact_flex_solve(inst.A, inst.psi, inst.b,
+                               FlexSolverConfig(scheme="exact", **base),
+                               inst.x_true)
+        got = s2p_flex_solve(inst.A, inst.psi, inst.b,
+                             FlexSolverConfig(scheme="sketch_to_precondition",
+                                              inner_tol=1e-13, **base),
+                             S1, S2, inst.x_true)
+        np.testing.assert_allclose(got.column("lam"), ref.column("lam"),
+                                   rtol=1e-8, atol=1e-12, err_msg=pol.kind)
+        for xr, xg in zip(ref.iterates, got.iterates):
+            np.testing.assert_allclose(xg, xr, rtol=1e-7, atol=1e-8,
+                                       err_msg=pol.kind)
+
+
+def _normal_equation_lambda(policy, A, w, b):
+    # the previous identity-phase rule, kept as an oracle: normal equations
+    # of min |A y - b|^2 + lam |W y|^2
+    G_A, G_W, c_A = A.T @ A, np.diag(w**2), A.T @ b
+    smax = float(np.linalg.norm(G_A, 2))
+    y_of = lambda lam: np.linalg.solve(G_A + lam * G_W, c_A)
+    if policy.kind == "dp":
+        target = policy.tau_lambda * policy.nl * float(np.linalg.norm(b))
+        return dp_select(lambda lam: float(np.linalg.norm(A @ y_of(lam) - b)),
+                         target, scale=smax), y_of
+    return optimal_select(y_of, policy.x_true, scale=smax), y_of
 
 
 def test_s2p_identity_phase_after_span_exhaustion():
-    # k_max beyond the space dimension forces the identity-basis phase
+    # k_max beyond the space dimension forces the identity-basis phase,
+    # which starts at outer iteration 13 here
     inst = _square_instance(n=12)
     ws = WeightSpec(p=1.0, tau=1e-4)
-    cfg = FlexSolverConfig(basis="golub_kahan", mode="irw",
-                           scheme="sketch_to_precondition", ell=None,
-                           k_max=15, weight=ws,
-                           lambda_policy=LambdaPolicy(kind="fixed", lam=0.5),
-                           inner_tol=1e-12, seed=1)
     S1, S2 = identity_sketch(12), identity_sketch(12)
-    res = s2p_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2, inst.x_true)
-    assert len(res.iterates) == 15
-    assert np.all(np.isfinite(res.x))
-    F = res.column("objective_mm")
-    slack = 1e-8 * F[0]
-    assert all(b <= a + slack for a, b in zip(F, F[1:]))
+    for pol in (LambdaPolicy(kind="fixed", lam=0.5),
+                LambdaPolicy(kind="dp", nl=0.02),
+                LambdaPolicy(kind="optimal", x_true=inst.x_true)):
+        cfg = FlexSolverConfig(basis="golub_kahan", mode="irw",
+                               scheme="sketch_to_precondition", ell=None,
+                               k_max=15, weight=ws, lambda_policy=pol,
+                               inner_tol=1e-12, seed=1)
+        res = s2p_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2,
+                             inst.x_true)
+        assert len(res.iterates) == 15
+        assert np.all(np.isfinite(res.x))
+        if pol.kind == "fixed":
+            F = res.column("objective_mm")
+            slack = 1e-8 * F[0]
+            assert all(b <= a + slack for a, b in zip(F, F[1:]))
+            continue
+        for it in (13, 14, 15):
+            w = compute_weights(res.iterates[it - 2], ws)
+            ref, y_of = _normal_equation_lambda(pol, inst.A.matrix, w, inst.b)
+            got = res.trace[it - 1].lam
+            assert ref > 0.0, (pol.kind, it)
+            if pol.kind == "dp":
+                assert abs(got - ref) <= 1e-8 * ref, it
+            else:  # golden search resolves the flat minimum to 1e-3 only
+                err = lambda lam: np.linalg.norm(y_of(lam) - inst.x_true)
+                assert err(got) <= err(ref) * (1.0 + 1e-8), it
+        if pol.kind == "dp":  # the identity-phase solves meet the discrepancy
+            target = pol.tau_lambda * pol.nl * np.linalg.norm(inst.b)
+            for x in res.iterates[12:]:
+                r = np.linalg.norm(inst.A.apply(x) - inst.b)
+                assert abs(r / target - 1.0) < 1e-6
 
 
 def test_s2p_rejects_gcv_policies():

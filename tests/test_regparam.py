@@ -1,16 +1,24 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randkrylov.flex import ProjectedProblem
+from randkrylov.flex import ProjectedProblem, solve_projected_tikhonov
 from randkrylov.regparam import (
     LambdaPolicy,
+    _grid_argmin,
     _wgcv_value,
     dp_select,
-    gcv_full_select,
     gsvd_small,
     optimal_select,
-    wgcv_select,
+    projected_pair,
+    select_lambda,
+    svd_pair,
 )
+from randkrylov.weights import WeightSpec
 
 
 def _rng(seed=0):
@@ -89,11 +97,9 @@ def test_wgcv_value_matches_dense_oracle(lam):
     R1 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     R2 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     beta = rng.standard_normal(k)
+    pair = projected_pair(R1, beta, 0.0, R2)
+    c, s, beta_t = pair.c, pair.s, pair.beta_t
     for omega in (1.0, 0.6):
-        from randkrylov.regparam import _projected_gcv_terms
-
-        pp = ProjectedProblem(R1, beta, 0.0, R2, k)
-        c, s, beta_t = _projected_gcv_terms(pp)
         got = _wgcv_value(lam, c, s, beta_t, k, omega)
         ref = _dense_wgcv_oracle(R1, R2, beta, lam, k, omega)
         np.testing.assert_allclose(got, ref, rtol=1e-10)
@@ -104,9 +110,12 @@ def test_wgcv_default_omega():
     rng = _rng(3)
     k, s_rows = 4, 40
     R1 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
-    pp = ProjectedProblem(R1, rng.standard_normal(k), 0.0, np.eye(k), k)
-    lam_default = wgcv_select(pp, s_rows)
-    lam_explicit = wgcv_select(pp, s_rows, omega=(k + 1) / s_rows)
+    pair = projected_pair(R1, rng.standard_normal(k), 0.0, np.eye(k))
+    lam_default = select_lambda(LambdaPolicy(kind="wgcv"), pair, 1.0,
+                                sketch_rows=s_rows)
+    lam_explicit, _ = _grid_argmin(
+        lambda lam: _wgcv_value(lam, pair.c, pair.s, pair.beta_t, k,
+                                (k + 1) / s_rows), pair.smax_sq)
     assert lam_default == lam_explicit
 
 
@@ -115,11 +124,9 @@ def test_wgcv_select_near_brute_force():
     k = 6
     R1 = np.triu(rng.standard_normal((k, k))) + 1.5 * np.eye(k)
     beta = rng.standard_normal(k)
-    pp = ProjectedProblem(R1, beta, 0.3, np.eye(k), k)
-    lam = wgcv_select(pp, 60, omega=1.0)
-    from randkrylov.regparam import _projected_gcv_terms
-
-    c, s, beta_t = _projected_gcv_terms(pp)
+    pair = projected_pair(R1, beta, 0.3, np.eye(k))
+    lam = select_lambda(LambdaPolicy(kind="gcv"), pair, 1.0, sketch_rows=60)
+    c, s, beta_t = pair.c, pair.s, pair.beta_t
     grid = np.geomspace(1e-10, 1e6, 4000)
     vals = [_wgcv_value(g, c, s, beta_t, k, 1.0) for g in grid]
     best = min(vals)
@@ -132,7 +139,7 @@ def test_gcv_full_near_brute_force():
     M = rng.standard_normal((40, 10)) @ np.diag(np.geomspace(1, 1e-3, 10))
     x = rng.standard_normal(10)
     b = M @ x + 0.01 * rng.standard_normal(40)
-    lam = gcv_full_select(M, b)
+    lam = select_lambda(LambdaPolicy(kind="gcv"), svd_pair(M, b), 1.0)
     U, sv, _ = np.linalg.svd(M, full_matrices=False)
     beta = U.T @ b
     perp2 = b @ b - beta @ beta
@@ -152,3 +159,127 @@ def test_optimal_select_quadratic():
     sol = lambda lam: np.array([1.0 + (np.log10(lam) + 2.0) ** 2])
     lam = optimal_select(sol, x_true, scale=1.0)
     assert abs(np.log10(lam) + 2.0) < 1e-2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True),
+       st.sampled_from(["lam", "nl", "tau_lambda", "tau"]))
+def test_parameters_reject_non_finite_values(value, field):
+    # NaN or inf never reaches a solver: the specs refuse it with ValueError
+    make = (lambda v: WeightSpec(tau=v)) if field == "tau" else (
+        lambda v: LambdaPolicy(kind="fixed", **{field: v}))
+    valid = np.isfinite(value) and (value > 0.0 if field == "tau"
+                                    else field == "tau_lambda" or value >= 0.0)
+    if valid:
+        make(value)
+    else:
+        with pytest.raises(ValueError):
+            make(value)
+
+
+def _ill_posed_pair(seed, k=8):
+    # projected pair with decaying R1, a smoothing R2, a solution meeting the
+    # discrete Picard condition, and noise of known norm
+    rng = _rng(seed)
+    R1 = np.triu(rng.standard_normal((k, k)), 1) * 0.3 + np.diag(
+        np.geomspace(1.0, 1e-4, k))
+    R2 = np.triu(rng.standard_normal((k, k)), 1) * 0.2 + np.eye(k)
+    y_true = np.linalg.solve(R2, np.geomspace(1.0, 1e-3, k)
+                             * rng.standard_normal(k))
+    noise = 1e-3 * rng.standard_normal(k)
+    beta_perp = 1e-3
+    return R1, R1 @ y_true + noise, beta_perp, R2, y_true, float(
+        np.sqrt(noise @ noise + beta_perp**2))
+
+
+def _stacked_qr_select(policy, R1, beta, beta_perp, R2, b_norm, y_true):
+    # the previous per-lambda rule: one stacked QR per lambda it tries
+    pp = ProjectedProblem(R1, beta, beta_perp, R2, R1.shape[1])
+    smax_sq = float(np.linalg.svd(R1, compute_uv=False)[0] ** 2)
+    if policy.kind == "dp":
+        def residual(lam):
+            r = R1 @ solve_projected_tikhonov(pp, lam) - beta
+            return float(np.sqrt(r @ r + beta_perp**2))
+
+        target = policy.tau_lambda * policy.nl * b_norm
+        return dp_select(residual, target, scale=smax_sq)
+    return optimal_select(lambda lam: solve_projected_tikhonov(pp, lam),
+                          y_true, scale=smax_sq)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_lambda_matches_stacked_qr_rules(seed):
+    R1, beta, beta_perp, R2, y_true, noise_norm = _ill_posed_pair(seed)
+    pair = projected_pair(R1, beta, beta_perp, R2)
+    b_norm = float(np.sqrt(beta @ beta + beta_perp**2))
+    for policy in (LambdaPolicy(kind="dp", nl=noise_norm / b_norm),
+                   LambdaPolicy(kind="optimal", x_true=y_true)):
+        ref = _stacked_qr_select(policy, R1, beta, beta_perp, R2, b_norm,
+                                 y_true)
+        got = select_lambda(policy, pair, b_norm, lambda y: y)
+        assert ref > 0.0
+        assert abs(got - ref) <= 1e-8 * ref, policy.kind
+
+
+def _dense_svd_select(policy, M, b, x_true):
+    # the previous IRN rules: filter factors of a dense SVD of M
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    beta = U.T @ b
+    perp2 = max(float(b @ b - beta @ beta), 0.0)
+    if policy.kind == "dp":
+        def residual(lam):
+            filt = lam / (sv**2 + lam) if lam > 0 else np.where(sv > 0, 0.0,
+                                                                1.0)
+            return float(np.sqrt(np.sum((filt * beta) ** 2) + perp2))
+
+        target = policy.tau_lambda * policy.nl * float(np.linalg.norm(b))
+        return dp_select(residual, target, scale=float(sv[0] ** 2))
+    if policy.kind == "gcv":
+        def gfun(lam):
+            filt = lam / (sv**2 + lam)
+            tr = float(np.sum(filt)) + (M.shape[0] - sv.size)
+            return (float(np.sum((filt * beta) ** 2)) + perp2) / tr**2
+
+        return _grid_argmin(gfun, float(sv[0] ** 2))[0]
+    # optimal, anchored at sigma_max^2 like every other rule (it was 1.0)
+    return optimal_select(lambda lam: Vt.T @ (sv / (sv**2 + lam) * beta),
+                          x_true, scale=float(sv[0] ** 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_select_lambda_matches_dense_svd_rules(seed):
+    rng = _rng(20 + seed)
+    M = rng.standard_normal((60, 15)) @ np.diag(np.geomspace(1.0, 1e-3, 15))
+    x_true = rng.standard_normal(15)
+    b = M @ x_true + 0.01 * rng.standard_normal(60)
+    pair = svd_pair(M, b)
+    for policy in (LambdaPolicy(kind="dp", nl=0.01 * 60**0.5
+                                / np.linalg.norm(b)),
+                   LambdaPolicy(kind="gcv"),
+                   LambdaPolicy(kind="optimal", x_true=x_true)):
+        ref = _dense_svd_select(policy, M, b, x_true)
+        got = select_lambda(policy, pair, float(np.linalg.norm(b)),
+                            lambda y: y)
+        assert ref > 0.0
+        assert abs(got - ref) <= 1e-10 * ref, policy.kind
+
+
+def test_dp_residual_does_not_keep_the_pair_alive():
+    # brentq keeps the dp residual in a reference cycle, so whatever the
+    # residual captures outlives the call until the cyclic collector runs
+    rng = _rng(9)
+    M = rng.standard_normal((50, 20)) @ np.diag(np.geomspace(1.0, 1e-3, 20))
+    b = M @ rng.standard_normal(20) + 0.01 * rng.standard_normal(50)
+    pair = svd_pair(M, b)
+    coef = weakref.ref(pair.coef)
+    policy = LambdaPolicy(kind="dp", nl=0.02 * 50**0.5 / np.linalg.norm(b))
+    gc.collect()
+    gc.disable()
+    try:
+        lam = select_lambda(policy, pair, float(np.linalg.norm(b)))
+        del pair
+        alive = coef() is not None
+    finally:
+        gc.enable()
+    assert 0.0 < lam < 1e12 * float(np.linalg.svd(M, compute_uv=False)[0]**2)
+    assert not alive
