@@ -124,43 +124,48 @@ def build_problem(cfg, seed_override=None):
     seed = _get(sec, "seed", int, required=True)
     if seed_override is not None:
         seed = seed_override
-    if gen == "subset_selection":
-        inst = prob_mod.gen_subset_selection(
-            _get(sec, "m", int, required=True),
-            _get(sec, "n", int, required=True),
-            _get(sec, "rho", float, 0.95),
-            _get(sec, "bern_p", float, 0.1),
-            seed,
-        )
-    elif gen == "starfield":
-        inst = prob_mod.gen_starfield_deblur(
-            _get(sec, "nx", int, required=True),
-            _get(sec, "density", float, 0.072),
-            _get(sec, "sigma_blur", float, 2.0),
-            seed,
-        )
-    elif gen == "tomo":
-        inst = prob_mod.gen_tomo(
-            _get(sec, "nx", int, required=True),
-            _get(sec, "n_angles", int, 18),
-            _get(sec, "n_rays", int, None),
-            seed,
-        )
-    elif gen == "identity":
-        n = _get(sec, "n", int, required=True)
-        rng = np.random.Generator(np.random.Philox(seed))
-        x_true = rng.standard_normal(n)
-        op = IdentityOperator(n)
-        inst = prob_mod.ProblemInstance(
-            A=op, psi=IdentityOperator(n), b=x_true.copy(),
-            b_exact=x_true.copy(), x_true=x_true, nl=0.0, seed=seed,
-            descriptor=f"identity n={n}",
-        )
-    else:
-        raise ConfigError(f"unknown problem generator {gen!r}")
-    nl = _get(sec, "nl", float, 0.0)
-    if nl > 0.0:
-        inst = prob_mod.add_noise(inst, nl, _get(sec, "noise_seed", int, seed + 1))
+    try:  # the generators validate their arguments with ValueError
+        if gen == "subset_selection":
+            inst = prob_mod.gen_subset_selection(
+                _get(sec, "m", int, required=True),
+                _get(sec, "n", int, required=True),
+                _get(sec, "rho", float, 0.95),
+                _get(sec, "bern_p", float, 0.1),
+                seed,
+            )
+        elif gen == "starfield":
+            inst = prob_mod.gen_starfield_deblur(
+                _get(sec, "nx", int, required=True),
+                _get(sec, "density", float, 0.072),
+                _get(sec, "sigma_blur", float, 2.0),
+                seed,
+            )
+        elif gen == "tomo":
+            inst = prob_mod.gen_tomo(
+                _get(sec, "nx", int, required=True),
+                _get(sec, "n_angles", int, 18),
+                _get(sec, "n_rays", int, None),
+                seed,
+            )
+        elif gen == "identity":
+            n = _get(sec, "n", int, required=True)
+            rng = np.random.Generator(np.random.Philox(seed))
+            x_true = rng.standard_normal(n)
+            op = IdentityOperator(n)
+            inst = prob_mod.ProblemInstance(
+                A=op, psi=IdentityOperator(n), b=x_true.copy(),
+                b_exact=x_true.copy(), x_true=x_true, nl=0.0, seed=seed,
+                descriptor=f"identity n={n}",
+            )
+        else:
+            raise ConfigError(f"unknown problem generator {gen!r}")
+        nl = _get(sec, "nl", float, 0.0)
+        if nl > 0.0:
+            inst = prob_mod.add_noise(
+                inst, nl, _get(sec, "noise_seed", int, seed + 1)
+            )
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
     return inst
 
 

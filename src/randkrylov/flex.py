@@ -7,9 +7,10 @@ the diagonal weights W at the current iterate, expands the flexible
 factorization by one column with W^{-1} as preconditioner, and updates one
 projected pair: R1 from an incremental QR of the columns A Psi^{-1} z_j
 (sketched by S1 or not) and R2 from a QR of W Zbar (sketched by S2 or not;
-the identity outside ``irw`` mode). The schemes differ only in how the
-projected Tikhonov problem in the coefficients y of x = Psi^{-1} Zbar y is
-then solved:
+the identity outside ``irw`` mode). Once the basis is spent (breakdown, or
+k reaches min(m, n)) every scheme keeps it and only re-weights R2. The
+schemes differ only in how the projected Tikhonov problem in the
+coefficients y of x = Psi^{-1} Zbar y is then solved:
 
 * ``exact``: stacked QR of the unsketched pair.
 * ``sketch_and_solve``: stacked QR of the sketched pair; the projected
@@ -17,9 +18,7 @@ then solved:
   sketched-majorant and monotonicity diagnostics.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
   LSQR, right-preconditioned by the Cholesky factor of the sketched Gram pair
-  R1^T R1 + lam R2^T R2. Once the basis is spent (breakdown, or k reaches
-  min(m, n)) this scheme alone switches to the identity basis, preconditioned
-  by the full sketched Gram matrices of A Psi^{-1} and W.
+  R1^T R1 + lam R2^T R2.
 """
 
 from __future__ import annotations
@@ -30,21 +29,21 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import FlexibleFactorization, lsqr_solve
-from .irn import SolveResult, TraceRow, _dense_system_matrix, _rel_error
+from .irn import SolveResult, TraceRow, _rel_error
 from .operators import LinearOperator
-from .regparam import LambdaPolicy, projected_pair, select_lambda, svd_pair
-from .sketching import (
-    apply_sketch,
-    apply_sketch_weighted,
-    commute_diagonal,
-    measure_distortion,
-)
+from .regparam import LambdaPolicy, projected_pair, select_lambda
+from .sketching import apply_sketch, apply_sketch_weighted, measure_distortion
 from .weights import (
     WeightSpec,
     compute_weights,
     objective_values,
     sketched_majorant_value,
 )
+
+# sketch-and-solve re-measures the distortion every EPS_REFRESH iterations,
+# each time from DISTORTION_TRIALS random probes
+EPS_REFRESH = 5
+DISTORTION_TRIALS = 50
 
 
 @dataclass
@@ -107,8 +106,6 @@ class FlexSolverConfig:
     weight: WeightSpec = WeightSpec()
     lambda_policy: LambdaPolicy = LambdaPolicy()
     inner_tol: float = 1e-10
-    eps_refresh: int = 5
-    distortion_trials: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -119,54 +116,51 @@ class FlexSolverConfig:
         if self.scheme not in ("sketch_and_solve", "sketch_to_precondition",
                                "exact"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if min(self.k_max, self.eps_refresh, self.distortion_trials) < 1:
-            raise ValueError("k_max, eps_refresh and distortion_trials must "
-                             "be at least 1")
+        if self.k_max < 1:
+            raise ValueError("k_max must be at least 1")
         if self.ell is not None and self.ell < 1:
             raise ValueError("ell must be at least 1, or None for full "
                              "orthogonalization")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
+        if (self.scheme == "sketch_to_precondition"
+                and self.lambda_policy.kind in ("gcv", "wgcv")):
+            raise ValueError("sketch-to-precondition supports fixed, dp and "
+                             "optimal policies only")
 
 
 class _StackedProjected(LinearOperator):
-    """[A Psi^{-1} Zbar; sqrt(lam) W Zbar] acting on projected coefficients.
-
-    Zbar = None means the identity basis (post-breakdown classic-IRN phase).
-    """
+    """[A Psi^{-1} Zbar; sqrt(lam) L] acting on projected coefficients, with
+    the regularization block L = W Zbar (``irw``: w given) or the identity
+    (w = None), the same matrix that R2 factors."""
 
     kind = "stacked_projected"
 
     def __init__(self, A, psi_inv, Z, w, lam):
-        k = A.ncols if Z is None else Z.shape[1]
-        n = w.shape[0]
-        nrows = A.nrows + (n if lam > 0.0 else 0)
-        super().__init__(nrows, k)
+        k = Z.shape[1]
+        nreg = 0 if lam == 0.0 else (k if w is None else w.size)
+        super().__init__(A.nrows + nreg, k)
         self.A, self.psi_inv, self.Z, self.w = A, psi_inv, Z, w
         self.lam = lam
         self.sqlam = np.sqrt(lam)
 
-    def _basis_apply(self, y):
-        return y if self.Z is None else self.Z @ y
-
-    def _basis_adjoint(self, t):
-        return t if self.Z is None else self.Z.T @ t
-
     def _apply(self, y):
-        t = self._basis_apply(y)
+        t = self.Z @ y
         top = self.A.apply(t if self.psi_inv is None else self.psi_inv.apply(t))
         if self.lam == 0.0:
             return top
-        return np.concatenate([top, self.sqlam * (self.w * t)])
+        reg = y if self.w is None else self.w * t
+        return np.concatenate([top, self.sqlam * reg])
 
     def _apply_adjoint(self, r):
         top = self.A.apply_adjoint(r[: self.A.nrows])
         if self.psi_inv is not None:
             top = self.psi_inv.apply_adjoint(top)
-        out = self._basis_adjoint(top)
+        out = self.Z.T @ top
         if self.lam > 0.0:
-            out = out + self.sqlam * self._basis_adjoint(
-                self.w * r[self.A.nrows:]
+            reg = r[self.A.nrows:]
+            out = out + self.sqlam * (
+                reg if self.w is None else self.Z.T @ (self.w * reg)
             )
         return out
 
@@ -209,11 +203,11 @@ def _distortion_pair(S1, S2, AZ, b, WZ, config, it):
     """Measured distortion of S1 over span([A Psi^{-1} Zbar, b]) and of S2
     over span(W Zbar); returns the maximum."""
     basis1 = np.hstack([AZ, b[:, None]])
-    eps1 = measure_distortion(S1, basis1, config.distortion_trials,
+    eps1 = measure_distortion(S1, basis1, DISTORTION_TRIALS,
                               seed=config.seed + 1000 + it)
     eps2 = 0.0
     if WZ is not None and WZ.size:
-        eps2 = measure_distortion(S2, WZ, config.distortion_trials,
+        eps2 = measure_distortion(S2, WZ, DISTORTION_TRIALS,
                                   seed=config.seed + 2000 + it)
     return max(eps1, eps2)
 
@@ -241,9 +235,6 @@ def s2p_flex_solve(A, psi, b, config, S1, S2, x_true=None):
     Cholesky factor of the sketched k-by-k Gram matrix."""
     if config.scheme != "sketch_to_precondition":
         raise ValueError("config.scheme must be 'sketch_to_precondition'")
-    if config.lambda_policy.kind in ("gcv", "wgcv"):
-        raise ValueError("sketch-to-precondition supports fixed, dp and "
-                         "optimal policies only")
     return _flex_loop(A, psi, b, config, S1, S2, x_true)
 
 
@@ -261,7 +252,6 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
     qr1 = _IncrementalQR(S1.s if sketched else m)
     s1b = apply_sketch(S1, b) if sketched else b
     G2raw = np.empty((S2.s if sketched else 0, 0))  # gathered rows of Zbar
-    C_full = None  # sketched Gram of A Psi^{-1}: the s2p identity phase
 
     x = np.zeros(n)
     iterates, trace = [], []
@@ -271,7 +261,7 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
         z_prev = x if psi is None or psi.kind == "identity" else psi.apply(x)
         w = compute_weights(z_prev, weight)
 
-        if C_full is None and not fact.breakdown and fact.k < min(m, n):
+        if not fact.breakdown and fact.k < min(m, n):
             col = fact.expand(1.0 / w)
             if col is not None:
                 qr1.append(apply_sketch(S1, col) if sketched else col)
@@ -279,13 +269,12 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
                     G2raw = np.hstack(
                         [G2raw, fact.Z[:, -1][S2.selected_rows][:, None]]
                     )
-        elif s2p and C_full is None:
-            C_full = _sketched_gram_full(A, psi_inv, S1)
-        Z = fact.Z if C_full is None else None
+        Z = fact.Z
+        w_reg = w if config.mode == "irw" else None  # the L of R2 = qr(L Z)
 
         beta = qr1.Q.T @ s1b
         beta_perp = float(np.linalg.norm(s1b - qr1.Q @ beta))
-        if config.mode == "irw":
+        if w_reg is not None:
             M2 = (apply_sketch_weighted(S2, w, Z, gathered=G2raw)
                   if sketched else w[:, None] * Z)
             R2 = np.linalg.qr(M2, mode="r")
@@ -294,21 +283,21 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
         pp = ProjectedProblem(qr1.R, beta, beta_perp, R2, fact.k)
 
         def solution_map(y):
-            t = y if Z is None else Z @ y
+            t = Z @ y
             return t if psi_inv is None else psi_inv.apply(t)
 
         if config.mode == "none":
             lam = 0.0
         elif s2p:
-            lam = _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b,
-                                     b_norm, config.mode, solution_map)
+            lam = _select_s2p_lambda(policy, fact, w_reg, b, b_norm,
+                                     solution_map)
         else:
             lam = _select_projected_lambda(policy, pp, b_norm,
                                            S1.s if sketched else m,
                                            solution_map)
         if s2p:
-            res = _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, C_full,
-                                       S2, config.inner_tol)
+            res = _s2p_projected_solve(A, psi_inv, b, Z, w_reg, lam, pp,
+                                       config.inner_tol)
             y, inner, stagnated = res.x, res.n_iter, res.stagnated
         else:
             try:
@@ -322,8 +311,8 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
 
         mono = None
         if sketched and not s2p:
-            if (it - 1) % config.eps_refresh == 0:
-                WZ = w[:, None] * Z if config.mode == "irw" else None
+            if (it - 1) % EPS_REFRESH == 0:
+                WZ = None if w_reg is None else w_reg[:, None] * Z
                 eps_hat = _distortion_pair(S1, S2, fact.AZ, b, WZ, config, it)
             qhat_curr = sketched_majorant_value(S1, S2, A, b, w, x_new, lam)
             qhat_prev_x = sketched_majorant_value(S1, S2, A, b, w, x, lam)
@@ -351,43 +340,19 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
     return SolveResult(iterates, trace)
 
 
-def _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, C_full, S2, tol):
-    """LSQR on [A Psi^{-1} Zbar; sqrt(lam) W Zbar] y ~ [b; 0], right-
-    preconditioned by the Cholesky factor of the sketched Gram pair.
-
-    Zbar = None is the identity basis, whose sketched Gram pair is C_full and
-    the diagonal (S2 W)^T (S2 W)."""
-    if Z is None:
-        dvals = np.zeros(w.size)
-        wbar = commute_diagonal(S2, w)
-        np.add.at(dvals, S2.selected_rows, (S2.scales * wbar) ** 2)
-        G1, G2 = C_full, np.diag(dvals)
-    else:
-        G1, G2 = pp.R1.T @ pp.R1, pp.R2.T @ pp.R2
-    R = _chol_with_jitter(G1 + lam * G2, lam)
+def _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, tol):
+    """LSQR on [A Psi^{-1} Zbar; sqrt(lam) L] y ~ [b; 0] (L as in
+    ``_StackedProjected``), right-preconditioned by the Cholesky factor of
+    the sketched Gram pair."""
+    R = _chol_with_jitter(pp.R1.T @ pp.R1 + lam * (pp.R2.T @ pp.R2), lam)
     right_precond = (
         lambda v: scipy.linalg.solve_triangular(R, v, lower=False),
         lambda v: scipy.linalg.solve_triangular(R, v, lower=False, trans="T"),
     )
     op = _StackedProjected(A, psi_inv, Z, w, lam)
-    rhs = np.concatenate([b, np.zeros(w.size)]) if lam > 0.0 else b
+    rhs = np.concatenate([b, np.zeros(op.nrows - b.size)])
     return lsqr_solve(op, rhs, lam=0.0, right_precond=right_precond, tol=tol,
                       maxit=max(4 * op.ncols, 8))
-
-
-def _sketched_gram_full(A, psi_inv, S1):
-    """(S1 A Psi^{-1})^T (S1 A Psi^{-1}) for the identity-basis phase."""
-    rows = []
-    m = A.nrows
-    for j, scale in zip(S1.selected_rows, S1.scales):
-        e = np.zeros(m)
-        e[j] = scale
-        r = A.apply_adjoint(e)
-        if psi_inv is not None:
-            r = psi_inv.apply_adjoint(r)
-        rows.append(r)
-    Y0 = np.stack(rows, axis=0)
-    return Y0.T @ Y0
 
 
 def _chol_with_jitter(M, lam):
@@ -405,21 +370,16 @@ def _chol_with_jitter(M, lam):
             ) from exc
 
 
-def _select_s2p_lambda(policy, A, psi_inv, fact, Z, w, b, b_norm, mode,
-                       solution_map):
+def _select_s2p_lambda(policy, fact, w, b, b_norm, solution_map):
     """Lambda for the sketch-to-precondition step, chosen on the unsketched
-    projected problem. Z = None is the identity basis, where that problem is
-    IRN's subproblem in s = W y (W = I outside ``irw`` mode)."""
+    projected problem; its regularization is W Zbar (w given) or the
+    identity (w = None)."""
     if policy.kind == "fixed":
         return policy.lam
-    if Z is None:
-        w_inv = 1.0 / w if mode == "irw" else np.ones_like(w)
-        pair = svd_pair(_dense_system_matrix(A, psi_inv) * w_inv[None, :], b)
-        return select_lambda(policy, pair, b_norm,
-                             lambda s: solution_map(w_inv * s))
     k = fact.k
     R = np.linalg.qr(np.column_stack([fact.AZ, b]), mode="r")
-    R2 = np.linalg.qr(w[:, None] * Z, mode="r") if mode == "irw" else np.eye(k)
+    R2 = (np.eye(k) if w is None
+          else np.linalg.qr(w[:, None] * fact.Z, mode="r"))
     beta_perp = abs(R[k, k]) if R.shape[0] > k else 0.0
     pair = projected_pair(R[:k, :k], R[:k, k], beta_perp, R2)
     return select_lambda(policy, pair, b_norm, solution_map)

@@ -130,12 +130,29 @@ def test_exit_code_2_on_config_errors(tmp_path):
         "family = irn\nlambda = nan", "family = flex\nlambda = inf",
         "family = irn\nlambda_policy = dp\nnl = nan",
         "family = irn\nlambda_policy = dp\nnl = 0.1\ntau_lambda = inf",
+        "family = flex\nscheme = sketch_to_precondition\n"
+        "lambda_policy = gcv",
     ]):
         solver = "".join(f"solver.a.{kv}\n" for kv in
                          ["seed = 1"] + keys.split("\n"))
         cfg = _write(tmp_path, base + solver, f"bad{i}.cfg")
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / f"b{i}")]) == 2, keys
+    # problems the generators reject with ValueError, in gen and in run;
+    # subset_selection(40, 18, seed 3) draws an all-zero x_true, so b = 0
+    # cannot take relative noise
+    for i, problem in enumerate([
+        "subset_selection\nproblem.m = 0\nproblem.n = 6",
+        "tomo\nproblem.nx = 8",
+        "subset_selection\nproblem.m = 40\nproblem.n = 18\nproblem.nl = 0.01",
+    ]):
+        cfg = _write(tmp_path, (
+            f"problem.generator = {problem}\nproblem.seed = 3\n"
+            "solver.a.family = irn\nsolver.a.seed = 1\n"
+        ), f"badproblem{i}.cfg")
+        for cmd in ("gen", "run"):
+            assert main([cmd, "--config", cfg,
+                         "--out", str(tmp_path / f"p{i}{cmd}")]) == 2, problem
 
 
 def test_exit_code_3_on_solver_failure(tmp_path):

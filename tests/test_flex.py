@@ -15,6 +15,7 @@ from randkrylov.flex import (
 )
 from randkrylov.irn import IRNConfig, irn_solve
 from randkrylov.krylov import gmres_solve, lsqr_solve
+from randkrylov.operators import LinearOperator
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy, dp_select, optimal_select
 from randkrylov.sketching import identity_sketch
@@ -76,12 +77,11 @@ def test_flex_config_validation():
         FlexSolverConfig(mode="strong")
     with pytest.raises(ValueError):
         FlexSolverConfig(scheme="guess")
-    for bad in ({"k_max": 0}, {"ell": 0}, {"eps_refresh": 0},
-                {"distortion_trials": 0}, {"inner_tol": 0.0},
+    for bad in ({"k_max": 0}, {"ell": 0}, {"inner_tol": 0.0},
                 {"inner_tol": -1e-8}):
         with pytest.raises(ValueError):
             FlexSolverConfig(**bad)
-    FlexSolverConfig(ell=None, k_max=1, eps_refresh=1, distortion_trials=1)
+    FlexSolverConfig(ell=None, k_max=1)
     with pytest.raises(ValueError):
         sns_flex_solve(None, None, None, FlexSolverConfig(scheme="exact"),
                        None, None)
@@ -148,23 +148,26 @@ def test_s2p_identity_sketch_matches_exact():
     inst = _tall_instance(m=40, n=18)
     ws = WeightSpec(p=1.0, tau=1e-4)
     S1, S2 = identity_sketch(40), identity_sketch(18)
-    for pol in (LambdaPolicy(kind="fixed", lam=0.5),
-                LambdaPolicy(kind="dp", nl=0.02),
-                LambdaPolicy(kind="optimal", x_true=inst.x_true)):
-        base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=10,
-                    weight=ws, lambda_policy=pol, seed=1)
-        ref = exact_flex_solve(inst.A, inst.psi, inst.b,
-                               FlexSolverConfig(scheme="exact", **base),
-                               inst.x_true)
-        got = s2p_flex_solve(inst.A, inst.psi, inst.b,
-                             FlexSolverConfig(scheme="sketch_to_precondition",
-                                              inner_tol=1e-13, **base),
-                             S1, S2, inst.x_true)
-        np.testing.assert_allclose(got.column("lam"), ref.column("lam"),
-                                   rtol=1e-8, atol=1e-12, err_msg=pol.kind)
-        for xr, xg in zip(ref.iterates, got.iterates):
-            np.testing.assert_allclose(xg, xr, rtol=1e-7, atol=1e-8,
-                                       err_msg=pol.kind)
+    for mode in ("irw", "hybrid"):
+        for pol in (LambdaPolicy(kind="fixed", lam=0.5),
+                    LambdaPolicy(kind="dp", nl=0.02),
+                    LambdaPolicy(kind="optimal", x_true=inst.x_true)):
+            base = dict(basis="golub_kahan", mode=mode, ell=None, k_max=10,
+                        weight=ws, lambda_policy=pol, seed=1)
+            ref = exact_flex_solve(inst.A, inst.psi, inst.b,
+                                   FlexSolverConfig(scheme="exact", **base),
+                                   inst.x_true)
+            got = s2p_flex_solve(
+                inst.A, inst.psi, inst.b,
+                FlexSolverConfig(scheme="sketch_to_precondition",
+                                 inner_tol=1e-13, **base),
+                S1, S2, inst.x_true)
+            msg = f"{mode} {pol.kind}"
+            np.testing.assert_allclose(got.column("lam"), ref.column("lam"),
+                                       rtol=1e-8, atol=1e-12, err_msg=msg)
+            for xr, xg in zip(ref.iterates, got.iterates):
+                np.testing.assert_allclose(xg, xr, rtol=1e-7, atol=1e-8,
+                                           err_msg=msg)
 
 
 def _normal_equation_lambda(policy, A, w, b):
@@ -181,8 +184,9 @@ def _normal_equation_lambda(policy, A, w, b):
 
 
 def test_s2p_identity_phase_after_span_exhaustion():
-    # k_max beyond the space dimension forces the identity-basis phase,
-    # which starts at outer iteration 13 here
+    # k_max beyond the space dimension spends the basis at outer iteration
+    # 12; from 13 on the loop keeps that basis, which spans R^n, so each step
+    # solves the full reweighted problem
     inst = _square_instance(n=12)
     ws = WeightSpec(p=1.0, tau=1e-4)
     S1, S2 = identity_sketch(12), identity_sketch(12)
@@ -220,12 +224,52 @@ def test_s2p_identity_phase_after_span_exhaustion():
 
 
 def test_s2p_rejects_gcv_policies():
-    inst = _square_instance(n=10)
-    cfg = FlexSolverConfig(scheme="sketch_to_precondition",
-                           lambda_policy=LambdaPolicy(kind="gcv"))
-    with pytest.raises(ValueError):
-        s2p_flex_solve(inst.A, inst.psi, inst.b, cfg,
-                       identity_sketch(10), identity_sketch(10))
+    for kind in ("gcv", "wgcv"):
+        with pytest.raises(ValueError, match="sketch-to-precondition"):
+            FlexSolverConfig(scheme="sketch_to_precondition",
+                             lambda_policy=LambdaPolicy(kind=kind))
+
+
+class _MatrixFreeOnly(LinearOperator):
+    """A dense matrix behind a strictly matrix-free interface."""
+
+    kind = "matrix_free_only"
+
+    def __init__(self, M):
+        super().__init__(*M.shape)
+        self.M = M
+
+    def _apply(self, x):
+        return self.M @ x
+
+    def _apply_adjoint(self, y):
+        return self.M.T @ y
+
+    def materialize(self):
+        raise AssertionError("a flexible solver materialized A")
+
+
+def test_flex_schemes_never_materialize_A():
+    # run past span exhaustion (n = 12, k_max = 15), where the basis is spent
+    inst = _square_instance(n=12)
+    A = _MatrixFreeOnly(inst.A.matrix)
+    S1, S2 = identity_sketch(12), identity_sketch(12)
+    for pol in (LambdaPolicy(kind="dp", nl=0.02),
+                LambdaPolicy(kind="optimal", x_true=inst.x_true)):
+        base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=15,
+                    weight=WeightSpec(p=1.0, tau=1e-4), lambda_policy=pol,
+                    seed=1)
+        runs = {
+            "exact": lambda cfg: exact_flex_solve(A, inst.psi, inst.b, cfg),
+            "sketch_and_solve": lambda cfg: sns_flex_solve(
+                A, inst.psi, inst.b, cfg, S1, S2),
+            "sketch_to_precondition": lambda cfg: s2p_flex_solve(
+                A, inst.psi, inst.b, cfg, S1, S2),
+        }
+        for scheme, run in runs.items():
+            res = run(FlexSolverConfig(scheme=scheme, **base))
+            assert len(res.iterates) == 15, (scheme, pol.kind)
+            assert np.all(np.isfinite(res.x)), (scheme, pol.kind)
 
 
 def test_sns_records_monotonicity_diagnostics():
