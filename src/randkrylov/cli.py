@@ -151,9 +151,8 @@ def build_problem(cfg, seed_override=None):
             n = _get(sec, "n", int, required=True)
             rng = np.random.Generator(np.random.Philox(seed))
             x_true = rng.standard_normal(n)
-            op = IdentityOperator(n)
             inst = prob_mod.ProblemInstance(
-                A=op, psi=IdentityOperator(n), b=x_true.copy(),
+                A=IdentityOperator(n), b=x_true.copy(),
                 b_exact=x_true.copy(), x_true=x_true, nl=0.0, seed=seed,
                 descriptor=f"identity n={n}",
             )
@@ -206,7 +205,7 @@ def load_bundle(path):
         raise ConfigError(f"bundle {path} has no materialized operator")
     A = DenseOperator(np.fromfile(Af, dtype="<f8").reshape(m, n))
     return prob_mod.ProblemInstance(
-        A=A, psi=IdentityOperator(n), b=vecs["b"], b_exact=vecs["b_exact"],
+        A=A, b=vecs["b"], b_exact=vecs["b_exact"],
         x_true=vecs["x_true"], nl=meta["nl"], seed=meta["seed"],
         descriptor=meta["descriptor"],
     )
@@ -248,6 +247,10 @@ def run_solver(name, cfg, inst):
         raise ConfigError(f"solver {name!r} is missing a seed")
     seed = _get(sec, "seed", int, required=True)
     k_max = _get(sec, "k_max", int, 50)
+    mult = _get(sec, "sketch_multiplier", int, 4)
+    if k_max < 1 or mult < 1:
+        raise ConfigError(f"solver {name!r}: k_max and sketch_multiplier "
+                          "must be at least 1")
     x_true = inst.x_true
     try:  # the configs validate themselves with ValueError
         weight = _weight_spec(sec)
@@ -259,7 +262,6 @@ def run_solver(name, cfg, inst):
                 inner_tol=_get(sec, "inner_tol", float, 1e-8),
                 inner_max=_get(sec, "inner_max", int, None),
                 lambda_policy=policy,
-                seed=seed,
             )
         elif family == "flex":
             ell_raw = _get(sec, "ell", str, "4")
@@ -278,21 +280,19 @@ def run_solver(name, cfg, inst):
         raise ConfigError(f"solver {name!r}: {exc}") from exc
 
     if family == "irn":
-        return irn_solve(inst.A, inst.psi, inst.b, config, x_true)
+        return irn_solve(inst.A, inst.b, config, x_true)
     if family == "irn_s2p":
-        mult = _get(sec, "sketch_multiplier", int, 4)
         M = inst.A.matrix if hasattr(inst.A, "matrix") else inst.A.materialize()
         p = estimate_leverage_scores(M)
         S = build_leverage_sketch(p, mult * inst.A.ncols, seed)
-        return irn_s2p_solve(inst.A, inst.psi, inst.b, config, S, x_true)
+        return irn_s2p_solve(inst.A, inst.b, config, S, x_true)
     if family == "flex":
         if config.scheme == "exact":
-            return exact_flex_solve(inst.A, inst.psi, inst.b, config, x_true)
-        mult = _get(sec, "sketch_multiplier", int, 4)
+            return exact_flex_solve(inst.A, inst.b, config, x_true)
         S1, S2 = build_flex_sketches(inst.A, inst.b, k_max, mult, seed)
         solver = (sns_flex_solve if config.scheme == "sketch_and_solve"
                   else s2p_flex_solve)
-        return solver(inst.A, inst.psi, inst.b, config, S1, S2, x_true)
+        return solver(inst.A, inst.b, config, S1, S2, x_true)
 
     if family == "lsqr":
         xs = []

@@ -5,17 +5,18 @@ All three run one loop (``_flex_loop``), in the flexible Golub-Kahan /
 Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
 the diagonal weights W at the current iterate, expands the flexible
 factorization by one column with W^{-1} as preconditioner, and updates one
-projected pair: R1 from an incremental QR of the columns A Psi^{-1} z_j
+projected pair: R1 from an incremental QR of the columns A z_j
 (sketched by S1 or not) and R2 from a QR of W Zbar (sketched by S2 or not;
 the identity outside ``irw`` mode). Once the basis is spent (breakdown, or
 k reaches min(m, n)) every scheme keeps it and only re-weights R2. The
 schemes differ only in how the projected Tikhonov problem in the
-coefficients y of x = Psi^{-1} Zbar y is then solved:
+coefficients y of x = Zbar y is then solved:
 
 * ``exact``: stacked QR of the unsketched pair.
 * ``sketch_and_solve``: stacked QR of the sketched pair; the projected
-  problem is itself sketched. Only this scheme records the distortion,
-  sketched-majorant and monotonicity diagnostics.
+  problem is itself sketched. Only this scheme records the distortion and
+  monotonicity diagnostics; the sketched majorant they compare is read from
+  the projected pair, so it costs no apply of A.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
   LSQR, right-preconditioned by the Cholesky factor of the sketched Gram pair
   R1^T R1 + lam R2^T R2.
@@ -33,12 +34,7 @@ from .irn import SolveResult, TraceRow, _rel_error
 from .operators import LinearOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
 from .sketching import apply_sketch, apply_sketch_weighted, measure_distortion
-from .weights import (
-    WeightSpec,
-    compute_weights,
-    objective_values,
-    sketched_majorant_value,
-)
+from .weights import WeightSpec, compute_weights, objective_values
 
 # sketch-and-solve re-measures the distortion every EPS_REFRESH iterations,
 # each time from DISTORTION_TRIALS random probes
@@ -130,33 +126,30 @@ class FlexSolverConfig:
 
 
 class _StackedProjected(LinearOperator):
-    """[A Psi^{-1} Zbar; sqrt(lam) L] acting on projected coefficients, with
+    """[A Zbar; sqrt(lam) L] acting on projected coefficients, with
     the regularization block L = W Zbar (``irw``: w given) or the identity
     (w = None), the same matrix that R2 factors."""
 
     kind = "stacked_projected"
 
-    def __init__(self, A, psi_inv, Z, w, lam):
+    def __init__(self, A, Z, w, lam):
         k = Z.shape[1]
         nreg = 0 if lam == 0.0 else (k if w is None else w.size)
         super().__init__(A.nrows + nreg, k)
-        self.A, self.psi_inv, self.Z, self.w = A, psi_inv, Z, w
+        self.A, self.Z, self.w = A, Z, w
         self.lam = lam
         self.sqlam = np.sqrt(lam)
 
     def _apply(self, y):
         t = self.Z @ y
-        top = self.A.apply(t if self.psi_inv is None else self.psi_inv.apply(t))
+        top = self.A.apply(t)
         if self.lam == 0.0:
             return top
         reg = y if self.w is None else self.w * t
         return np.concatenate([top, self.sqlam * reg])
 
     def _apply_adjoint(self, r):
-        top = self.A.apply_adjoint(r[: self.A.nrows])
-        if self.psi_inv is not None:
-            top = self.psi_inv.apply_adjoint(top)
-        out = self.Z.T @ top
+        out = self.Z.T @ self.A.apply_adjoint(r[: self.A.nrows])
         if self.lam > 0.0:
             reg = r[self.A.nrows:]
             out = out + self.sqlam * (
@@ -200,7 +193,7 @@ def _select_projected_lambda(policy, pp, b_norm, sketch_rows, solution_map):
 
 
 def _distortion_pair(S1, S2, AZ, b, WZ, config, it):
-    """Measured distortion of S1 over span([A Psi^{-1} Zbar, b]) and of S2
+    """Measured distortion of S1 over span([A Zbar, b]) and of S2
     over span(W Zbar); returns the maximum."""
     basis1 = np.hstack([AZ, b[:, None]])
     eps1 = measure_distortion(S1, basis1, DISTORTION_TRIALS,
@@ -212,54 +205,62 @@ def _distortion_pair(S1, S2, AZ, b, WZ, config, it):
     return max(eps1, eps2)
 
 
-def sns_flex_solve(A, psi, b, config, S1, S2, x_true=None):
+def sns_flex_solve(A, b, config, S1, S2, x_true=None):
     """Sketch-and-solve flexible Krylov iteration (Arnoldi or Golub-Kahan
     basis), with the regularization parameter chosen on the sketched
     projected problem."""
     if config.scheme != "sketch_and_solve":
         raise ValueError("config.scheme must be 'sketch_and_solve'")
-    return _flex_loop(A, psi, b, config, S1, S2, x_true)
+    return _flex_loop(A, b, config, S1, S2, x_true)
 
 
-def exact_flex_solve(A, psi, b, config, x_true=None):
+def exact_flex_solve(A, b, config, x_true=None):
     """Reference scheme: identical basis growth, dense QR of the unsketched
     projected matrices."""
     if config.scheme != "exact":
         raise ValueError("config.scheme must be 'exact'")
-    return _flex_loop(A, psi, b, config, None, None, x_true)
+    return _flex_loop(A, b, config, None, None, x_true)
 
 
-def s2p_flex_solve(A, psi, b, config, S1, S2, x_true=None):
+def s2p_flex_solve(A, b, config, S1, S2, x_true=None):
     """Sketch-to-precondition flexible Krylov iteration: the unsketched
     projected problem is solved by LSQR, right-preconditioned with the
     Cholesky factor of the sketched k-by-k Gram matrix."""
     if config.scheme != "sketch_to_precondition":
         raise ValueError("config.scheme must be 'sketch_to_precondition'")
-    return _flex_loop(A, psi, b, config, S1, S2, x_true)
+    return _flex_loop(A, b, config, S1, S2, x_true)
 
 
-def _flex_loop(A, psi, b, config, S1, S2, x_true):
+def _projected_majorant(pp, SWZ, y, lam):
+    """The sketched majorant |S1 (A x - b)|^2 + lam |S2 W x|^2 at x = Zbar y
+    (``sketched_majorant_value``), from the QR of S1 A Zbar behind pp and the
+    sketched S2 W Zbar, without an apply of A."""
+    r = pp.R1 @ y - pp.beta
+    s2 = SWZ @ y
+    return float(r @ r) + pp.beta_perp**2 + lam * float(s2 @ s2)
+
+
+def _flex_loop(A, b, config, S1, S2, x_true):
     b = np.asarray(b, dtype=np.float64)
     n, m = A.ncols, A.nrows
-    psi_inv = None if psi is None or psi.kind == "identity" else psi.inverse()
     weight = config.weight
     policy = config.lambda_policy
     sketched = S1 is not None
     s2p = config.scheme == "sketch_to_precondition"
     b_norm = float(np.linalg.norm(b))
 
-    fact = FlexibleFactorization(config.basis, A, psi_inv, b, ell=config.ell)
+    fact = FlexibleFactorization(config.basis, A, b, ell=config.ell)
     qr1 = _IncrementalQR(S1.s if sketched else m)
     s1b = apply_sketch(S1, b) if sketched else b
     G2raw = np.empty((S2.s if sketched else 0, 0))  # gathered rows of Zbar
 
     x = np.zeros(n)
+    y = np.zeros(0)  # coefficients of x in the basis
     iterates, trace = [], []
     cum_inner = 0
     eps_hat = float("nan")
     for it in range(1, config.k_max + 1):
-        z_prev = x if psi is None or psi.kind == "identity" else psi.apply(x)
-        w = compute_weights(z_prev, weight)
+        w = compute_weights(x, weight)
 
         if not fact.breakdown and fact.k < min(m, n):
             col = fact.expand(1.0 / w)
@@ -274,17 +275,14 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
 
         beta = qr1.Q.T @ s1b
         beta_perp = float(np.linalg.norm(s1b - qr1.Q @ beta))
+        SWZ = (apply_sketch_weighted(S2, w, Z, gathered=G2raw)
+               if sketched else None)  # S2 W Zbar
         if w_reg is not None:
-            M2 = (apply_sketch_weighted(S2, w, Z, gathered=G2raw)
-                  if sketched else w[:, None] * Z)
-            R2 = np.linalg.qr(M2, mode="r")
+            R2 = np.linalg.qr(SWZ if sketched else w[:, None] * Z, mode="r")
         else:
             R2 = np.eye(fact.k)
         pp = ProjectedProblem(qr1.R, beta, beta_perp, R2, fact.k)
-
-        def solution_map(y):
-            t = Z @ y
-            return t if psi_inv is None else psi_inv.apply(t)
+        solution_map = Z.__matmul__  # y -> x = Zbar y
 
         if config.mode == "none":
             lam = 0.0
@@ -295,8 +293,10 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
             lam = _select_projected_lambda(policy, pp, b_norm,
                                            S1.s if sketched else m,
                                            solution_map)
+        # the previous iterate in the current basis
+        y_prev = np.pad(y, (0, fact.k - y.size))
         if s2p:
-            res = _s2p_projected_solve(A, psi_inv, b, Z, w_reg, lam, pp,
+            res = _s2p_projected_solve(A, b, Z, w_reg, lam, pp,
                                        config.inner_tol)
             y, inner, stagnated = res.x, res.n_iter, res.stagnated
         else:
@@ -306,7 +306,7 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
                 # rank-deficient R2 with lam ~ 0: apply the floor and retry
                 y = solve_projected_tikhonov(pp, max(lam, 1e-14))
             inner, stagnated = 1, False
-        x_new = solution_map(y)
+        x = solution_map(y)
         cum_inner += inner
 
         mono = None
@@ -314,14 +314,12 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
             if (it - 1) % EPS_REFRESH == 0:
                 WZ = None if w_reg is None else w_reg[:, None] * Z
                 eps_hat = _distortion_pair(S1, S2, fact.AZ, b, WZ, config, it)
-            qhat_curr = sketched_majorant_value(S1, S2, A, b, w, x_new, lam)
-            qhat_prev_x = sketched_majorant_value(S1, S2, A, b, w, x, lam)
             if eps_hat < 1.0:
                 mono, _margin = check_monotonicity_condition(
-                    qhat_prev_x, qhat_curr, eps_hat
+                    _projected_majorant(pp, SWZ, y_prev, lam),
+                    _projected_majorant(pp, SWZ, y, lam), eps_hat,
                 )
-        x = x_new
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, psi)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
         iterates.append(x.copy())
         trace.append(
             TraceRow(
@@ -340,8 +338,8 @@ def _flex_loop(A, psi, b, config, S1, S2, x_true):
     return SolveResult(iterates, trace)
 
 
-def _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, tol):
-    """LSQR on [A Psi^{-1} Zbar; sqrt(lam) L] y ~ [b; 0] (L as in
+def _s2p_projected_solve(A, b, Z, w, lam, pp, tol):
+    """LSQR on [A Zbar; sqrt(lam) L] y ~ [b; 0] (L as in
     ``_StackedProjected``), right-preconditioned by the Cholesky factor of
     the sketched Gram pair."""
     R = _chol_with_jitter(pp.R1.T @ pp.R1 + lam * (pp.R2.T @ pp.R2), lam)
@@ -349,7 +347,7 @@ def _s2p_projected_solve(A, psi_inv, b, Z, w, lam, pp, tol):
         lambda v: scipy.linalg.solve_triangular(R, v, lower=False),
         lambda v: scipy.linalg.solve_triangular(R, v, lower=False, trans="T"),
     )
-    op = _StackedProjected(A, psi_inv, Z, w, lam)
+    op = _StackedProjected(A, Z, w, lam)
     rhs = np.concatenate([b, np.zeros(op.nrows - b.size)])
     return lsqr_solve(op, rhs, lam=0.0, right_precond=right_precond, tol=tol,
                       maxit=max(4 * op.ncols, 8))

@@ -4,12 +4,12 @@ variant.
 
 Each outer step rebuilds the diagonal weights at the current iterate and
 solves the standard-form reweighted least-squares subproblem in the scaled
-variable s = W_k Psi x, with cold inner restarts (s0 = 0).
+variable s = W_k x, with cold inner restarts (s0 = 0).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +28,6 @@ class IRNConfig:
     inner_tol: float = 1e-8
     inner_max: int | None = None  # defaults to 2n
     lambda_policy: LambdaPolicy = LambdaPolicy()
-    seed: int = 0
 
     def __post_init__(self):
         if self.outer_max < 1:
@@ -72,25 +71,24 @@ def _rel_error(x, x_true):
     return float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
 
 
-def _dense_system_matrix(A, psi_inv):
-    """Materialized A Psi^{-1} (desk scale only): the irn-s2p sketch and the
-    SVD behind the dp, gcv and optimal policies start from it."""
-    M = A.matrix if hasattr(A, "matrix") else A.materialize()
-    return M if psi_inv is None else M @ psi_inv.materialize()
+def _dense_system_matrix(A):
+    """Materialized A (desk scale only): the irn-s2p sketch and the SVD
+    behind the dp, gcv and optimal policies start from it."""
+    return A.matrix if hasattr(A, "matrix") else A.materialize()
 
 
-def _select_lambda(policy, AP, w_inv, b, solution_map):
+def _select_lambda(policy, M, w_inv, b, solution_map):
     """One lambda update per outer iteration, from the SVD of the current
-    reweighted system matrix A Psi^{-1} W^{-1} (desk scale)."""
+    reweighted system matrix A W^{-1} (desk scale)."""
     if policy.kind == "fixed":
         return policy.lam
-    pair = svd_pair(AP * w_inv[None, :], b)
+    pair = svd_pair(M * w_inv[None, :], b)
     return select_lambda(policy, pair, float(np.linalg.norm(b)), solution_map)
 
 
-def irn_solve(A, psi, b, config, x_true=None):
+def irn_solve(A, b, config, x_true=None):
     """Majorization-minimization with unpreconditioned LSQR inner solves."""
-    return _irn_loop(A, psi, b, config, x_true, sketch=None)
+    return _irn_loop(A, b, config, x_true, sketch=None)
 
 
 def build_partly_exact_preconditioner(C0, w, lam):
@@ -114,26 +112,25 @@ def build_partly_exact_preconditioner(C0, w, lam):
         ) from exc
 
 
-def irn_s2p_solve(A, psi, b, config, sketch, x_true=None):
+def irn_s2p_solve(A, b, config, sketch, x_true=None):
     """IRN with every inner LSQR right-preconditioned by the Cholesky factor
-    of the sketched Gram matrix; the sketch of A Psi^{-1} is computed once."""
-    return _irn_loop(A, psi, b, config, x_true, sketch=sketch)
+    of the sketched Gram matrix; the sketch of A is computed once."""
+    return _irn_loop(A, b, config, x_true, sketch=sketch)
 
 
-def _irn_loop(A, psi, b, config, x_true, sketch):
+def _irn_loop(A, b, config, x_true, sketch):
     b = np.asarray(b, dtype=np.float64)
     n = A.ncols
-    psi_inv = None if psi is None or psi.kind == "identity" else psi.inverse()
     inner_max = config.inner_max if config.inner_max is not None else 2 * n
     policy = config.lambda_policy
     weight = config.weight
 
-    AP = None
+    M = None
     if sketch is not None or policy.kind != "fixed":
-        AP = _dense_system_matrix(A, psi_inv)
+        M = _dense_system_matrix(A)
     C0 = None
     if sketch is not None:
-        Y0 = apply_sketch(sketch, AP)  # S A Psi^{-1}
+        Y0 = apply_sketch(sketch, M)  # S A
         C0 = Y0.T @ Y0
 
     x = np.zeros(n)
@@ -141,21 +138,10 @@ def _irn_loop(A, psi, b, config, x_true, sketch):
     trace = []
     cum_inner = 0
     for k in range(1, config.outer_max + 1):
-        z = x if psi is None or psi.kind == "identity" else psi.apply(x)
-        w = compute_weights(z, weight)
+        w = compute_weights(x, weight)
         w_inv = 1.0 / w
-
-        def to_x(s):
-            x = w_inv * s
-            return x if psi_inv is None else psi_inv.apply(x)
-
-        lam = _select_lambda(policy, AP, w_inv, b, to_x)
-
-        ops = [A]
-        if psi_inv is not None:
-            ops.append(psi_inv)
-        ops.append(DiagonalOperator(w_inv))
-        op_k = CompositeOperator(ops)
+        lam = _select_lambda(policy, M, w_inv, b, w_inv.__mul__)  # s -> x
+        op_k = CompositeOperator([A, DiagonalOperator(w_inv)])
 
         right_precond = None
         if sketch is not None:
@@ -171,9 +157,9 @@ def _irn_loop(A, psi, b, config, x_true, sketch):
             op_k, b, lam=lam, right_precond=right_precond,
             tol=config.inner_tol, maxit=inner_max,
         )
-        x = to_x(res.x)
+        x = w_inv * res.x
         cum_inner += res.n_iter
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, psi)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
         iterates.append(x.copy())
         trace.append(
             TraceRow(

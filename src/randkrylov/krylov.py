@@ -1,7 +1,7 @@
 """Flexible Arnoldi / Golub-Kahan factorizations with optional truncated
 orthogonalization, plus baseline GMRES and LSQR solvers.
 
-The factorization maintains A Psi^{-1} Z_k = U_{k+1} H_{k+1,k} exactly (in
+The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
 coefficients actually used in the orthogonalization. Orthogonalization is
 modified Gram-Schmidt with one reorthogonalization pass over the retained
@@ -43,11 +43,10 @@ def _orthogonalize(q, basis, window):
 @dataclass
 class FlexibleFactorization:
     """Growing state of an ell-truncated flexible Arnoldi or Golub-Kahan
-    factorization of (A Psi^{-1}, b) with per-step diagonal preconditioners."""
+    factorization of (A, b) with per-step diagonal preconditioners."""
 
     kind: str  # "arnoldi" | "golub_kahan"
     A: object
-    psi_inv: object  # LinearOperator or None (identity)
     b: np.ndarray
     ell: int | None = None  # None means full orthogonalization
     k: int = 0
@@ -83,13 +82,12 @@ class FlexibleFactorization:
     @property
     def Z(self):
         if not self._Z:
-            n = self.A.ncols if self.psi_inv is None else self.psi_inv.ncols
-            return np.empty((n, 0))
+            return np.empty((self.A.ncols, 0))
         return np.stack(self._Z, axis=1)
 
     @property
     def AZ(self):
-        """Raw products A Psi^{-1} z_j, one column per step."""
+        """Raw products A z_j, one column per step."""
         if not self._AZ:
             return np.empty((self.b.size, 0))
         return np.stack(self._AZ, axis=1)
@@ -102,12 +100,9 @@ class FlexibleFactorization:
             H[: len(col), j] = col
         return H
 
-    def _psi_inv_apply(self, x):
-        return x if self.psi_inv is None else self.psi_inv.apply(x)
-
     def expand(self, w_inv):
         """One step k -> k+1 with preconditioner diag(w_inv). Returns the new
-        raw column A Psi^{-1} z_{k+1}. No-op after breakdown."""
+        raw column A z_{k+1}. No-op after breakdown."""
         if self.breakdown:
             raise RuntimeError("factorization already broke down")
         w_inv = np.asarray(w_inv, dtype=np.float64)
@@ -128,7 +123,7 @@ class FlexibleFactorization:
             self._V.append(v)
 
         z = w_inv * v
-        q = self.A.apply(self._psi_inv_apply(z))
+        q = self.A.apply(z)
         q_raw = q.copy()
         q, coeffs = _orthogonalize(q, self._U, window)
         hnew = np.linalg.norm(q)
@@ -260,7 +255,7 @@ def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):
     beta = np.linalg.norm(b)
     if beta == 0.0:
         return IterativeResult(np.zeros(n), np.array([0.0]), 0, converged=True)
-    fact = FlexibleFactorization("arnoldi", op, None, b)
+    fact = FlexibleFactorization("arnoldi", op, b)
     ones = np.ones(n)
     residuals = [beta]
     x = np.zeros(n)

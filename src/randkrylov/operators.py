@@ -92,9 +92,6 @@ class IdentityOperator(LinearOperator):
     def _apply_adjoint(self, y):
         return y.copy()
 
-    def inverse(self):
-        return self
-
 
 class DenseOperator(LinearOperator):
     kind = "dense"

@@ -8,12 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .operators import (
-    Convolution2DOperator,
-    DenseOperator,
-    IdentityOperator,
-    RadonOperator,
-)
+from .operators import Convolution2DOperator, DenseOperator, RadonOperator
 
 # Modified Shepp-Logan head phantom: ten ellipses as
 # (intensity, semi-axis a, semi-axis b, center x, center y, angle deg),
@@ -35,7 +30,6 @@ SHEPP_LOGAN_ELLIPSES = (
 @dataclass(frozen=True)
 class ProblemInstance:
     A: object
-    psi: object
     b: np.ndarray
     b_exact: np.ndarray
     x_true: np.ndarray
@@ -66,8 +60,8 @@ def gen_subset_selection(m, n, rho=0.95, bern_p=0.1, seed=0):
     op = DenseOperator(A)
     b_exact = op.apply(x_true)
     return ProblemInstance(
-        A=op, psi=IdentityOperator(n), b=b_exact.copy(), b_exact=b_exact,
-        x_true=x_true, nl=0.0, seed=int(seed),
+        A=op, b=b_exact.copy(), b_exact=b_exact, x_true=x_true, nl=0.0,
+        seed=int(seed),
         descriptor=f"subset_selection m={m} n={n} rho={rho} bern_p={bern_p}",
     )
 
@@ -86,8 +80,8 @@ def gen_starfield_deblur(nx, density=0.072, sigma_blur=2.0, seed=0):
     A = Convolution2DOperator(nx, sigma=sigma_blur)
     b_exact = A.apply(x_true)
     return ProblemInstance(
-        A=A, psi=IdentityOperator(n), b=b_exact.copy(), b_exact=b_exact,
-        x_true=x_true, nl=0.0, seed=int(seed),
+        A=A, b=b_exact.copy(), b_exact=b_exact, x_true=x_true, nl=0.0,
+        seed=int(seed),
         descriptor=f"starfield nx={nx} density={density} sigma={sigma_blur}",
     )
 
@@ -118,8 +112,8 @@ def gen_tomo(nx, n_angles=18, n_rays=None, seed=0):
     x_true = shepp_logan(nx).ravel()
     b_exact = A.apply(x_true)
     return ProblemInstance(
-        A=A, psi=IdentityOperator(nx * nx), b=b_exact.copy(),
-        b_exact=b_exact, x_true=x_true, nl=0.0, seed=int(seed),
+        A=A, b=b_exact.copy(), b_exact=b_exact, x_true=x_true, nl=0.0,
+        seed=int(seed),
         descriptor=f"tomo nx={nx} angles={n_angles} rays={n_rays}",
     )
 

@@ -15,7 +15,7 @@ to the explicitly weighted matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -91,7 +91,7 @@ def build_flex_sketches(A, b, k_max, multiplier, seed):
     against the left (data-space) and S2 against the right (solution-space)
     basis of a depth-min(k_max, 20) Golub-Kahan pilot factorization of
     (A, b) with unit weights."""
-    pilot = FlexibleFactorization("golub_kahan", A, None, b)
+    pilot = FlexibleFactorization("golub_kahan", A, b)
     ones = np.ones(A.ncols)
     while pilot.k < min(k_max, 20) and not pilot.breakdown:
         pilot.expand(ones)

@@ -2,10 +2,12 @@
 quadratic tangent majorants.
 
 Two objective variants are tracked. ``mm_consistent`` is
-``|Ax-b|^2 + (2*lam/p) * sum((z_i^2+tau^2)^(p/2))`` with z = Psi x; it is the
-functional that the quadratic majorants are tangent to and globally above, so
-all monotonicity checks run against it. ``paper_literal`` keeps the
-solution-dependent weighted form ``|Ax-b|^2 + lam*|W(z) z|^2`` for reporting.
+``|Ax-b|^2 + (2*lam/p) * sum((x_i^2+tau^2)^(p/2))``; it is the functional
+that the quadratic majorants are tangent to and globally above, so all
+monotonicity checks run against it. ``paper_literal`` keeps the
+solution-dependent weighted form ``|Ax-b|^2 + lam*|W(x) x|^2`` for reporting.
+A sparsity transform Psi enters only through the operator: the functional
+with |Psi x| is this one on A Psi^{-1} in the variable Psi x.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ def smoothed_penalty(z, spec):
 class ObjectiveSpec:
     weight: WeightSpec
     lam: float
-    psi: object = None  # LinearOperator; None means identity
     variant: str = "mm_consistent"
 
     def __post_init__(self):
@@ -57,44 +58,39 @@ class ObjectiveSpec:
             raise ValueError(f"unknown objective variant {self.variant!r}")
 
 
-def _psi_apply(psi, x):
-    return x if psi is None else psi.apply(x)
-
-
-def _penalized(fit, z, spec):
-    """The data fit |Ax-b|^2 plus the spec variant's penalty at z = Psi x."""
+def _penalized(fit, x, spec):
+    """The data fit |Ax-b|^2 plus the spec variant's penalty at x."""
     ws = spec.weight
     if spec.variant == "paper_literal":
-        w = compute_weights(z, ws)
-        return fit + spec.lam * float(np.sum((w * z) ** 2))
-    return fit + (2.0 * spec.lam / ws.p) * smoothed_penalty(z, ws)
+        w = compute_weights(x, ws)
+        return fit + spec.lam * float(np.sum((w * x) ** 2))
+    return fit + (2.0 * spec.lam / ws.p) * smoothed_penalty(x, ws)
 
 
 def objective_value(A, b, x, spec):
     """Value of the regularized objective at x, per the spec's variant."""
     x = np.asarray(x, dtype=np.float64)
     r = A.apply(x) - b
-    return _penalized(float(r @ r), _psi_apply(spec.psi, x), spec)
+    return _penalized(float(r @ r), x, spec)
 
 
-def objective_values(A, b, x, weight, lam, psi=None):
+def objective_values(A, b, x, weight, lam):
     """(mm_consistent, paper_literal) objectives at x from one residual, so
     one apply of A; each equals its objective_value bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     r = A.apply(x) - b
     fit = float(r @ r)
-    z = _psi_apply(psi, x)
-    return tuple(_penalized(fit, z, ObjectiveSpec(weight, lam, psi, variant))
+    return tuple(_penalized(fit, x, ObjectiveSpec(weight, lam, variant))
                  for variant in ("mm_consistent", "paper_literal"))
 
 
-def majorant_constant(z_prev, spec):
+def majorant_constant(x_prev, spec):
     """Additive constant that makes the quadratic majorant tangent to the
     mm_consistent objective at the expansion point."""
     ws = spec.weight
-    w = compute_weights(z_prev, ws)
-    return (2.0 * spec.lam / ws.p) * smoothed_penalty(z_prev, ws) - spec.lam * float(
-        np.sum((w * z_prev) ** 2)
+    w = compute_weights(x_prev, ws)
+    return (2.0 * spec.lam / ws.p) * smoothed_penalty(x_prev, ws) - spec.lam * float(
+        np.sum((w * x_prev) ** 2)
     )
 
 
@@ -103,23 +99,18 @@ def majorant_value(A, b, x, x_prev, spec):
     x_prev, evaluated at x."""
     x = np.asarray(x, dtype=np.float64)
     x_prev = np.asarray(x_prev, dtype=np.float64)
-    z_prev = _psi_apply(spec.psi, x_prev)
-    z = _psi_apply(spec.psi, x)
-    w = compute_weights(z_prev, spec.weight)
+    w = compute_weights(x_prev, spec.weight)
     r = A.apply(x) - b
     return (
         float(r @ r)
-        + spec.lam * float(np.sum((w * z) ** 2))
-        + majorant_constant(z_prev, spec)
+        + spec.lam * float(np.sum((w * x) ** 2))
+        + majorant_constant(x_prev, spec)
     )
 
 
 def sketched_majorant_value(S1, S2, A, b, w_k, x, lam):
-    """Sketched quadratic functional |S1 (Ax - b)|^2 + lam * |S2 (w_k * x)|^2.
-
-    Used for the monotonicity diagnostics of the sketch-and-solve scheme
-    (stated for the identity change of basis).
-    """
+    """Sketched quadratic functional |S1 (Ax - b)|^2 + lam * |S2 (w_k * x)|^2,
+    the functional behind the sketch-and-solve monotonicity diagnostics."""
     from .sketching import apply_sketch
 
     x = np.asarray(x, dtype=np.float64)

@@ -112,7 +112,7 @@ def test_criterion_03_reduction_suite():
     n = 15
     M = rng.standard_normal((n, n))
     bvec = rng.standard_normal(n)
-    fact = rk.FlexibleFactorization("arnoldi", rk.DenseOperator(M), None,
+    fact = rk.FlexibleFactorization("arnoldi", rk.DenseOperator(M),
                                     bvec, ell=None)
     for _ in range(8):
         fact.expand(np.ones(n))
@@ -131,7 +131,7 @@ def test_criterion_03_reduction_suite():
 
     Mt = rng.standard_normal((20, 12))
     bt = rng.standard_normal(20)
-    fgk = rk.FlexibleFactorization("golub_kahan", rk.DenseOperator(Mt), None,
+    fgk = rk.FlexibleFactorization("golub_kahan", rk.DenseOperator(Mt),
                                    bt, ell=None)
     for _ in range(6):
         fgk.expand(np.ones(12))
@@ -156,17 +156,17 @@ def test_criterion_03_reduction_suite():
     pol = rk.LambdaPolicy(kind="fixed", lam=0.5)
     base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=12,
                 weight=ws, lambda_policy=pol, seed=1)
-    ref = rk.exact_flex_solve(inst.A, inst.psi, inst.b,
+    ref = rk.exact_flex_solve(inst.A, inst.b,
                               rk.FlexSolverConfig(scheme="exact", **base),
                               inst.x_true)
     S1 = rk.identity_sketch(60)
     S2 = rk.identity_sketch(60)
     sns = rk.sns_flex_solve(
-        inst.A, inst.psi, inst.b,
+        inst.A, inst.b,
         rk.FlexSolverConfig(scheme="sketch_and_solve", **base),
         S1, S2, inst.x_true)
     s2p = rk.s2p_flex_solve(
-        inst.A, inst.psi, inst.b,
+        inst.A, inst.b,
         rk.FlexSolverConfig(scheme="sketch_to_precondition",
                             inner_tol=1e-14, **base),
         S1, S2, inst.x_true)
@@ -183,7 +183,7 @@ def test_criterion_03_reduction_suite():
     cfg = rk.IRNConfig(weight=rk.WeightSpec(p=2.0, tau=1e-10), outer_max=3,
                        inner_tol=1e-14,
                        lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam))
-    res = rk.irn_solve(inst2.A, inst2.psi, inst2.b, cfg, inst2.x_true)
+    res = rk.irn_solve(inst2.A, inst2.b, cfg, inst2.x_true)
     Mx = inst2.A.matrix
     tikh = np.linalg.solve(Mx.T @ Mx + lam * np.eye(20), Mx.T @ inst2.b)
     gap_c = max(np.max(np.abs(x - tikh)) for x in res.iterates) \
@@ -218,7 +218,7 @@ def test_criterion_04_proposition_2_monotonicity():
             ell=4, k_max=40, weight=ws,
             lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam),
             inner_tol=1e-12, seed=45)
-        res = rk.s2p_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2,
+        res = rk.s2p_flex_solve(inst.A, inst.b, cfg, S1, S2,
                                 inst.x_true)
         F = res.column("objective_mm")
         slack = 1e-8 * F[0]
@@ -242,7 +242,7 @@ def test_criterion_05_proposition_1_implication():
             basis=basis, mode="irw", scheme="sketch_and_solve",
             ell=4, k_max=40, weight=ws,
             lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam), seed=45)
-        res = rk.sns_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2,
+        res = rk.sns_flex_solve(inst.A, inst.b, cfg, S1, S2,
                                 inst.x_true)
         F = res.column("objective_mm")
         slack = 1e-8 * F[0]
@@ -321,10 +321,10 @@ def test_criterion_08_experiment_1_desk():
     cfg = rk.IRNConfig(weight=ws, outer_max=15, inner_tol=1e-8,
                        inner_max=800,
                        lambda_policy=rk.LambdaPolicy(kind="fixed", lam=40.0))
-    plain = rk.irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    plain = rk.irn_solve(inst.A, inst.b, cfg, inst.x_true)
     p = rk.estimate_leverage_scores(inst.A.matrix)
     S = rk.build_leverage_sketch(p, 1600, 13)
-    prec = rk.irn_s2p_solve(inst.A, inst.psi, inst.b, cfg, S, inst.x_true)
+    prec = rk.irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
 
     F_target = plain.trace[-1].objective_mm * (1.0 + 1e-6)
     total_plain = plain.trace[-1].cum_inner
@@ -338,7 +338,7 @@ def test_criterion_08_experiment_1_desk():
     cfg_dp = rk.IRNConfig(weight=ws, outer_max=15, inner_tol=1e-8,
                           inner_max=800,
                           lambda_policy=rk.LambdaPolicy(kind="dp", nl=0.05))
-    dp = rk.irn_s2p_solve(inst.A, inst.psi, inst.b, cfg_dp, S, inst.x_true)
+    dp = rk.irn_s2p_solve(inst.A, inst.b, cfg_dp, S, inst.x_true)
     lams = dp.column("lam")[-5:]
     drift = max(abs(b - a) / abs(a) for a, b in zip(lams, lams[1:]))
     dt = time.time() - t0
@@ -359,20 +359,20 @@ def test_criterion_09_experiment_2_desk():
     pol = rk.LambdaPolicy(kind="fixed", lam=lam)
     S1, S2 = build_flex_sketches(inst.A, inst.b, 50, 4, 23)
     sns = rk.sns_flex_solve(
-        inst.A, inst.psi, inst.b,
+        inst.A, inst.b,
         rk.FlexSolverConfig(basis="arnoldi", mode="irw",
                             scheme="sketch_and_solve", ell=4, k_max=50,
                             weight=ws, lambda_policy=pol, seed=23),
         S1, S2, inst.x_true)
     s2p = rk.s2p_flex_solve(
-        inst.A, inst.psi, inst.b,
+        inst.A, inst.b,
         rk.FlexSolverConfig(basis="arnoldi", mode="irw",
                             scheme="sketch_to_precondition", ell=4, k_max=50,
                             weight=ws, lambda_policy=pol, inner_tol=1e-10,
                             seed=23),
         S1, S2, inst.x_true)
     hyb = rk.exact_flex_solve(
-        inst.A, inst.psi, inst.b,
+        inst.A, inst.b,
         rk.FlexSolverConfig(basis="arnoldi", mode="hybrid", scheme="exact",
                             ell=4, k_max=50,
                             weight=rk.WeightSpec(p=2.0, tau=1e-10),
@@ -381,7 +381,7 @@ def test_criterion_09_experiment_2_desk():
     e_sns = sns.trace[-1].rel_error
     e_s2p = s2p.trace[-1].rel_error
     e_hyb = hyb.trace[-1].rel_error
-    spec = ObjectiveSpec(ws, lam, None, "mm_consistent")
+    spec = ObjectiveSpec(ws, lam, "mm_consistent")
     Fs = {name: objective_value(inst.A, inst.b, r.x, spec)
           for name, r in (("sns", sns), ("s2p", s2p), ("hybrid", hyb))}
     dt = time.time() - t0
@@ -410,7 +410,7 @@ def test_criterion_10_experiment_3_desk():
         basis="golub_kahan", mode="none", scheme="exact", ell=4, k_max=60,
         weight=ws, lambda_policy=rk.LambdaPolicy(kind="fixed", lam=0.0),
         seed=33)
-    fl = rk.exact_flex_solve(inst.A, inst.psi, inst.b, cfg, xt)
+    fl = rk.exact_flex_solve(inst.A, inst.b, cfg, xt)
     flsqr_min = min(fl.column("rel_error"))
 
     S1, S2 = build_flex_sketches(inst.A, inst.b, 30, 4, 33)
@@ -421,7 +421,7 @@ def test_criterion_10_experiment_3_desk():
             basis="golub_kahan", mode="irw",
             scheme="sketch_to_precondition", ell=4, k_max=30, weight=ws,
             lambda_policy=pol, inner_tol=1e-10, seed=33)
-        res = rk.s2p_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2, xt)
+        res = rk.s2p_flex_solve(inst.A, inst.b, cfg, S1, S2, xt)
         finals[kind] = res.trace[-1].rel_error
     ratio = finals["dp"] / finals["optimal"]
     dt = time.time() - t0

@@ -138,6 +138,26 @@ def test_exit_code_2_on_config_errors(tmp_path):
         cfg = _write(tmp_path, base + solver, f"bad{i}.cfg")
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / f"b{i}")]) == 2, keys
+    # k_max below 1 in every family, and sketch_multiplier below 1; gmres
+    # needs a square problem to reach its k_max
+    square = base.replace("problem.m = 20", "problem.m = 6")
+    for i, (problem, keys) in enumerate([
+        (base, "family = lsqr\nk_max = 0"),
+        (square, "family = gmres\nk_max = 0"),
+        (base, "family = fista\nk_max = 0"),
+        (base, "family = irn\nk_max = 0"),
+        (base, "family = irn_s2p\nk_max = 0"),
+        (base, "family = flex\nscheme = exact\nk_max = 0"),
+        (base, "family = irn_s2p\nsketch_multiplier = 0"),
+        (base, "family = flex\nsketch_multiplier = -3"),
+        (base, "family = flex\nscheme = sketch_to_precondition\n"
+               "sketch_multiplier = 0"),
+    ]):
+        solver = "".join(f"solver.a.{kv}\n" for kv in
+                         ["seed = 1"] + keys.split("\n"))
+        cfg = _write(tmp_path, problem + solver, f"badk{i}.cfg")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / f"k{i}")]) == 2, keys
     # problems the generators reject with ValueError, in gen and in run;
     # subset_selection(40, 18, seed 3) draws an all-zero x_true, so b = 0
     # cannot take relative noise

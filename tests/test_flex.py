@@ -15,11 +15,19 @@ from randkrylov.flex import (
 )
 from randkrylov.irn import IRNConfig, irn_solve
 from randkrylov.krylov import gmres_solve, lsqr_solve
-from randkrylov.operators import LinearOperator
+from randkrylov.operators import (
+    CompositeOperator,
+    DiagonalOperator,
+    LinearOperator,
+)
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy, dp_select, optimal_select
-from randkrylov.sketching import identity_sketch
-from randkrylov.weights import WeightSpec, compute_weights
+from randkrylov.sketching import build_flex_sketches, identity_sketch
+from randkrylov.weights import (
+    WeightSpec,
+    compute_weights,
+    sketched_majorant_value,
+)
 
 
 def _rng(seed=0):
@@ -83,12 +91,12 @@ def test_flex_config_validation():
             FlexSolverConfig(**bad)
     FlexSolverConfig(ell=None, k_max=1)
     with pytest.raises(ValueError):
-        sns_flex_solve(None, None, None, FlexSolverConfig(scheme="exact"),
+        sns_flex_solve(None, None, FlexSolverConfig(scheme="exact"),
                        None, None)
     with pytest.raises(ValueError):
-        exact_flex_solve(None, None, None, FlexSolverConfig())
+        exact_flex_solve(None, None, FlexSolverConfig())
     with pytest.raises(ValueError):
-        s2p_flex_solve(None, None, None, FlexSolverConfig(), None, None)
+        s2p_flex_solve(None, None, FlexSolverConfig(), None, None)
 
 
 def test_exact_fgmres_unweighted_equals_gmres():
@@ -99,7 +107,7 @@ def test_exact_fgmres_unweighted_equals_gmres():
                            ell=None, k_max=10,
                            weight=WeightSpec(p=2.0, tau=1e-10),
                            lambda_policy=LambdaPolicy(kind="fixed", lam=0.0))
-    res = exact_flex_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
     xs = []
     gmres_solve(inst.A, inst.b, tol=0.0, maxit=10,
                 callback=lambda x: xs.append(x.copy()))
@@ -119,7 +127,7 @@ def test_exact_flsqr_unweighted_equals_lsqr():
                            ell=None, k_max=8,
                            weight=WeightSpec(p=2.0, tau=1e-10),
                            lambda_policy=LambdaPolicy(kind="fixed", lam=0.0))
-    res = exact_flex_solve(A, None, b, cfg)
+    res = exact_flex_solve(A, b, cfg)
     xs = []
     lsqr_solve(A, b, tol=0.0, maxit=8,
                callback=lambda x: xs.append(x.copy()))
@@ -133,11 +141,11 @@ def test_sns_identity_sketch_matches_exact():
     pol = LambdaPolicy(kind="fixed", lam=0.5)
     base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=10,
                 weight=ws, lambda_policy=pol, seed=1)
-    ref = exact_flex_solve(inst.A, inst.psi, inst.b,
+    ref = exact_flex_solve(inst.A, inst.b,
                            FlexSolverConfig(scheme="exact", **base),
                            inst.x_true)
     S1, S2 = identity_sketch(40), identity_sketch(18)
-    got = sns_flex_solve(inst.A, inst.psi, inst.b,
+    got = sns_flex_solve(inst.A, inst.b,
                          FlexSolverConfig(scheme="sketch_and_solve", **base),
                          S1, S2, inst.x_true)
     for xr, xg in zip(ref.iterates, got.iterates):
@@ -154,11 +162,11 @@ def test_s2p_identity_sketch_matches_exact():
                     LambdaPolicy(kind="optimal", x_true=inst.x_true)):
             base = dict(basis="golub_kahan", mode=mode, ell=None, k_max=10,
                         weight=ws, lambda_policy=pol, seed=1)
-            ref = exact_flex_solve(inst.A, inst.psi, inst.b,
+            ref = exact_flex_solve(inst.A, inst.b,
                                    FlexSolverConfig(scheme="exact", **base),
                                    inst.x_true)
             got = s2p_flex_solve(
-                inst.A, inst.psi, inst.b,
+                inst.A, inst.b,
                 FlexSolverConfig(scheme="sketch_to_precondition",
                                  inner_tol=1e-13, **base),
                 S1, S2, inst.x_true)
@@ -197,7 +205,7 @@ def test_s2p_identity_phase_after_span_exhaustion():
                                scheme="sketch_to_precondition", ell=None,
                                k_max=15, weight=ws, lambda_policy=pol,
                                inner_tol=1e-12, seed=1)
-        res = s2p_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2,
+        res = s2p_flex_solve(inst.A, inst.b, cfg, S1, S2,
                              inst.x_true)
         assert len(res.iterates) == 15
         assert np.all(np.isfinite(res.x))
@@ -231,18 +239,22 @@ def test_s2p_rejects_gcv_policies():
 
 
 class _MatrixFreeOnly(LinearOperator):
-    """A dense matrix behind a strictly matrix-free interface."""
+    """A dense matrix behind a strictly matrix-free interface, counting its
+    applies."""
 
     kind = "matrix_free_only"
 
     def __init__(self, M):
         super().__init__(*M.shape)
         self.M = M
+        self.applies = self.adjoints = 0
 
     def _apply(self, x):
+        self.applies += 1
         return self.M @ x
 
     def _apply_adjoint(self, y):
+        self.adjoints += 1
         return self.M.T @ y
 
     def materialize(self):
@@ -260,11 +272,11 @@ def test_flex_schemes_never_materialize_A():
                     weight=WeightSpec(p=1.0, tau=1e-4), lambda_policy=pol,
                     seed=1)
         runs = {
-            "exact": lambda cfg: exact_flex_solve(A, inst.psi, inst.b, cfg),
+            "exact": lambda cfg: exact_flex_solve(A, inst.b, cfg),
             "sketch_and_solve": lambda cfg: sns_flex_solve(
-                A, inst.psi, inst.b, cfg, S1, S2),
+                A, inst.b, cfg, S1, S2),
             "sketch_to_precondition": lambda cfg: s2p_flex_solve(
-                A, inst.psi, inst.b, cfg, S1, S2),
+                A, inst.b, cfg, S1, S2),
         }
         for scheme, run in runs.items():
             res = run(FlexSolverConfig(scheme=scheme, **base))
@@ -280,11 +292,96 @@ def test_sns_records_monotonicity_diagnostics():
                            lambda_policy=LambdaPolicy(kind="fixed", lam=0.5),
                            seed=3)
     S1, S2 = identity_sketch(50), identity_sketch(20)
-    res = sns_flex_solve(inst.A, inst.psi, inst.b, cfg, S1, S2, inst.x_true)
+    res = sns_flex_solve(inst.A, inst.b, cfg, S1, S2, inst.x_true)
     assert all(np.isfinite(r.eps_hat) for r in res.trace)
     assert all(r.mono_satisfied is not None for r in res.trace)
     # identity sketches have zero distortion, so eps_hat must be ~0
     assert max(r.eps_hat for r in res.trace) < 1e-12
+
+
+def test_sns_applies_A_as_often_as_exact():
+    # the sketched majorants come from the projected pair, so sketch-and-solve
+    # pays what exact pays: one expansion and one objective per step
+    ws = WeightSpec(p=1.0, tau=1e-4)
+    pol = LambdaPolicy(kind="fixed", lam=0.5)
+    for basis, inst in (("golub_kahan", _tall_instance(m=120, n=30)),
+                        ("arnoldi", _square_instance(n=30))):
+        A = _MatrixFreeOnly(inst.A.matrix)
+        S1, S2 = build_flex_sketches(A, inst.b, 12, 4, 7)
+        counts = {}
+        for scheme in ("exact", "sketch_and_solve"):
+            A.applies = A.adjoints = 0
+            cfg = FlexSolverConfig(basis=basis, scheme=scheme, k_max=12,
+                                   weight=ws, lambda_policy=pol, seed=7)
+            if scheme == "exact":
+                res = exact_flex_solve(A, inst.b, cfg)
+            else:
+                res = sns_flex_solve(A, inst.b, cfg, S1, S2)
+            assert len(res.iterates) == 12
+            counts[scheme] = (A.applies, A.adjoints)
+        assert any(r.mono_satisfied is not None for r in res.trace), basis
+        assert counts["sketch_and_solve"] == counts["exact"], basis
+        assert counts["exact"][0] == 2 * 12, basis
+
+
+def test_sns_monotonicity_flags_match_sketched_majorant():
+    # every flag recomputed from sketched_majorant_value on the returned
+    # iterates, with the weights of the previous iterate
+    for mode in ("irw", "hybrid"):
+        inst = _tall_instance(m=200, n=40)
+        ws = WeightSpec(p=1.0, tau=1e-4)
+        S1, S2 = build_flex_sketches(inst.A, inst.b, 15, 4, 5)
+        cfg = FlexSolverConfig(
+            mode=mode, k_max=15, weight=ws, seed=5,
+            lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
+        res = sns_flex_solve(inst.A, inst.b, cfg, S1, S2)
+        x_prev = np.zeros(inst.A.ncols)
+        flags = []
+        for row, x in zip(res.trace, res.iterates):
+            w = compute_weights(x_prev, ws)
+            expected = None
+            if row.eps_hat < 1.0:
+                expected, _ = check_monotonicity_condition(
+                    sketched_majorant_value(S1, S2, inst.A, inst.b, w, x_prev,
+                                            row.lam),
+                    sketched_majorant_value(S1, S2, inst.A, inst.b, w, x,
+                                            row.lam),
+                    row.eps_hat)
+            assert row.mono_satisfied == expected, (mode, row.outer)
+            flags.append(row.mono_satisfied)
+            x_prev = x
+        assert True in flags and False in flags, mode
+
+
+def test_change_of_variables_solves_the_psi_functional():
+    # min |Ax - b|^2 + lam |Psi x|_1 (smoothed) is the Psi = I problem on
+    # A Psi^{-1} in u = Psi x; each solver's objective, mapped back, is the
+    # Psi-functional evaluated here from its definition
+    p, tau, lam = 1.0, 1e-4, 0.5
+    ws = WeightSpec(p=p, tau=tau)
+    pol = LambdaPolicy(kind="fixed", lam=lam)
+    for m, basis in ((80, "golub_kahan"), (30, "arnoldi")):
+        inst = _tall_instance(m=m, n=30)
+        d = np.linspace(0.5, 2.0, 30)
+        psi_inv = DiagonalOperator(d).inverse()
+        AP = CompositeOperator([inst.A, psi_inv])
+        S1, S2 = identity_sketch(m), identity_sketch(30)
+        base = dict(basis=basis, ell=None, k_max=10, weight=ws,
+                    lambda_policy=pol, seed=1)
+        runs = [
+            exact_flex_solve(AP, inst.b, FlexSolverConfig(scheme="exact",
+                                                          **base)),
+            sns_flex_solve(AP, inst.b, FlexSolverConfig(**base), S1, S2),
+            irn_solve(AP, inst.b, IRNConfig(weight=ws, outer_max=6,
+                                            lambda_policy=pol)),
+        ]
+        for res in runs:
+            for row, u in zip(res.trace, res.iterates):
+                x = psi_inv.apply(u)
+                r = inst.A.matrix @ x - inst.b
+                F = r @ r + (2 * lam / p) * np.sum(((d * x) ** 2
+                                                    + tau**2) ** (p / 2))
+                assert row.objective_mm == pytest.approx(F, rel=1e-12)
 
 
 def test_flex_mode_none_has_zero_lambda():
@@ -292,7 +389,7 @@ def test_flex_mode_none_has_zero_lambda():
     cfg = FlexSolverConfig(mode="none", scheme="exact", k_max=5,
                            weight=WeightSpec(p=1.0, tau=1e-4),
                            lambda_policy=LambdaPolicy(kind="fixed", lam=7.0))
-    res = exact_flex_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
     assert all(r.lam == 0.0 for r in res.trace)
 
 
@@ -308,8 +405,8 @@ def test_solvers_reject_non_finite_rhs(i, bad, solver):
         "lsqr": lambda: lsqr_solve(inst.A, b),
         "gmres": lambda: gmres_solve(inst.A, b),
         "exact_flex": lambda: exact_flex_solve(
-            inst.A, inst.psi, b, FlexSolverConfig(scheme="exact", k_max=3)),
-        "irn": lambda: irn_solve(inst.A, inst.psi, b, IRNConfig(outer_max=2)),
+            inst.A, b, FlexSolverConfig(scheme="exact", k_max=3)),
+        "irn": lambda: irn_solve(inst.A, b, IRNConfig(outer_max=2)),
         "fista": lambda: fista_solve(inst.A, b, 0.1, n_iter=3),
     }
     with pytest.raises(ValueError, match="non-finite"):

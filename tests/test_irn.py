@@ -33,7 +33,7 @@ def test_irn_p2_collapses_to_tikhonov():
     cfg = IRNConfig(weight=WeightSpec(p=2.0, tau=1e-10), outer_max=3,
                     inner_tol=1e-14,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=lam))
-    res = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     M = inst.A.matrix
     ref = np.linalg.solve(M.T @ M + lam * np.eye(M.shape[1]), M.T @ inst.b)
     for x in res.iterates:
@@ -45,7 +45,7 @@ def test_irn_objective_monotone_fixed_lambda():
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-6), outer_max=12,
                     inner_tol=1e-12,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=1.0))
-    res = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     F = res.column("objective_mm")
     slack = 1e-8 * F[0]
     assert all(b <= a + slack for a, b in zip(F, F[1:]))
@@ -55,7 +55,7 @@ def test_irn_trace_invariants():
     inst = _instance()
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=4,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
-    res = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     assert res.column("outer") == [1, 2, 3, 4]
     inner = res.column("cum_inner")
     assert all(b >= a for a, b in zip(inner, inner[1:]))
@@ -97,9 +97,9 @@ def test_irn_s2p_matches_plain_irn():
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=5,
                     inner_tol=1e-12,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=1.0))
-    plain = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    plain = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     S = identity_sketch(100)
-    prec = irn_s2p_solve(inst.A, inst.psi, inst.b, cfg, S, inst.x_true)
+    prec = irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
     for xp, xs in zip(plain.iterates, prec.iterates):
         np.testing.assert_allclose(xs, xp, rtol=1e-6, atol=1e-8)
 
@@ -109,10 +109,10 @@ def test_irn_s2p_saves_inner_iterations():
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=6,
                     inner_tol=1e-10,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=1.0))
-    plain = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    plain = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     p = estimate_leverage_scores(inst.A.matrix)
     S = build_leverage_sketch(p, 160, seed=7)
-    prec = irn_s2p_solve(inst.A, inst.psi, inst.b, cfg, S, inst.x_true)
+    prec = irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
     assert prec.trace[-1].cum_inner < plain.trace[-1].cum_inner
 
 
@@ -121,7 +121,7 @@ def test_irn_dp_policy_meets_discrepancy():
     pol = LambdaPolicy(kind="dp", nl=0.05, tau_lambda=1.01)
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=5,
                     inner_tol=1e-12, lambda_policy=pol)
-    res = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     r = inst.A.apply(res.x) - inst.b
     target = 1.01 * 0.05 * np.linalg.norm(inst.b)
     assert np.linalg.norm(r) <= 1.5 * target
@@ -132,11 +132,11 @@ def test_irn_optimal_policy_beats_fixed_guess():
     pol = LambdaPolicy(kind="optimal", x_true=inst.x_true)
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=5,
                     inner_tol=1e-12, lambda_policy=pol)
-    res = irn_solve(inst.A, inst.psi, inst.b, cfg, inst.x_true)
+    res = irn_solve(inst.A, inst.b, cfg, inst.x_true)
     bad = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=5,
                     inner_tol=1e-12,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=1e3))
-    res_bad = irn_solve(inst.A, inst.psi, inst.b, bad, inst.x_true)
+    res_bad = irn_solve(inst.A, inst.b, bad, inst.x_true)
     assert res.trace[-1].rel_error <= res_bad.trace[-1].rel_error
 
 
@@ -144,7 +144,7 @@ def test_irn_rejects_wgcv():
     inst = _instance()
     cfg = IRNConfig(lambda_policy=LambdaPolicy(kind="wgcv"))
     with pytest.raises(ValueError):
-        irn_solve(inst.A, inst.psi, inst.b, cfg)
+        irn_solve(inst.A, inst.b, cfg)
 
 
 def test_irn_config_validation():

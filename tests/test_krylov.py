@@ -89,7 +89,7 @@ def test_factorization_identity(kind, ell):
     n = 12
     M = rng.standard_normal((n, n))
     fact = FlexibleFactorization(kind, DenseOperator(M),
-                                 None, rng.standard_normal(n), ell=ell)
+                                 rng.standard_normal(n), ell=ell)
     for _ in range(8):
         w_inv = rng.random(n) + 0.2
         fact.expand(w_inv)
@@ -103,7 +103,7 @@ def test_factorization_standard_arnoldi_reduction():
     rng = _rng(8)
     n = 10
     M = rng.standard_normal((n, n))
-    fact = FlexibleFactorization("arnoldi", DenseOperator(M), None,
+    fact = FlexibleFactorization("arnoldi", DenseOperator(M),
                                  rng.standard_normal(n), ell=None)
     for _ in range(6):
         fact.expand(np.ones(n))
@@ -120,7 +120,7 @@ def test_factorization_standard_bidiagonal_reduction():
     # bidiagonal, U and V orthonormal
     rng = _rng(9)
     M = _rng(9).standard_normal((14, 9))
-    fact = FlexibleFactorization("golub_kahan", DenseOperator(M), None,
+    fact = FlexibleFactorization("golub_kahan", DenseOperator(M),
                                  rng.standard_normal(14), ell=None)
     for _ in range(6):
         fact.expand(np.ones(9))
@@ -138,7 +138,7 @@ def test_factorization_breakdown_identity_operator():
     n = 6
     rng = _rng(10)
     b = rng.standard_normal(n)
-    fact = FlexibleFactorization("arnoldi", DenseOperator(np.eye(n)), None,
+    fact = FlexibleFactorization("arnoldi", DenseOperator(np.eye(n)),
                                  b, ell=None)
     out = fact.expand(np.ones(n))
     assert fact.breakdown
@@ -149,12 +149,12 @@ def test_factorization_breakdown_identity_operator():
 
 def test_factorization_rejects_bad_input():
     with pytest.raises(ValueError):
-        FlexibleFactorization("bogus", DenseOperator(np.eye(2)), None,
+        FlexibleFactorization("bogus", DenseOperator(np.eye(2)),
                               np.ones(2))
     with pytest.raises(ValueError):
-        FlexibleFactorization("arnoldi", DenseOperator(np.eye(2)), None,
+        FlexibleFactorization("arnoldi", DenseOperator(np.eye(2)),
                               np.zeros(2))
-    fact = FlexibleFactorization("arnoldi", DenseOperator(np.eye(2)), None,
+    fact = FlexibleFactorization("arnoldi", DenseOperator(np.eye(2)),
                                  np.ones(2))
     with pytest.raises(ValueError):
         fact.expand(np.array([1.0, -1.0]))

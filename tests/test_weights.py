@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randkrylov.operators import DenseOperator, DiagonalOperator
+from randkrylov.operators import DenseOperator
 from randkrylov.sketching import identity_sketch
 from randkrylov.weights import (
     ObjectiveSpec,
@@ -67,8 +67,8 @@ def test_objective_variants():
     ws = WeightSpec(p=1.0, tau=0.05)
     lam = 0.7
     r = A.apply(x) - b
-    mm = objective_value(A, b, x, ObjectiveSpec(ws, lam, None, "mm_consistent"))
-    lit = objective_value(A, b, x, ObjectiveSpec(ws, lam, None, "paper_literal"))
+    mm = objective_value(A, b, x, ObjectiveSpec(ws, lam, "mm_consistent"))
+    lit = objective_value(A, b, x, ObjectiveSpec(ws, lam, "paper_literal"))
     expect_mm = r @ r + (2 * lam / ws.p) * np.sum(
         (x**2 + ws.tau**2) ** (ws.p / 2))
     w = (x**2 + ws.tau**2) ** ((ws.p - 2) / 4)
@@ -87,18 +87,16 @@ class _CountingDense(DenseOperator):
         return super()._apply(x)
 
 
-@pytest.mark.parametrize(
-    "psi", [None, DiagonalOperator(np.linspace(0.5, 2.0, 5))])
-def test_objective_values_apply_once_and_match(psi):
+def test_objective_values_apply_once_and_match():
     rng = _rng(4)
     A = _CountingDense(rng.standard_normal((9, 5)))
     b = rng.standard_normal(9)
     x = rng.standard_normal(5)
     ws = WeightSpec(p=1.0, tau=0.05)
-    mm, lit = objective_values(A, b, x, ws, 0.7, psi)
+    mm, lit = objective_values(A, b, x, ws, 0.7)
     assert A.applies == 1
     for value, variant in ((mm, "mm_consistent"), (lit, "paper_literal")):
-        spec = ObjectiveSpec(ws, 0.7, psi, variant)
+        spec = ObjectiveSpec(ws, 0.7, variant)
         assert value == objective_value(A, b, x, spec)
     with pytest.raises(ValueError):
         objective_values(A, b, x, ws, -1.0)
@@ -160,4 +158,4 @@ def test_objective_spec_validation():
     with pytest.raises(ValueError):
         ObjectiveSpec(WeightSpec(), -1.0)
     with pytest.raises(ValueError):
-        ObjectiveSpec(WeightSpec(), 1.0, None, "bogus")
+        ObjectiveSpec(WeightSpec(), 1.0, "bogus")
