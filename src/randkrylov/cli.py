@@ -274,7 +274,6 @@ def run_solver(name, cfg, inst):
                 weight=weight,
                 lambda_policy=policy,
                 inner_tol=_get(sec, "inner_tol", float, 1e-10),
-                seed=seed,
             )
     except ValueError as exc:
         raise ConfigError(f"solver {name!r}: {exc}") from exc

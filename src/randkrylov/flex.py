@@ -4,22 +4,23 @@ sketch-to-precondition, and the exact (dense projected) reference scheme.
 All three run one loop (``_flex_loop``), in the flexible Golub-Kahan /
 Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
 the diagonal weights W at the current iterate, expands the flexible
-factorization by one column with W^{-1} as preconditioner, and updates one
-projected pair: R1 from an incremental QR of the columns A z_j
-(sketched by S1 or not) and R2 from a QR of W Zbar (sketched by S2 or not;
-the identity outside ``irw`` mode). Once the basis is spent (breakdown, or
-k reaches min(m, n)) every scheme keeps it and only re-weights R2. The
-schemes differ only in how the projected Tikhonov problem in the
-coefficients y of x = Zbar y is then solved:
+factorization by one column with W^{-1} as preconditioner, and updates its
+projected pairs (``_projected_problem``): R1 from an incremental QR of the
+columns A z_j, kept unsketched by every scheme and sketched by S1 beside it
+by the sketched ones, and R2 from a QR of W Zbar (sketched by S2 or not; the
+identity outside ``irw`` mode). Once the basis is spent (breakdown, or k
+reaches min(m, n)) every scheme keeps it and only re-weights R2. The schemes
+differ only in how the projected Tikhonov problem in the coefficients y of
+x = Zbar y is then solved:
 
 * ``exact``: stacked QR of the unsketched pair.
 * ``sketch_and_solve``: stacked QR of the sketched pair; the projected
   problem is itself sketched. Only this scheme records the distortion and
-  monotonicity diagnostics; the sketched majorant they compare is read from
-  the projected pair, so it costs no apply of A.
+  monotonicity diagnostics, both read exactly from the two pairs at every
+  iteration, with no random probe and no apply of A.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
   LSQR, right-preconditioned by the Cholesky factor of the sketched Gram pair
-  R1^T R1 + lam R2^T R2.
+  R1^T R1 + lam R2^T R2; lambda is chosen on the unsketched pair.
 """
 
 from __future__ import annotations
@@ -29,17 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .krylov import FlexibleFactorization, lsqr_solve
+from .krylov import BREAKDOWN_RTOL, FlexibleFactorization, lsqr_solve
 from .irn import SolveResult, TraceRow, _rel_error
 from .operators import LinearOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
-from .sketching import apply_sketch, apply_sketch_weighted, measure_distortion
+from .sketching import apply_sketch, apply_sketch_weighted
 from .weights import WeightSpec, compute_weights, objective_values
-
-# sketch-and-solve re-measures the distortion every EPS_REFRESH iterations,
-# each time from DISTORTION_TRIALS random probes
-EPS_REFRESH = 5
-DISTORTION_TRIALS = 50
 
 
 @dataclass
@@ -102,7 +98,6 @@ class FlexSolverConfig:
     weight: WeightSpec = WeightSpec()
     lambda_policy: LambdaPolicy = LambdaPolicy()
     inner_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.basis not in ("arnoldi", "golub_kahan"):
@@ -174,13 +169,19 @@ class _IncrementalQR:
             h += proj
             q = q - self.Q @ proj
         rho = np.linalg.norm(q)
-        newR = np.zeros((k + 1, k + 1))
-        newR[:k, :k] = self.R
-        newR[:k, k] = h
-        newR[k, k] = rho
+        self.R = np.block([[self.R, h[:, None]], [np.zeros((1, k)), rho]])
         qcol = q / rho if rho > 0 else q
         self.Q = np.hstack([self.Q, qcol[:, None]])
-        self.R = newR
+
+
+def _projected_problem(qr, rhs, L):
+    """Pair of min |Q R y - rhs|^2 + lam |L y|^2 for the column QR
+    ``qr`` = Q R and the regularization block L (None: the identity)."""
+    beta = qr.Q.T @ rhs
+    beta_perp = float(np.linalg.norm(rhs - qr.Q @ beta))
+    k = qr.R.shape[0]
+    R2 = np.eye(k) if L is None else np.linalg.qr(L, mode="r")
+    return ProjectedProblem(qr.R, beta, beta_perp, R2, k)
 
 
 def _select_projected_lambda(policy, pp, b_norm, sketch_rows, solution_map):
@@ -192,17 +193,30 @@ def _select_projected_lambda(policy, pp, b_norm, sketch_rows, solution_map):
     return select_lambda(policy, pair, b_norm, solution_map, sketch_rows)
 
 
-def _distortion_pair(S1, S2, AZ, b, WZ, config, it):
-    """Measured distortion of S1 over span([A Zbar, b]) and of S2
-    over span(W Zbar); returns the maximum."""
-    basis1 = np.hstack([AZ, b[:, None]])
-    eps1 = measure_distortion(S1, basis1, DISTORTION_TRIALS,
-                              seed=config.seed + 1000 + it)
-    eps2 = 0.0
-    if WZ is not None and WZ.size:
-        eps2 = measure_distortion(S2, WZ, DISTORTION_TRIALS,
-                                  seed=config.seed + 2000 + it)
-    return max(eps1, eps2)
+def _factor_distortion(R_hat, R):
+    """max |sigma(R_hat R^{-1}) - 1|, the distortion of a sketch S over
+    range(M) when M = Q R and S M = Q_hat R_hat; inf for a singular R."""
+    try:
+        T = scipy.linalg.solve_triangular(R, R_hat.T, trans="T").T
+    except np.linalg.LinAlgError:
+        return np.inf
+    sv = np.linalg.svd(T, compute_uv=False)
+    return max(abs(sv[0] - 1.0), abs(1.0 - sv[-1])) if sv.size else 0.0
+
+
+def _sketch_distortion(pp_hat, pp, b_norm):
+    """Exact distortion of S1 over span([A Zbar, b]) and of S2 over
+    span(W Zbar), from the sketched pair pp_hat and the unsketched pair pp.
+    Once b lies in span(A Zbar) (the unsketched beta_perp is zero to
+    rounding, e.g. after the basis is spent) the border is dropped. Outside
+    ``irw`` mode both R2 are the identity and the S2 term is 0."""
+    if pp.beta_perp <= BREAKDOWN_RTOL * b_norm:
+        eps1 = _factor_distortion(pp_hat.R1, pp.R1)
+    else:  # the R factors [R1 beta; 0 beta_perp] of [A Zbar, b] and its sketch
+        border = lambda p: np.block([[p.R1, p.beta[:, None]],
+                                     [np.zeros((1, p.k)), p.beta_perp]])
+        eps1 = _factor_distortion(border(pp_hat), border(pp))
+    return max(eps1, _factor_distortion(pp_hat.R2, pp.R2))
 
 
 def sns_flex_solve(A, b, config, S1, S2, x_true=None):
@@ -231,12 +245,13 @@ def s2p_flex_solve(A, b, config, S1, S2, x_true=None):
     return _flex_loop(A, b, config, S1, S2, x_true)
 
 
-def _projected_majorant(pp, SWZ, y, lam):
-    """The sketched majorant |S1 (A x - b)|^2 + lam |S2 W x|^2 at x = Zbar y
-    (``sketched_majorant_value``), from the QR of S1 A Zbar behind pp and the
-    sketched S2 W Zbar, without an apply of A."""
+def _projected_majorant(pp, y, lam):
+    """The sketched functional the sketch-and-solve step minimizes,
+    |S1 (A x - b)|^2 + lam |R2 y|^2 at x = Zbar y, read from the sketched
+    pair without an apply of A. The penalty is |S2 W x|^2 in ``irw`` mode
+    (``sketched_majorant_value``) and |y|^2 otherwise."""
     r = pp.R1 @ y - pp.beta
-    s2 = SWZ @ y
+    s2 = pp.R2 @ y
     return float(r @ r) + pp.beta_perp**2 + lam * float(s2 @ s2)
 
 
@@ -248,11 +263,15 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     sketched = S1 is not None
     s2p = config.scheme == "sketch_to_precondition"
     b_norm = float(np.linalg.norm(b))
+    # the unsketched pair is exact's step, the sketch-and-solve distortion
+    # reference and the s2p lambda rule, which fixed lambda does not need
+    unsketched_pair = not (s2p and (config.mode == "none"
+                                    or policy.kind == "fixed"))
 
     fact = FlexibleFactorization(config.basis, A, b, ell=config.ell)
-    qr1 = _IncrementalQR(S1.s if sketched else m)
+    qr = _IncrementalQR(m)  # of the columns A z_j
+    qr1 = _IncrementalQR(S1.s) if sketched else qr  # of the S1 A z_j
     s1b = apply_sketch(S1, b) if sketched else b
-    G2raw = np.empty((S2.s if sketched else 0, 0))  # gathered rows of Zbar
 
     x = np.zeros(n)
     y = np.zeros(0)  # coefficients of x in the basis
@@ -265,30 +284,24 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         if not fact.breakdown and fact.k < min(m, n):
             col = fact.expand(1.0 / w)
             if col is not None:
-                qr1.append(apply_sketch(S1, col) if sketched else col)
+                qr.append(col)
                 if sketched:
-                    G2raw = np.hstack(
-                        [G2raw, fact.Z[:, -1][S2.selected_rows][:, None]]
-                    )
+                    qr1.append(apply_sketch(S1, col))
         Z = fact.Z
         w_reg = w if config.mode == "irw" else None  # the L of R2 = qr(L Z)
 
-        beta = qr1.Q.T @ s1b
-        beta_perp = float(np.linalg.norm(s1b - qr1.Q @ beta))
-        SWZ = (apply_sketch_weighted(S2, w, Z, gathered=G2raw)
-               if sketched else None)  # S2 W Zbar
-        if w_reg is not None:
-            R2 = np.linalg.qr(SWZ if sketched else w[:, None] * Z, mode="r")
-        else:
-            R2 = np.eye(fact.k)
-        pp = ProjectedProblem(qr1.R, beta, beta_perp, R2, fact.k)
+        pp0 = (_projected_problem(qr, b, None if w_reg is None
+                                  else w_reg[:, None] * Z)
+               if unsketched_pair else None)
+        pp = (_projected_problem(qr1, s1b, None if w_reg is None
+                                 else apply_sketch_weighted(S2, w_reg, Z))
+              if sketched else pp0)
         solution_map = Z.__matmul__  # y -> x = Zbar y
 
         if config.mode == "none":
             lam = 0.0
         elif s2p:
-            lam = _select_s2p_lambda(policy, fact, w_reg, b, b_norm,
-                                     solution_map)
+            lam = _select_s2p_lambda(policy, pp0, b_norm, solution_map)
         else:
             lam = _select_projected_lambda(policy, pp, b_norm,
                                            S1.s if sketched else m,
@@ -311,13 +324,11 @@ def _flex_loop(A, b, config, S1, S2, x_true):
 
         mono = None
         if sketched and not s2p:
-            if (it - 1) % EPS_REFRESH == 0:
-                WZ = None if w_reg is None else w_reg[:, None] * Z
-                eps_hat = _distortion_pair(S1, S2, fact.AZ, b, WZ, config, it)
+            eps_hat = _sketch_distortion(pp, pp0, b_norm)
             if eps_hat < 1.0:
                 mono, _margin = check_monotonicity_condition(
-                    _projected_majorant(pp, SWZ, y_prev, lam),
-                    _projected_majorant(pp, SWZ, y, lam), eps_hat,
+                    _projected_majorant(pp, y_prev, lam),
+                    _projected_majorant(pp, y, lam), eps_hat,
                 )
         obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
         iterates.append(x.copy())
@@ -368,16 +379,10 @@ def _chol_with_jitter(M, lam):
             ) from exc
 
 
-def _select_s2p_lambda(policy, fact, w, b, b_norm, solution_map):
+def _select_s2p_lambda(policy, pp, b_norm, solution_map):
     """Lambda for the sketch-to-precondition step, chosen on the unsketched
-    projected problem; its regularization is W Zbar (w given) or the
-    identity (w = None)."""
+    projected pair."""
     if policy.kind == "fixed":
         return policy.lam
-    k = fact.k
-    R = np.linalg.qr(np.column_stack([fact.AZ, b]), mode="r")
-    R2 = (np.eye(k) if w is None
-          else np.linalg.qr(w[:, None] * fact.Z, mode="r"))
-    beta_perp = abs(R[k, k]) if R.shape[0] > k else 0.0
-    pair = projected_pair(R[:k, :k], R[:k, k], beta_perp, R2)
+    pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
     return select_lambda(policy, pair, b_norm, solution_map)

@@ -43,7 +43,10 @@ def _orthogonalize(q, basis, window):
 @dataclass
 class FlexibleFactorization:
     """Growing state of an ell-truncated flexible Arnoldi or Golub-Kahan
-    factorization of (A, b) with per-step diagonal preconditioners."""
+    factorization of (A, b) with per-step diagonal preconditioners: the
+    bases U, V and Z and the coefficients H. The raw columns A z_j are
+    returned by ``expand`` and not kept; a caller that needs them keeps its
+    own (e.g. a QR of them)."""
 
     kind: str  # "arnoldi" | "golub_kahan"
     A: object
@@ -55,7 +58,6 @@ class FlexibleFactorization:
     _U: list = field(default_factory=list)
     _V: list = field(default_factory=list)
     _Z: list = field(default_factory=list)
-    _AZ: list = field(default_factory=list)
     _Hcols: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -84,13 +86,6 @@ class FlexibleFactorization:
         if not self._Z:
             return np.empty((self.A.ncols, 0))
         return np.stack(self._Z, axis=1)
-
-    @property
-    def AZ(self):
-        """Raw products A z_j, one column per step."""
-        if not self._AZ:
-            return np.empty((self.b.size, 0))
-        return np.stack(self._AZ, axis=1)
 
     @property
     def H(self):
@@ -123,13 +118,11 @@ class FlexibleFactorization:
             self._V.append(v)
 
         z = w_inv * v
-        q = self.A.apply(z)
-        q_raw = q.copy()
-        q, coeffs = _orthogonalize(q, self._U, window)
+        q_raw = self.A.apply(z)
+        q, coeffs = _orthogonalize(q_raw, self._U, window)
         hnew = np.linalg.norm(q)
         col = np.append(coeffs, hnew)
         self._Z.append(z)
-        self._AZ.append(q_raw)
         self._Hcols.append(col)
         self.k += 1
         if hnew <= BREAKDOWN_RTOL * self.beta1:

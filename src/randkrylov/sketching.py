@@ -125,18 +125,17 @@ def commute_diagonal(S, w):
     return w[S.selected_rows]
 
 
-def apply_sketch_weighted(S, w, M, gathered=None):
-    """S @ diag(w) @ M in the canonical order: gather rows of M (or take the
-    precomputed gather), multiply by the gathered weights, then by the scales.
+def apply_sketch_weighted(S, w, M):
+    """S @ diag(w) @ M in the canonical order: gather rows of M, multiply by
+    the gathered weights, then by the scales.
 
     Bitwise identical to ``apply_sketch(S, w[:, None] * M)``.
     """
     wbar = commute_diagonal(S, w)
-    if gathered is None:
-        M = np.asarray(M, dtype=np.float64)
-        if M.shape[0] != S.m:
-            raise ValueError(f"expected {S.m} rows, got {M.shape[0]}")
-        gathered = M[S.selected_rows]
+    M = np.asarray(M, dtype=np.float64)
+    if M.shape[0] != S.m:
+        raise ValueError(f"expected {S.m} rows, got {M.shape[0]}")
+    gathered = M[S.selected_rows]
     if gathered.ndim == 1:
         return (wbar * gathered) * S.scales
     return (wbar[:, None] * gathered) * S.scales[:, None]

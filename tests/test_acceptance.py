@@ -155,7 +155,7 @@ def test_criterion_03_reduction_suite():
     ws = rk.WeightSpec(p=1.0, tau=1e-4)
     pol = rk.LambdaPolicy(kind="fixed", lam=0.5)
     base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=12,
-                weight=ws, lambda_policy=pol, seed=1)
+                weight=ws, lambda_policy=pol)
     ref = rk.exact_flex_solve(inst.A, inst.b,
                               rk.FlexSolverConfig(scheme="exact", **base),
                               inst.x_true)
@@ -217,7 +217,7 @@ def test_criterion_04_proposition_2_monotonicity():
             basis=basis, mode="irw", scheme="sketch_to_precondition",
             ell=4, k_max=40, weight=ws,
             lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam),
-            inner_tol=1e-12, seed=45)
+            inner_tol=1e-12)
         res = rk.s2p_flex_solve(inst.A, inst.b, cfg, S1, S2,
                                 inst.x_true)
         F = res.column("objective_mm")
@@ -241,7 +241,7 @@ def test_criterion_05_proposition_1_implication():
         cfg = rk.FlexSolverConfig(
             basis=basis, mode="irw", scheme="sketch_and_solve",
             ell=4, k_max=40, weight=ws,
-            lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam), seed=45)
+            lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam))
         res = rk.sns_flex_solve(inst.A, inst.b, cfg, S1, S2,
                                 inst.x_true)
         F = res.column("objective_mm")
@@ -362,21 +362,20 @@ def test_criterion_09_experiment_2_desk():
         inst.A, inst.b,
         rk.FlexSolverConfig(basis="arnoldi", mode="irw",
                             scheme="sketch_and_solve", ell=4, k_max=50,
-                            weight=ws, lambda_policy=pol, seed=23),
+                            weight=ws, lambda_policy=pol),
         S1, S2, inst.x_true)
     s2p = rk.s2p_flex_solve(
         inst.A, inst.b,
         rk.FlexSolverConfig(basis="arnoldi", mode="irw",
                             scheme="sketch_to_precondition", ell=4, k_max=50,
-                            weight=ws, lambda_policy=pol, inner_tol=1e-10,
-                            seed=23),
+                            weight=ws, lambda_policy=pol, inner_tol=1e-10),
         S1, S2, inst.x_true)
     hyb = rk.exact_flex_solve(
         inst.A, inst.b,
         rk.FlexSolverConfig(basis="arnoldi", mode="hybrid", scheme="exact",
                             ell=4, k_max=50,
                             weight=rk.WeightSpec(p=2.0, tau=1e-10),
-                            lambda_policy=pol, seed=23),
+                            lambda_policy=pol),
         inst.x_true)
     e_sns = sns.trace[-1].rel_error
     e_s2p = s2p.trace[-1].rel_error
@@ -408,8 +407,7 @@ def test_criterion_10_experiment_3_desk():
     ws = rk.WeightSpec(p=1.0, tau=1e-10)
     cfg = rk.FlexSolverConfig(
         basis="golub_kahan", mode="none", scheme="exact", ell=4, k_max=60,
-        weight=ws, lambda_policy=rk.LambdaPolicy(kind="fixed", lam=0.0),
-        seed=33)
+        weight=ws, lambda_policy=rk.LambdaPolicy(kind="fixed", lam=0.0))
     fl = rk.exact_flex_solve(inst.A, inst.b, cfg, xt)
     flsqr_min = min(fl.column("rel_error"))
 
@@ -420,7 +418,7 @@ def test_criterion_10_experiment_3_desk():
         cfg = rk.FlexSolverConfig(
             basis="golub_kahan", mode="irw",
             scheme="sketch_to_precondition", ell=4, k_max=30, weight=ws,
-            lambda_policy=pol, inner_tol=1e-10, seed=33)
+            lambda_policy=pol, inner_tol=1e-10)
         res = rk.s2p_flex_solve(inst.A, inst.b, cfg, S1, S2, xt)
         finals[kind] = res.trace[-1].rel_error
     ratio = finals["dp"] / finals["optimal"]

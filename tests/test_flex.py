@@ -14,7 +14,7 @@ from randkrylov.flex import (
     solve_projected_tikhonov,
 )
 from randkrylov.irn import IRNConfig, irn_solve
-from randkrylov.krylov import gmres_solve, lsqr_solve
+from randkrylov.krylov import FlexibleFactorization, gmres_solve, lsqr_solve
 from randkrylov.operators import (
     CompositeOperator,
     DiagonalOperator,
@@ -22,7 +22,12 @@ from randkrylov.operators import (
 )
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy, dp_select, optimal_select
-from randkrylov.sketching import build_flex_sketches, identity_sketch
+from randkrylov.sketching import (
+    build_flex_sketches,
+    build_leverage_sketch,
+    identity_sketch,
+    span_distortion,
+)
 from randkrylov.weights import (
     WeightSpec,
     compute_weights,
@@ -140,7 +145,7 @@ def test_sns_identity_sketch_matches_exact():
     ws = WeightSpec(p=1.0, tau=1e-4)
     pol = LambdaPolicy(kind="fixed", lam=0.5)
     base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=10,
-                weight=ws, lambda_policy=pol, seed=1)
+                weight=ws, lambda_policy=pol)
     ref = exact_flex_solve(inst.A, inst.b,
                            FlexSolverConfig(scheme="exact", **base),
                            inst.x_true)
@@ -161,7 +166,7 @@ def test_s2p_identity_sketch_matches_exact():
                     LambdaPolicy(kind="dp", nl=0.02),
                     LambdaPolicy(kind="optimal", x_true=inst.x_true)):
             base = dict(basis="golub_kahan", mode=mode, ell=None, k_max=10,
-                        weight=ws, lambda_policy=pol, seed=1)
+                        weight=ws, lambda_policy=pol)
             ref = exact_flex_solve(inst.A, inst.b,
                                    FlexSolverConfig(scheme="exact", **base),
                                    inst.x_true)
@@ -204,7 +209,7 @@ def test_s2p_identity_phase_after_span_exhaustion():
         cfg = FlexSolverConfig(basis="golub_kahan", mode="irw",
                                scheme="sketch_to_precondition", ell=None,
                                k_max=15, weight=ws, lambda_policy=pol,
-                               inner_tol=1e-12, seed=1)
+                               inner_tol=1e-12)
         res = s2p_flex_solve(inst.A, inst.b, cfg, S1, S2,
                              inst.x_true)
         assert len(res.iterates) == 15
@@ -269,8 +274,7 @@ def test_flex_schemes_never_materialize_A():
     for pol in (LambdaPolicy(kind="dp", nl=0.02),
                 LambdaPolicy(kind="optimal", x_true=inst.x_true)):
         base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=15,
-                    weight=WeightSpec(p=1.0, tau=1e-4), lambda_policy=pol,
-                    seed=1)
+                    weight=WeightSpec(p=1.0, tau=1e-4), lambda_policy=pol)
         runs = {
             "exact": lambda cfg: exact_flex_solve(A, inst.b, cfg),
             "sketch_and_solve": lambda cfg: sns_flex_solve(
@@ -289,8 +293,7 @@ def test_sns_records_monotonicity_diagnostics():
     ws = WeightSpec(p=1.0, tau=1e-4)
     cfg = FlexSolverConfig(mode="irw", scheme="sketch_and_solve", k_max=8,
                            weight=ws,
-                           lambda_policy=LambdaPolicy(kind="fixed", lam=0.5),
-                           seed=3)
+                           lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
     S1, S2 = identity_sketch(50), identity_sketch(20)
     res = sns_flex_solve(inst.A, inst.b, cfg, S1, S2, inst.x_true)
     assert all(np.isfinite(r.eps_hat) for r in res.trace)
@@ -312,7 +315,7 @@ def test_sns_applies_A_as_often_as_exact():
         for scheme in ("exact", "sketch_and_solve"):
             A.applies = A.adjoints = 0
             cfg = FlexSolverConfig(basis=basis, scheme=scheme, k_max=12,
-                                   weight=ws, lambda_policy=pol, seed=7)
+                                   weight=ws, lambda_policy=pol)
             if scheme == "exact":
                 res = exact_flex_solve(A, inst.b, cfg)
             else:
@@ -325,32 +328,95 @@ def test_sns_applies_A_as_often_as_exact():
 
 
 def test_sns_monotonicity_flags_match_sketched_majorant():
-    # every flag recomputed from sketched_majorant_value on the returned
-    # iterates, with the weights of the previous iterate
+    # every flag recomputed on the returned iterates, with the weights of the
+    # previous iterate, from sketched_majorant_value in irw mode; in hybrid
+    # mode the penalty is lam |y|^2 in the coefficients of x = Zbar y, on
+    # the replayed basis
     for mode in ("irw", "hybrid"):
         inst = _tall_instance(m=200, n=40)
         ws = WeightSpec(p=1.0, tau=1e-4)
         S1, S2 = build_flex_sketches(inst.A, inst.b, 15, 4, 5)
         cfg = FlexSolverConfig(
-            mode=mode, k_max=15, weight=ws, seed=5,
+            mode=mode, k_max=15, weight=ws,
             lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
         res = sns_flex_solve(inst.A, inst.b, cfg, S1, S2)
+        fact = FlexibleFactorization("golub_kahan", inst.A, inst.b, ell=4)
         x_prev = np.zeros(inst.A.ncols)
         flags = []
         for row, x in zip(res.trace, res.iterates):
             w = compute_weights(x_prev, ws)
+            fact.expand(1.0 / w)
+
+            def functional(x):
+                if mode == "irw":
+                    return sketched_majorant_value(S1, S2, inst.A, inst.b, w,
+                                                   x, row.lam)
+                y = np.linalg.lstsq(fact.Z, x, rcond=None)[0]
+                return (sketched_majorant_value(S1, S2, inst.A, inst.b, w,
+                                                x, 0.0)
+                        + row.lam * float(y @ y))
+
             expected = None
             if row.eps_hat < 1.0:
                 expected, _ = check_monotonicity_condition(
-                    sketched_majorant_value(S1, S2, inst.A, inst.b, w, x_prev,
-                                            row.lam),
-                    sketched_majorant_value(S1, S2, inst.A, inst.b, w, x,
-                                            row.lam),
-                    row.eps_hat)
+                    functional(x_prev), functional(x), row.eps_hat)
             assert row.mono_satisfied == expected, (mode, row.outer)
             flags.append(row.mono_satisfied)
             x_prev = x
         assert True in flags and False in flags, mode
+
+
+def test_sns_hybrid_monotonicity_flags_track_the_minimized_functional():
+    # in hybrid mode the step minimizes |S1 (A x - b)|^2 + lam |y|^2 over a
+    # growing basis, so with an identity sketch (eps = 0) every step descends
+    inst = _tall_instance(m=200, n=40)
+    cfg = FlexSolverConfig(mode="hybrid", k_max=15,
+                           weight=WeightSpec(p=1.0, tau=1e-4),
+                           lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
+    res = sns_flex_solve(inst.A, inst.b, cfg, identity_sketch(200),
+                         identity_sketch(40))
+    assert [r.mono_satisfied for r in res.trace] == [True] * 15
+
+
+def test_sns_eps_hat_is_the_exact_span_distortion():
+    # replay the basis from the returned iterates (weights of the previous
+    # iterate) and compare eps_hat with the distortion of S1 over
+    # span([A Zbar, b]) and, in irw mode, of S2 over span(W Zbar); the square
+    # runs go past span exhaustion (n = 12, k_max = 15), where b lies in
+    # span(A Zbar)
+    ws = WeightSpec(p=1.0, tau=1e-4)
+    tall = _tall_instance(m=200, n=40)
+    square = _square_instance(n=12)
+    uniform = lambda m, s, seed: build_leverage_sketch(np.full(m, 1.0 / m),
+                                                       s, seed)
+    cases = [
+        (tall, "golub_kahan", 4, build_flex_sketches(tall.A, tall.b, 15, 4,
+                                                      5)),
+        (square, "golub_kahan", None, (uniform(12, 48, 1),
+                                       uniform(12, 48, 2))),
+        (square, "arnoldi", None, (uniform(12, 48, 3), uniform(12, 48, 4))),
+    ]
+    for inst, basis, ell, (S1, S2) in cases:
+        m, n = inst.A.nrows, inst.A.ncols
+        for mode in ("irw", "hybrid"):
+            cfg = FlexSolverConfig(
+                basis=basis, mode=mode, ell=ell, k_max=15, weight=ws,
+                lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
+            res = sns_flex_solve(inst.A, inst.b, cfg, S1, S2)
+            fact = FlexibleFactorization(basis, inst.A, inst.b, ell=ell)
+            AZ = []
+            x_prev = np.zeros(n)
+            for row, x in zip(res.trace, res.iterates):
+                w = compute_weights(x_prev, ws)
+                if fact.k < min(m, n) and not fact.breakdown:
+                    AZ.append(fact.expand(1.0 / w))
+                ref = span_distortion(S1, np.column_stack(AZ + [inst.b]))
+                if mode == "irw":
+                    ref = max(ref, span_distortion(S2, w[:, None] * fact.Z))
+                assert row.eps_hat == pytest.approx(ref, rel=1e-8), (
+                    basis, mode, row.outer)
+                x_prev = x
+            assert fact.k == min(m, n, 15), (basis, mode)
 
 
 def test_change_of_variables_solves_the_psi_functional():
@@ -367,7 +433,7 @@ def test_change_of_variables_solves_the_psi_functional():
         AP = CompositeOperator([inst.A, psi_inv])
         S1, S2 = identity_sketch(m), identity_sketch(30)
         base = dict(basis=basis, ell=None, k_max=10, weight=ws,
-                    lambda_policy=pol, seed=1)
+                    lambda_policy=pol)
         runs = [
             exact_flex_solve(AP, inst.b, FlexSolverConfig(scheme="exact",
                                                           **base)),

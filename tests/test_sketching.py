@@ -136,16 +136,6 @@ def test_weighted_sketch_bitwise(seed):
                           apply_sketch(S, w * Z[:, 0]))
 
 
-def test_weighted_sketch_with_precomputed_gather():
-    rng = _rng(11)
-    Z = rng.standard_normal((15, 3))
-    w = rng.random(15) + 0.1
-    S = build_leverage_sketch(np.full(15, 1 / 15), 20, seed=2)
-    gathered = Z[S.selected_rows]
-    out = apply_sketch_weighted(S, w, Z, gathered=gathered)
-    assert np.array_equal(out, apply_sketch(S, w[:, None] * Z))
-
-
 def test_span_distortion_bounds_measured():
     rng = _rng(8)
     M = rng.standard_normal((300, 4))
