@@ -16,7 +16,7 @@ import scipy.linalg
 
 from .krylov import lsqr_solve
 from .operators import CompositeOperator, DiagonalOperator
-from .regparam import LambdaPolicy, select_lambda, svd_pair
+from .regparam import LambdaPolicy, SpectralPair, select_lambda
 from .sketching import apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
 
@@ -72,18 +72,53 @@ def _rel_error(x, x_true):
 
 
 def _dense_system_matrix(A):
-    """Materialized A (desk scale only): the irn-s2p sketch and the SVD
+    """Materialized A (desk scale only): the irn-s2p sketch and the one QR
     behind the dp, gcv and optimal policies start from it."""
     return A.matrix if hasattr(A, "matrix") else A.materialize()
 
 
-def _select_lambda(policy, M, w_inv, b, solution_map):
-    """One lambda update per outer iteration, from the SVD of the current
-    reweighted system matrix A W^{-1} (desk scale)."""
+@dataclass(frozen=True)
+class _ReducedSystem:
+    """What the lambda rules read of A = Q R and b, with Q never formed: the
+    k-by-n R (k = min(m, n)), Q^T b, beta_perp = |b - Q Q^T b|, the row
+    count m and |b|."""
+
+    R: np.ndarray
+    qtb: np.ndarray
+    beta_perp: float
+    m: int
+    b_norm: float
+
+
+def _reduce_system(M, b):
+    """One Householder QR of the bordered [M, b], whose R factor is
+    [R, Q^T b; 0, +-beta_perp]. Exact for any shape and rank."""
+    m, n = M.shape
+    k = min(m, n)
+    T = np.linalg.qr(np.column_stack([M, b]), mode="r")
+    beta_perp = abs(float(T[k, n])) if m > n else 0.0
+    return _ReducedSystem(T[:k, :n], T[:k, n], beta_perp, m,
+                          float(np.linalg.norm(b)))
+
+
+def _reweighted_pair(system, w_inv):
+    """Spectral pair of the reweighted system A W^{-1}, from the SVD of the
+    small R W^{-1}: A W^{-1} = (Q U) diag(sigma) V^T whenever R W^{-1} =
+    U diag(sigma) V^T, so the pair is (sigma, 1, U^T Q^T b, beta_perp, V),
+    and GCV still counts all m rows."""
+    U, sv, Vt = np.linalg.svd(system.R * w_inv[None, :], full_matrices=False)
+    return SpectralPair(sv, np.ones_like(sv), U.T @ system.qtb,
+                        system.beta_perp, Vt.T,
+                        float(sv[0] ** 2) if sv.size else 1.0, system.m)
+
+
+def _select_lambda(policy, system, w_inv, solution_map):
+    """One lambda update per outer iteration, from the pair of the reweighted
+    system A W^{-1}: an n-by-n SVD, with A = Q R taken once per solve."""
     if policy.kind == "fixed":
         return policy.lam
-    pair = svd_pair(M * w_inv[None, :], b)
-    return select_lambda(policy, pair, float(np.linalg.norm(b)), solution_map)
+    return select_lambda(policy, _reweighted_pair(system, w_inv),
+                         system.b_norm, solution_map)
 
 
 def irn_solve(A, b, config, x_true=None):
@@ -125,13 +160,15 @@ def _irn_loop(A, b, config, x_true, sketch):
     policy = config.lambda_policy
     weight = config.weight
 
-    M = None
+    M = system = C0 = None
     if sketch is not None or policy.kind != "fixed":
         M = _dense_system_matrix(A)
-    C0 = None
+    if policy.kind != "fixed":
+        system = _reduce_system(M, b)
     if sketch is not None:
         Y0 = apply_sketch(sketch, M)  # S A
         C0 = Y0.T @ Y0
+    del M  # the loop reads only the reduced system and C0
 
     x = np.zeros(n)
     iterates = []
@@ -140,7 +177,7 @@ def _irn_loop(A, b, config, x_true, sketch):
     for k in range(1, config.outer_max + 1):
         w = compute_weights(x, weight)
         w_inv = 1.0 / w
-        lam = _select_lambda(policy, M, w_inv, b, w_inv.__mul__)  # s -> x
+        lam = _select_lambda(policy, system, w_inv, w_inv.__mul__)  # s -> x
         op_k = CompositeOperator([A, DiagonalOperator(w_inv)])
 
         right_precond = None

@@ -1,7 +1,9 @@
 """Regularization-parameter selection: discrepancy principle, (weighted) GCV
 and the optimal-parameter oracle, all evaluated by ``select_lambda`` from the
 filter factors of one spectral pair. A pair comes from a small GSVD of a
-projected problem or from a dense SVD of a full reweighted system."""
+projected problem, or, for a full reweighted system A W^{-1}, from the SVD of
+R W^{-1} with A = Q R (``irn``); ``svd_pair``, a dense SVD of the full
+system, is the test reference for the latter."""
 
 from __future__ import annotations
 

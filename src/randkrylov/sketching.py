@@ -89,11 +89,13 @@ def build_leverage_sketch(p, s, seed):
 def build_flex_sketches(A, b, k_max, multiplier, seed):
     """Frozen leverage-score sketches for the flexible solvers: S1 sampled
     against the left (data-space) and S2 against the right (solution-space)
-    basis of a depth-min(k_max, 20) Golub-Kahan pilot factorization of
-    (A, b) with unit weights."""
+    basis of a Golub-Kahan pilot factorization of (A, b) with unit weights.
+    Its depth min(k_max, 20, m - 1, n) keeps the m-by-(depth+1) U and the
+    n-by-depth V no wider than tall."""
     pilot = FlexibleFactorization("golub_kahan", A, b)
     ones = np.ones(A.ncols)
-    while pilot.k < min(k_max, 20) and not pilot.breakdown:
+    depth = min(k_max, 20, A.nrows - 1, A.ncols)
+    while pilot.k < depth and not pilot.breakdown:
         pilot.expand(ones)
     U, V = pilot.U, pilot.V
     s = max(multiplier * k_max, U.shape[1] + 1)

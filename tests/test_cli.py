@@ -96,6 +96,22 @@ def test_seed_override_changes_problem(tmp_path):
         (out2 / "irn-lsqr.trace.csv").read_bytes()
 
 
+def test_sketched_flex_pilot_fits_a_square_problem(tmp_path):
+    # k_max = 12 on a 12x12 problem: the pilot stops at depth m - 1 = 11
+    for basis in ("golub_kahan", "arnoldi"):
+        cfg = _write(tmp_path, (
+            "problem.generator = subset_selection\nproblem.m = 12\n"
+            "problem.n = 12\nproblem.seed = 3\nproblem.nl = 0.02\n"
+            "problem.noise_seed = 5\n"
+            "solver.sns.family = flex\nsolver.sns.seed = 2\n"
+            "solver.sns.scheme = sketch_and_solve\nsolver.sns.k_max = 12\n"
+            f"solver.sns.lambda = 0.5\nsolver.sns.basis = {basis}\n"
+        ), f"square-{basis}.cfg")
+        out = tmp_path / basis
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0, basis
+        assert len(read_trace(str(out / "sns.trace.csv"))) == 12, basis
+
+
 def test_exit_code_2_on_config_errors(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     missing_seed = _write(tmp_path, (

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from randkrylov.irn import (
     IRNConfig,
+    _reduce_system,
+    _reweighted_pair,
+    _select_lambda,
     build_partly_exact_preconditioner,
     irn_s2p_solve,
     irn_solve,
 )
 from randkrylov.problems import add_noise, gen_subset_selection
-from randkrylov.regparam import LambdaPolicy
+from randkrylov.regparam import LambdaPolicy, select_lambda, svd_pair
 from randkrylov.sketching import (
     apply_sketch,
     build_leverage_sketch,
@@ -153,3 +158,49 @@ def test_irn_config_validation():
         with pytest.raises(ValueError):
             IRNConfig(**bad)
     IRNConfig(inner_max=1, inner_tol=1e-12)
+
+
+def _outside_range(pair, rtol=1e-10):
+    """Norm of b outside the numerical range: beta_perp together with the
+    coefficients along null directions (c ~ 0). For a rank-deficient matrix
+    the split between the two depends on the factorization, while every
+    rule reads only their sum of squares."""
+    null = pair.c <= rtol * pair.c[0]
+    return float(np.hypot(pair.beta_perp, np.linalg.norm(pair.beta_t[null])))
+
+
+@pytest.mark.parametrize("shape", ["tall", "rank_deficient", "wide"])
+def test_qr_reweighted_pair_matches_svd_pair(shape):
+    rng = _rng(30)
+    m, n = (10, 16) if shape == "wide" else (50, 12)
+    M = rng.standard_normal((m, n)) @ np.diag(np.geomspace(1.0, 1e-3, n))
+    if shape == "rank_deficient":
+        M[:, 7] = M[:, 2]
+    x_true = rng.standard_normal(n)
+    b = M @ x_true + 0.05 * rng.standard_normal(m)
+    b_norm = float(np.linalg.norm(b))
+    system = _reduce_system(M, b)
+    for trial in range(3):
+        w_inv = rng.uniform(0.1, 10.0, n)
+        got = _reweighted_pair(system, w_inv)
+        ref = svd_pair(M * w_inv[None, :], b)
+        assert got.m == ref.m == m and got.c.size == ref.c.size
+        np.testing.assert_allclose(got.c, ref.c, rtol=1e-10,
+                                   atol=1e-12 * ref.c[0])
+        if shape == "wide":
+            # U is square, so no part of b lies outside its span; svd_pair's
+            # sqrt(|b|^2 - |beta_t|^2) leaves cancellation noise of order
+            # sqrt(eps)|b|, which GCV amplifies as sum(1 - gamma) -> 0
+            assert got.beta_perp == 0.0 and ref.beta_perp <= 1e-7 * b_norm
+            ref = dataclasses.replace(ref, beta_perp=0.0)
+        assert abs(_outside_range(got) - _outside_range(ref)) \
+            <= 1e-12 * b_norm
+        if shape != "rank_deficient":
+            assert abs(got.beta_perp - ref.beta_perp) <= 1e-12 * b_norm
+        for policy in (LambdaPolicy(kind="dp", nl=0.05 * m**0.5 / b_norm),
+                       LambdaPolicy(kind="gcv"),
+                       LambdaPolicy(kind="optimal", x_true=x_true)):
+            lam = _select_lambda(policy, system, w_inv, w_inv.__mul__)
+            lam_ref = select_lambda(policy, ref, b_norm, w_inv.__mul__)
+            assert lam_ref > 0.0
+            assert abs(lam - lam_ref) <= 1e-10 * lam_ref, (policy.kind, trial)
