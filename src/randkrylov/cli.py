@@ -191,23 +191,32 @@ def write_bundle(inst, outdir):
 
 
 def load_bundle(path):
-    with open(os.path.join(path, "A.meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    m, n = meta["nrows"], meta["ncols"]
-    vecs = {}
-    for name in ("x_true", "b", "b_exact"):
-        vecs[name] = np.fromfile(os.path.join(path, f"{name}.f64"),
-                                 dtype="<f8")
-        if not np.all(np.isfinite(vecs[name])):
+    """The instance ``write_bundle`` wrote to ``path``. A missing or
+    unreadable file, an array of the wrong size or a non-finite entry raises
+    ConfigError."""
+    try:
+        with open(os.path.join(path, "A.meta.json"), "r",
+                  encoding="utf-8") as fh:
+            meta = json.load(fh)
+        m, n = int(meta["nrows"]), int(meta["ncols"])
+        nl, seed, descriptor = meta["nl"], meta["seed"], meta["descriptor"]
+        if not os.path.exists(os.path.join(path, "A.f64")):
+            raise ConfigError(f"bundle {path} has no materialized operator")
+        data = {name: np.fromfile(os.path.join(path, f"{name}.f64"),
+                                  dtype="<f8")
+                for name in ("x_true", "b", "b_exact", "A")}
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"cannot read bundle {path}: {exc!r}") from exc
+    for name, size in (("x_true", n), ("b", m), ("b_exact", m), ("A", m * n)):
+        if data[name].size != size:
+            raise ConfigError(f"bundle {path}: {name} has {data[name].size} "
+                              f"entries, expected {size}")
+        if not np.all(np.isfinite(data[name])):
             raise ConfigError(f"bundle {path}: {name} has non-finite entries")
-    Af = os.path.join(path, "A.f64")
-    if not os.path.exists(Af):
-        raise ConfigError(f"bundle {path} has no materialized operator")
-    A = DenseOperator(np.fromfile(Af, dtype="<f8").reshape(m, n))
     return prob_mod.ProblemInstance(
-        A=A, b=vecs["b"], b_exact=vecs["b_exact"],
-        x_true=vecs["x_true"], nl=meta["nl"], seed=meta["seed"],
-        descriptor=meta["descriptor"],
+        A=DenseOperator(data["A"].reshape(m, n)), b=data["b"],
+        b_exact=data["b_exact"], x_true=data["x_true"], nl=nl, seed=seed,
+        descriptor=descriptor,
     )
 
 

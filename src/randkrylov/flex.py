@@ -5,11 +5,13 @@ All three run one loop (``_flex_loop``), in the flexible Golub-Kahan /
 Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
 the diagonal weights W at the current iterate, expands the flexible
 factorization by one column with W^{-1} as preconditioner, and updates its
-projected pairs (``_projected_problem``): R1 from an incremental QR of the
-columns A z_j, kept unsketched by every scheme and sketched by S1 beside it
-by the sketched ones, and R2 from a QR of W Zbar (sketched by S2 or not; the
-identity outside ``irw`` mode). Once the basis is spent (breakdown, or k
-reaches min(m, n)) every scheme keeps it and only re-weights R2. The schemes
+projected pairs (``_projected_problem``): R1 from a column QR of the A z_j,
+kept unsketched by every scheme and sketched by S1 beside it by the sketched
+ones, and R2 from a QR of W Zbar (sketched by S2 or not; the identity
+outside ``irw`` mode). The column QRs grow through the factorization's own
+Gram-Schmidt kernel (``krylov.RowBasis``), and Zbar, Q and R are views of
+its buffers. Once the basis is spent (breakdown, or k reaches min(m, n))
+every scheme keeps it and only re-weights R2. The schemes
 differ only in how the projected Tikhonov problem in the coefficients y of
 x = Zbar y is then solved:
 
@@ -30,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .krylov import BREAKDOWN_RTOL, FlexibleFactorization, lsqr_solve
+from .krylov import (BREAKDOWN_RTOL, FlexibleFactorization, RowBasis,
+                     lsqr_solve)
 from .irn import SolveResult, TraceRow, _rel_error
 from .operators import LinearOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
@@ -153,35 +156,14 @@ class _StackedProjected(LinearOperator):
         return out
 
 
-class _IncrementalQR:
-    """Gram-Schmidt (with one reorthogonalization pass) column-appending QR."""
-
-    def __init__(self, nrows):
-        self.Q = np.empty((nrows, 0))
-        self.R = np.empty((0, 0))
-
-    def append(self, col):
-        k = self.Q.shape[1]
-        h = np.zeros(k)
-        q = col.astype(np.float64, copy=True)
-        for _ in range(2):
-            proj = self.Q.T @ q
-            h += proj
-            q = q - self.Q @ proj
-        rho = np.linalg.norm(q)
-        self.R = np.block([[self.R, h[:, None]], [np.zeros((1, k)), rho]])
-        qcol = q / rho if rho > 0 else q
-        self.Q = np.hstack([self.Q, qcol[:, None]])
-
-
 def _projected_problem(qr, rhs, L):
     """Pair of min |Q R y - rhs|^2 + lam |L y|^2 for the column QR
-    ``qr`` = Q R and the regularization block L (None: the identity)."""
+    ``qr`` = Q R (a ``RowBasis``) and the regularization block L (None: the
+    identity)."""
     beta = qr.Q.T @ rhs
     beta_perp = float(np.linalg.norm(rhs - qr.Q @ beta))
-    k = qr.R.shape[0]
-    R2 = np.eye(k) if L is None else np.linalg.qr(L, mode="r")
-    return ProjectedProblem(qr.R, beta, beta_perp, R2, k)
+    R2 = np.eye(qr.k) if L is None else np.linalg.qr(L, mode="r")
+    return ProjectedProblem(qr.R, beta, beta_perp, R2, qr.k)
 
 
 def _select_projected_lambda(policy, pp, b_norm, sketch_rows, solution_map):
@@ -269,8 +251,8 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                                     or policy.kind == "fixed"))
 
     fact = FlexibleFactorization(config.basis, A, b, ell=config.ell)
-    qr = _IncrementalQR(m)  # of the columns A z_j
-    qr1 = _IncrementalQR(S1.s) if sketched else qr  # of the S1 A z_j
+    qr = RowBasis(m)  # QR of the columns A z_j
+    qr1 = RowBasis(S1.s) if sketched else qr  # of the S1 A z_j
     s1b = apply_sketch(S1, b) if sketched else b
 
     x = np.zeros(n)
@@ -354,13 +336,9 @@ def _s2p_projected_solve(A, b, Z, w, lam, pp, tol):
     ``_StackedProjected``), right-preconditioned by the Cholesky factor of
     the sketched Gram pair."""
     R = _chol_with_jitter(pp.R1.T @ pp.R1 + lam * (pp.R2.T @ pp.R2), lam)
-    right_precond = (
-        lambda v: scipy.linalg.solve_triangular(R, v, lower=False),
-        lambda v: scipy.linalg.solve_triangular(R, v, lower=False, trans="T"),
-    )
     op = _StackedProjected(A, Z, w, lam)
     rhs = np.concatenate([b, np.zeros(op.nrows - b.size)])
-    return lsqr_solve(op, rhs, lam=0.0, right_precond=right_precond, tol=tol,
+    return lsqr_solve(op, rhs, lam=0.0, right_precond=R, tol=tol,
                       maxit=max(4 * op.ncols, 8))
 
 

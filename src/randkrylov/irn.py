@@ -180,18 +180,10 @@ def _irn_loop(A, b, config, x_true, sketch):
         lam = _select_lambda(policy, system, w_inv, w_inv.__mul__)  # s -> x
         op_k = CompositeOperator([A, DiagonalOperator(w_inv)])
 
-        right_precond = None
-        if sketch is not None:
-            R = build_partly_exact_preconditioner(C0, w, lam)
-            right_precond = (
-                lambda v, R=R: scipy.linalg.solve_triangular(R, v, lower=False),
-                lambda v, R=R: scipy.linalg.solve_triangular(
-                    R, v, lower=False, trans="T"
-                ),
-            )
-
+        R = (None if sketch is None
+             else build_partly_exact_preconditioner(C0, w, lam))
         res = lsqr_solve(
-            op_k, b, lam=lam, right_precond=right_precond,
+            op_k, b, lam=lam, right_precond=R,
             tol=config.inner_tol, maxit=inner_max,
         )
         x = w_inv * res.x

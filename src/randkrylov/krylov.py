@@ -1,18 +1,24 @@
 """Flexible Arnoldi / Golub-Kahan factorizations with optional truncated
 orthogonalization, plus baseline GMRES and LSQR solvers.
 
+Every orthonormal basis here, the factorization's U and V and the column QR
+the flexible solvers keep of the A z_j, grows through one kernel,
+``RowBasis.append``: modified Gram-Schmidt with one reorthogonalization pass
+over the retained window. Each basis is stored as the rows of an
+append-only buffer that doubles when full, so the bases and the
+coefficient matrix (H, or the QR's R) are read as views, not copies.
+
 The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
-coefficients actually used in the orthogonalization. Orthogonalization is
-modified Gram-Schmidt with one reorthogonalization pass over the retained
-window.
+coefficients actually used in the orthogonalization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 BREAKDOWN_RTOL = 1e-14
 
@@ -25,111 +31,121 @@ def _finite_rhs(b):
     return b
 
 
-def _orthogonalize(q, basis, window):
-    """MGS + one reorthogonalization pass of q against the last ``window``
-    columns of ``basis`` (a list of vectors). Returns (q, coeffs) where coeffs
-    has one entry per basis vector (zeros outside the window)."""
-    n_basis = len(basis)
-    lo = 0 if window is None else max(0, n_basis - window)
-    coeffs = np.zeros(n_basis)
-    for _ in range(2):
-        for i in range(lo, n_basis):
-            h = basis[i] @ q
-            coeffs[i] += h
-            q = q - h * basis[i]
-    return q, coeffs
+class RowBasis:
+    """Vectors of length ``dim`` kept as the rows of a buffer that doubles
+    when full. ``Q`` (the vectors as columns) and ``R`` (the upper-triangular
+    coefficients of ``append``) are views; a view taken before the buffer
+    grows keeps the old buffer, whose rows are never rewritten."""
+
+    INITIAL_ROWS = 8
+
+    def __init__(self, dim):
+        self._rows = np.empty((self.INITIAL_ROWS, dim))
+        self._R = np.zeros((self.INITIAL_ROWS, self.INITIAL_ROWS))
+        self.k = 0
+
+    @property
+    def Q(self):
+        return self._rows[: self.k].T
+
+    @property
+    def R(self):
+        return self._R[: self.k, : self.k]
+
+    def push(self, v):
+        """Store v as the next row, as it is."""
+        k = self.k
+        if k == len(self._rows):
+            rows, R = self._rows, self._R
+            self._rows = np.empty((2 * k, rows.shape[1]))
+            self._rows[:k] = rows
+            self._R = np.zeros((2 * k, 2 * k))
+            self._R[:k, :k] = R
+        self._rows[k] = v
+        self.k += 1
+
+    def append(self, q, window=None, floor=0.0):
+        """MGS with one reorthogonalization pass of q against the last
+        ``window`` rows (all of them for None); stores q / |q|, or the zero
+        vector once |q| <= floor. Returns the new column of R, the
+        coefficients [h; |q|] (zeros outside the window)."""
+        k = self.k
+        col = np.zeros(k + 1)
+        for _ in range(2):
+            for i in range(0 if window is None else max(0, k - window), k):
+                h = self._rows[i] @ q
+                col[i] += h
+                q = q - h * self._rows[i]
+        col[k] = np.linalg.norm(q)
+        self.push(q / col[k] if col[k] > floor else 0.0)
+        self._R[: k + 1, k] = col
+        return col
 
 
-@dataclass
 class FlexibleFactorization:
     """Growing state of an ell-truncated flexible Arnoldi or Golub-Kahan
     factorization of (A, b) with per-step diagonal preconditioners: the
-    bases U, V and Z and the coefficients H. The raw columns A z_j are
-    returned by ``expand`` and not kept; a caller that needs them keeps its
-    own (e.g. a QR of them)."""
+    bases U, V and Z and the coefficients H, all views of ``RowBasis``
+    buffers. The raw columns A z_j are returned by ``expand`` and not kept;
+    a caller that needs them keeps its own (e.g. a QR of them)."""
 
-    kind: str  # "arnoldi" | "golub_kahan"
-    A: object
-    b: np.ndarray
-    ell: int | None = None  # None means full orthogonalization
-    k: int = 0
-    beta1: float = 0.0
-    breakdown: bool = False
-    _U: list = field(default_factory=list)
-    _V: list = field(default_factory=list)
-    _Z: list = field(default_factory=list)
-    _Hcols: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.kind not in ("arnoldi", "golub_kahan"):
-            raise ValueError(f"unknown factorization kind {self.kind!r}")
-        b = _finite_rhs(self.b)
-        self.beta1 = float(np.linalg.norm(b))
+    def __init__(self, kind, A, b, ell=None):
+        if kind not in ("arnoldi", "golub_kahan"):
+            raise ValueError(f"unknown factorization kind {kind!r}")
+        self.kind, self.A, self.ell = kind, A, ell  # ell None: full
+        self.b = _finite_rhs(b)
+        self.beta1 = float(np.linalg.norm(self.b))
         if self.beta1 == 0.0:
             raise ValueError("cannot build a Krylov space from a zero vector")
-        self._U.append(b / self.beta1)
-        self.b = b
+        self.breakdown = False
+        self._U = RowBasis(self.b.size)
+        self._U.append(self.b)  # R = [beta1 e1, H]
+        self._V = RowBasis(A.ncols)
+        self._Z = RowBasis(A.ncols)
 
-    # --- assembled views -------------------------------------------------
+    @property
+    def k(self):
+        return self._Z.k
+
     @property
     def U(self):
-        return np.stack(self._U, axis=1)
+        return self._U.Q
 
     @property
     def V(self):
-        if self.kind != "golub_kahan":
-            return self.U
-        return np.stack(self._V, axis=1) if self._V else np.empty((self.b.size, 0))
+        # a Golub-Kahan breakdown stores a zero v_{k+1}, outside the view
+        return self.U if self.kind == "arnoldi" else self._V.Q[:, : self.k]
 
     @property
     def Z(self):
-        if not self._Z:
-            return np.empty((self.A.ncols, 0))
-        return np.stack(self._Z, axis=1)
+        return self._Z.Q
 
     @property
     def H(self):
-        k = self.k
-        H = np.zeros((k + 1, k))
-        for j, col in enumerate(self._Hcols):
-            H[: len(col), j] = col
-        return H
+        return self._U.R[:, 1:]
 
     def expand(self, w_inv):
         """One step k -> k+1 with preconditioner diag(w_inv). Returns the new
-        raw column A z_{k+1}. No-op after breakdown."""
+        raw column A z_{k+1}, or None when the Golub-Kahan v_{k+1} breaks
+        down. Raises after breakdown."""
         if self.breakdown:
             raise RuntimeError("factorization already broke down")
         w_inv = np.asarray(w_inv, dtype=np.float64)
         if np.any(w_inv <= 0):
             raise ValueError("preconditioner entries must be positive")
-        window = self.ell
-
-        if self.kind == "arnoldi":
-            v = self._U[-1]
-        else:
-            vhat = self.A.apply_adjoint(self._U[-1])
-            vhat, _ = _orthogonalize(vhat, self._V, window)
-            nv = np.linalg.norm(vhat)
-            if nv <= BREAKDOWN_RTOL * self.beta1:
+        floor = BREAKDOWN_RTOL * self.beta1
+        v = self._U.Q[:, -1]
+        if self.kind == "golub_kahan":
+            vhat = self.A.apply_adjoint(v)
+            if self._V.append(vhat, self.ell, floor)[-1] <= floor:
                 self.breakdown = True
                 return None
-            v = vhat / nv
-            self._V.append(v)
+            v = self._V.Q[:, -1]
 
         z = w_inv * v
         q_raw = self.A.apply(z)
-        q, coeffs = _orthogonalize(q_raw, self._U, window)
-        hnew = np.linalg.norm(q)
-        col = np.append(coeffs, hnew)
-        self._Z.append(z)
-        self._Hcols.append(col)
-        self.k += 1
-        if hnew <= BREAKDOWN_RTOL * self.beta1:
-            self.breakdown = True
-            self._U.append(np.zeros_like(q))
-        else:
-            self._U.append(q / hnew)
+        self._Z.push(z)
+        self.breakdown = self._U.append(q_raw, self.ell, floor)[-1] <= floor
         return q_raw
 
 
@@ -145,8 +161,7 @@ class IterativeResult:
 def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
                callback=None):
     """LSQR on min |[op; sqrt(lam) I] x - [b; 0]| with an optional right
-    preconditioner given as a pair (solve, solve_adjoint) applying R^{-1} and
-    R^{-T}.
+    preconditioner, the upper-triangular R applied as R^{-1} and R^{-T}.
 
     Stops when the relative normal-equations residual drops below ``tol`` or
     after ``maxit`` iterations; flags stagnation when 10 iterations pass
@@ -162,10 +177,11 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         maxit = 2 * n
     sqlam = np.sqrt(lam)
 
-    if right_precond is None:
-        prec = prec_t = lambda v: v
-    else:
-        prec, prec_t = right_precond
+    prec = prec_t = lambda v: v
+    if right_precond is not None:
+        prec = lambda v: scipy.linalg.solve_triangular(right_precond, v)
+        prec_t = lambda v: scipy.linalg.solve_triangular(right_precond, v,
+                                                         trans="T")
 
     def matvec(x):
         y = prec(x)

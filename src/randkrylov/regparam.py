@@ -201,8 +201,8 @@ def svd_pair(M, b):
     a dense SVD of M: c = sigma, s = 1, and the coefficient map is V."""
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     beta_t = U.T @ b
-    beta_perp = np.sqrt(max(float(b @ b - beta_t @ beta_t), 0.0))
-    return SpectralPair(sv, np.ones_like(sv), beta_t, float(beta_perp), Vt.T,
+    beta_perp = float(np.linalg.norm(b - U @ beta_t))
+    return SpectralPair(sv, np.ones_like(sv), beta_t, beta_perp, Vt.T,
                         float(sv[0] ** 2) if sv.size else 1.0, M.shape[0])
 
 

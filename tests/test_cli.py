@@ -260,6 +260,52 @@ def test_bundle_roundtrip_helpers(tmp_path):
         load_bundle(str(tmp_path / "idb"))
 
 
+def _bundle_config(tmp_path, bundle):
+    write_bundle(build_problem({"problem.generator": "identity",
+                                "problem.n": "6", "problem.seed": "2"}),
+                 str(bundle))
+    return _write(tmp_path, (
+        f"problem.generator = bundle\nproblem.bundle = {bundle}\n"
+        "solver.irn-lsqr.family = irn\nsolver.irn-lsqr.seed = 1\n"
+        "solver.irn-lsqr.outer_max = 2\n"
+    ), "bundle.cfg")
+
+
+def test_bundle_with_non_finite_operator_exits_2(tmp_path):
+    bundle = tmp_path / "idb"
+    cfg = _bundle_config(tmp_path, bundle)
+    A = np.eye(6)
+    A[1, 4] = np.inf
+    A.astype("<f8").tofile(str(bundle / "A.f64"))
+    with pytest.raises(ConfigError, match="non-finite"):
+        load_bundle(str(bundle))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bundle_with_wrong_operator_size_exits_2(tmp_path):
+    bundle = tmp_path / "idb"
+    cfg = _bundle_config(tmp_path, bundle)
+    np.eye(6)[:5].astype("<f8").tofile(str(bundle / "A.f64"))
+    with pytest.raises(ConfigError, match="30 entries, expected 36"):
+        load_bundle(str(bundle))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("missing", ["directory", "meta"])
+def test_missing_bundle_exits_2(tmp_path, missing):
+    bundle = tmp_path / "idb"
+    cfg = _bundle_config(tmp_path, bundle)
+    if missing == "meta":
+        (bundle / "A.meta.json").unlink()
+    else:
+        for f in bundle.iterdir():
+            f.unlink()
+        bundle.rmdir()
+    with pytest.raises(ConfigError, match="cannot read bundle"):
+        load_bundle(str(bundle))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_monotonicity_violations_compare_equal_lambda_only():
     def rows(objs, lams):
         return [{"rel_error": float("nan"), "cum_inner_iter": i + 1,

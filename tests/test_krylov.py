@@ -4,6 +4,7 @@ import scipy.sparse.linalg
 
 from randkrylov.krylov import (
     FlexibleFactorization,
+    RowBasis,
     gmres_solve,
     lsqr_solve,
 )
@@ -40,10 +41,7 @@ def test_lsqr_right_preconditioner_preserves_solution():
     b = rng.standard_normal(25)
     lam = 0.1
     R = np.linalg.cholesky(M.T @ M + lam * np.eye(10)).T
-    prec = (lambda v: scipy.linalg.solve_triangular(R, v, lower=False),
-            lambda v: scipy.linalg.solve_triangular(R, v, lower=False,
-                                                    trans="T"))
-    res = lsqr_solve(DenseOperator(M), b, lam=lam, right_precond=prec,
+    res = lsqr_solve(DenseOperator(M), b, lam=lam, right_precond=R,
                      tol=1e-14)
     ref = np.linalg.solve(M.T @ M + lam * np.eye(10), M.T @ b)
     np.testing.assert_allclose(res.x, ref, rtol=1e-9, atol=1e-11)
@@ -159,3 +157,104 @@ def test_factorization_rejects_bad_input():
     with pytest.raises(ValueError):
         fact.expand(np.array([1.0, -1.0]))
 
+
+
+def _list_mgs(q, basis, window):
+    """Reference: MGS with one reorthogonalization pass of q against the
+    last ``window`` vectors of the list ``basis``, coefficients per vector."""
+    lo = 0 if window is None else max(0, len(basis) - window)
+    coeffs = np.zeros(len(basis))
+    for _ in range(2):
+        for i in range(lo, len(basis)):
+            h = basis[i] @ q
+            coeffs[i] += h
+            q = q - h * basis[i]
+    return q, coeffs
+
+
+def _list_factorization(kind, M, b, ell, weights):
+    """Reference flexible factorization on Python lists of vectors: U, V, Z
+    and H stacked from the recurrence the row buffers must reproduce."""
+    us, vs, zs, hcols = [b / float(np.linalg.norm(b))], [], [], []
+    for w_inv in weights:
+        v = us[-1]
+        if kind == "golub_kahan":
+            vhat, _ = _list_mgs(M.T @ v, vs, ell)
+            v = vhat / np.linalg.norm(vhat)
+            vs.append(v)
+        z = w_inv * v
+        q, coeffs = _list_mgs(M @ z, us, ell)
+        hcols.append(np.append(coeffs, np.linalg.norm(q)))
+        zs.append(z)
+        us.append(q / hcols[-1][-1])
+    H = np.zeros((len(us), len(zs)))
+    for j, col in enumerate(hcols):
+        H[: col.size, j] = col
+    V = us if kind == "arnoldi" else vs
+    return [np.stack(a, axis=1) for a in (us, V, zs)] + [H]
+
+
+@pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
+@pytest.mark.parametrize("ell", [None, 2])
+def test_factorization_is_bitwise_the_list_recurrence(kind, ell):
+    rng = _rng(11)
+    m, n = (30, 30) if kind == "arnoldi" else (40, 30)
+    M = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    steps = 2 * RowBasis.INITIAL_ROWS + 3  # the buffers grow twice
+    weights = [rng.random(n) + 0.2 for _ in range(steps)]
+    fact = FlexibleFactorization(kind, DenseOperator(M), b, ell=ell)
+    for w_inv in weights:
+        fact.expand(w_inv)
+    assert not fact.breakdown and fact.k == steps
+    ref = _list_factorization(kind, M, b, ell, weights)
+    for name, got, want in zip("UVZH", (fact.U, fact.V, fact.Z, fact.H), ref):
+        assert got.shape == want.shape, name
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+
+
+def test_row_basis_column_qr_with_a_dependent_column():
+    rng = _rng(12)
+    M = rng.standard_normal((30, 12))
+    M[:, 0] = 0.0
+    M[0, 0] = 3.0
+    M[:, 5] = 2.0 * M[:, 0]  # exactly in span(q_1): rho = 0
+    qr = RowBasis(30)
+    for j in range(12):
+        col = qr.append(M[:, j])
+        np.testing.assert_array_equal(col, qr.R[: j + 1, j])
+    Q, R = qr.Q, qr.R
+    assert Q.shape == (30, 12) and R.shape == (12, 12)
+    assert R[5, 5] == 0.0 and not np.any(Q[:, 5])
+    np.testing.assert_array_equal(np.tril(R, -1), 0.0)
+    np.testing.assert_allclose(Q @ R, M, rtol=0, atol=1e-12)
+    live = np.diag(R) > 0
+    np.testing.assert_allclose(Q.T @ Q, np.diag(live.astype(float)),
+                               rtol=0, atol=1e-12)
+
+
+def test_bases_are_views_that_survive_growth():
+    rng = _rng(13)
+    n = 40
+    M = rng.standard_normal((n, n))
+    fact = FlexibleFactorization("golub_kahan", DenseOperator(M),
+                                 rng.standard_normal(n), ell=4)
+    for _ in range(RowBasis.INITIAL_ROWS - 1):
+        fact.expand(np.ones(n))
+    Z_early, U_early, H_early = fact.Z, fact.U, fact.H
+    Z_copy, U_copy, H_copy = Z_early.copy(), U_early.copy(), H_early.copy()
+    assert np.shares_memory(fact.Z, fact.Z)
+    assert np.shares_memory(fact.U, U_early)
+    qr = RowBasis(n)
+    qr.append(rng.standard_normal(n))
+    assert np.shares_memory(qr.Q, qr.Q) and np.shares_memory(qr.R, qr.R)
+    for _ in range(2 * RowBasis.INITIAL_ROWS):  # the buffers double
+        fact.expand(rng.random(n) + 0.5)
+    assert not np.shares_memory(fact.Z, Z_early)
+    for early, copy in ((Z_early, Z_copy), (U_early, U_copy),
+                        (H_early, H_copy)):
+        np.testing.assert_array_equal(early, copy)
+    k = Z_copy.shape[1]
+    np.testing.assert_array_equal(fact.Z[:, :k], Z_copy)
+    np.testing.assert_array_equal(fact.U[:, : k + 1], U_copy)
+    np.testing.assert_array_equal(fact.H[: k + 1, :k], H_copy)

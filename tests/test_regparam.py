@@ -142,7 +142,7 @@ def test_gcv_full_near_brute_force():
     lam = select_lambda(LambdaPolicy(kind="gcv"), svd_pair(M, b), 1.0)
     U, sv, _ = np.linalg.svd(M, full_matrices=False)
     beta = U.T @ b
-    perp2 = b @ b - beta @ beta
+    perp2 = float(np.sum((b - U @ beta) ** 2))
 
     def g(l):
         filt = l / (sv**2 + l)
@@ -225,7 +225,7 @@ def _dense_svd_select(policy, M, b, x_true):
     # the previous IRN rules: filter factors of a dense SVD of M
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     beta = U.T @ b
-    perp2 = max(float(b @ b - beta @ beta), 0.0)
+    perp2 = float(np.sum((b - U @ beta) ** 2))
     if policy.kind == "dp":
         def residual(lam):
             filt = lam / (sv**2 + lam) if lam > 0 else np.where(sv > 0, 0.0,
