@@ -22,7 +22,10 @@ x = Zbar y is then solved:
   iteration, with no random probe and no apply of A.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
   LSQR, right-preconditioned by the Cholesky factor of the sketched Gram pair
-  R1^T R1 + lam R2^T R2; lambda is chosen on the unsketched pair.
+  R1^T R1 + lam R2^T R2; lambda is chosen on the unsketched pair. LSQR
+  starts from the previous coefficients padded with zeros and stops at the
+  cold start's target, as IRN's inner solves do, so in ``irw`` mode at
+  fixed lambda the MM objective never rises, at any inner tolerance.
 """
 
 from __future__ import annotations
@@ -140,20 +143,23 @@ class _StackedProjected(LinearOperator):
 
     def _apply(self, y):
         t = self.Z @ y
-        top = self.A.apply(t)
+        return self.stack(y, t, self.A.apply(t))
+
+    def stack(self, y, t, At):
+        """The image of y, given t = Zbar y and A t."""
         if self.lam == 0.0:
-            return top
+            return At
         reg = y if self.w is None else self.w * t
-        return np.concatenate([top, self.sqlam * reg])
+        return np.concatenate([At, self.sqlam * reg])
 
     def _apply_adjoint(self, r):
-        out = self.Z.T @ self.A.apply_adjoint(r[: self.A.nrows])
-        if self.lam > 0.0:
-            reg = r[self.A.nrows:]
-            out = out + self.sqlam * (
-                reg if self.w is None else self.Z.T @ (self.w * reg)
-            )
-        return out
+        top = self.A.apply_adjoint(r[: self.A.nrows])
+        if self.lam == 0.0:
+            return self.Z.T @ top
+        reg = r[self.A.nrows:]
+        if self.w is None:
+            return self.Z.T @ top + self.sqlam * reg
+        return self.Z.T @ (top + self.sqlam * (self.w * reg))
 
 
 def _projected_problem(qr, rhs, L):
@@ -255,8 +261,9 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     qr1 = RowBasis(S1.s) if sketched else qr  # of the S1 A z_j
     s1b = apply_sketch(S1, b) if sketched else b
 
-    x = np.zeros(n)
+    x, Ax = np.zeros(n), np.zeros(m)
     y = np.zeros(0)  # coefficients of x in the basis
+    atb = A.apply_adjoint(b) if s2p else None  # the inner stopping targets
     iterates, trace = [], []
     cum_inner = 0
     eps_hat = float("nan")
@@ -292,7 +299,7 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         y_prev = np.pad(y, (0, fact.k - y.size))
         if s2p:
             res = _s2p_projected_solve(A, b, Z, w_reg, lam, pp,
-                                       config.inner_tol)
+                                       config.inner_tol, y_prev, x, Ax, atb)
             y, inner, stagnated = res.x, res.n_iter, res.stagnated
         else:
             try:
@@ -312,7 +319,8 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                     _projected_majorant(pp, y_prev, lam),
                     _projected_majorant(pp, y, lam), eps_hat,
                 )
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
+        Ax = A.apply(x)
+        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, Ax=Ax)
         iterates.append(x.copy())
         trace.append(
             TraceRow(
@@ -331,15 +339,17 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     return SolveResult(iterates, trace)
 
 
-def _s2p_projected_solve(A, b, Z, w, lam, pp, tol):
+def _s2p_projected_solve(A, b, Z, w, lam, pp, tol, y0, x0, Ax0, atb):
     """LSQR on [A Zbar; sqrt(lam) L] y ~ [b; 0] (L as in
     ``_StackedProjected``), right-preconditioned by the Cholesky factor of
-    the sketched Gram pair."""
+    the sketched Gram pair, and warm-started at y0 from x0 = Zbar y0,
+    Ax0 = A x0 and atb = A^T b, without an apply."""
     R = _chol_with_jitter(pp.R1.T @ pp.R1 + lam * (pp.R2.T @ pp.R2), lam)
     op = _StackedProjected(A, Z, w, lam)
     rhs = np.concatenate([b, np.zeros(op.nrows - b.size)])
     return lsqr_solve(op, rhs, lam=0.0, right_precond=R, tol=tol,
-                      maxit=max(4 * op.ncols, 8))
+                      maxit=max(4 * op.ncols, 8), x0=y0,
+                      r0=rhs - op.stack(y0, x0, Ax0), atb=Z.T @ atb)
 
 
 def _chol_with_jitter(M, lam):

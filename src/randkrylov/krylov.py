@@ -23,11 +23,11 @@ import scipy.linalg
 BREAKDOWN_RTOL = 1e-14
 
 
-def _finite_rhs(b):
+def _finite_rhs(b, what="right-hand side"):
     """b as float64; NaN or inf entries are refused."""
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side has non-finite entries")
+        raise ValueError(f"{what} has non-finite entries")
     return b
 
 
@@ -159,13 +159,17 @@ class IterativeResult:
 
 
 def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
-               callback=None):
+               callback=None, x0=None, r0=None, atb=None):
     """LSQR on min |[op; sqrt(lam) I] x - [b; 0]| with an optional right
     preconditioner, the upper-triangular R applied as R^{-1} and R^{-T}.
 
-    Stops when the relative normal-equations residual drops below ``tol`` or
-    after ``maxit`` iterations; flags stagnation when 10 iterations pass
-    without progress. Residual history is for the augmented system.
+    A nonzero x0 warm-starts it: LSQR solves for the correction from the
+    residual [r0; -sqrt(lam) x0], r0 = b - op x0, and returns x0 plus it. It
+    stops when the normal-equations residual drops below the cold start's
+    target, tol |(op R^{-1})^T [b; 0]| with atb = op^T b (each of r0 and atb
+    costs an apply unless given), or after ``maxit`` iterations; it flags
+    stagnation when 10 iterations pass without progress. Residual history is
+    for the augmented system; a zero start residual returns x0 at once.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -197,16 +201,26 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
             out = out + sqlam * r[m:]
         return prec_t(out)
 
-    bb = np.concatenate([b, np.zeros(n if lam > 0.0 else 0)])
+    warm = x0 is not None and np.any(x0)
+    if warm:
+        x0 = _finite_rhs(x0, "starting point")
+        r0 = b - op.apply(x0) if r0 is None else r0
+        atb = op.apply_adjoint(b) if atb is None else atb
+    else:
+        x0, r0, atb = np.zeros(n), b, None
+    reg0 = -sqlam * x0 if warm else np.zeros(n)
+    bb = np.concatenate([r0, reg0 if lam > 0.0 else np.zeros(0)])
+    lift = (lambda v: x0 + prec(v)) if warm else prec
 
     # Paige-Saunders recurrences.
     beta = np.linalg.norm(bb)
-    u = bb / beta
+    u = bb / beta if beta > 0.0 else bb  # then alpha = 0 below
     v = rmatvec(u)
     alpha = np.linalg.norm(v)
-    grad0 = alpha * beta  # |A^T b|
+    # |(op R^-1)^T [b; 0]|: the first step's when cold
+    grad0 = alpha * beta if atb is None else np.linalg.norm(prec_t(atb))
     if alpha == 0.0:
-        return IterativeResult(np.zeros(n), np.array([beta]), 0, converged=True)
+        return IterativeResult(x0.copy(), np.array([beta]), 0, converged=True)
     v /= alpha
     w = v.copy()
     xhat = np.zeros(n)
@@ -234,22 +248,22 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         w = v - (theta / rho) * w
         residuals.append(phibar)
         if callback is not None:
-            callback(prec(xhat))
+            callback(lift(xhat))
         if phibar < best[0] - 1e-14 * residuals[0]:
             best = (phibar, xhat.copy(), it)
         elif it - best[2] >= 10:
             stagnated = True
             xhat = best[1]
             break
-        # |A^T r| = phibar * alpha * |c|; relative to |A^T b|
+        # |A^T r| = phibar * alpha * |c|
         if abs(phibar * alpha * c) <= tol * grad0:
             converged = True
             break
         if alpha == 0.0 or beta == 0.0:
             converged = True
             break
-    x = prec(xhat)
-    return IterativeResult(x, np.asarray(residuals), it, stagnated, converged)
+    return IterativeResult(lift(xhat), np.asarray(residuals), it, stagnated,
+                           converged)
 
 
 def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):

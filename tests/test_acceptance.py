@@ -231,6 +231,24 @@ def test_criterion_04_proposition_2_monotonicity():
             ok, "; ".join(details) + f", {dt:.1f}s")
 
 
+def test_proposition_2_holds_at_a_loose_inner_tolerance():
+    # each inner LSQR starts from the previous iterate and its residual
+    # never rises, so the MM objective cannot rise however early it stops
+    ws = rk.WeightSpec(p=1.0, tau=1e-10)
+    for name, inst, basis, lam in _prop_instances():
+        S1, S2 = build_flex_sketches(inst.A, inst.b, 40, 4, 45)
+        cfg = rk.FlexSolverConfig(
+            basis=basis, mode="irw", scheme="sketch_to_precondition",
+            ell=4, k_max=40, weight=ws,
+            lambda_policy=rk.LambdaPolicy(kind="fixed", lam=lam),
+            inner_tol=1e-2)
+        F = rk.s2p_flex_solve(inst.A, inst.b, cfg, S1, S2).column(
+            "objective_mm")
+        slack = 1e-8 * F[0]
+        rises = [k for k in range(1, len(F)) if F[k] > F[k - 1] + slack]
+        assert not rises, (name, rises)
+
+
 def test_criterion_05_proposition_1_implication():
     t0 = time.time()
     ws = rk.WeightSpec(p=1.0, tau=1e-10)

@@ -327,6 +327,32 @@ def test_sns_applies_A_as_often_as_exact():
         assert counts["exact"][0] == 2 * 12, basis
 
 
+def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
+    # per outer: each inner LSQR applies A and A^T once per iteration and
+    # A^T once at its start; the objective applies A once, and its residual
+    # is the next warm start's. Per solve, A^T b sets the stopping targets.
+    ws = WeightSpec(p=1.0, tau=1e-4)
+    pol = LambdaPolicy(kind="fixed", lam=0.5)
+    inst = _tall_instance(m=120, n=30)
+    A = _MatrixFreeOnly(inst.A.matrix)
+    res = irn_solve(A, inst.b, IRNConfig(weight=ws, outer_max=6,
+                                         inner_tol=1e-6, lambda_policy=pol))
+    inner, outer = res.trace[-1].cum_inner, len(res.trace)
+    assert (A.applies, A.adjoints) == (inner + outer, inner + outer + 1)
+
+    S1, S2 = build_flex_sketches(A, inst.b, 12, 4, 7)
+    A.applies = A.adjoints = 0
+    cfg = FlexSolverConfig(basis="golub_kahan", mode="irw",
+                           scheme="sketch_to_precondition", k_max=12,
+                           weight=ws, lambda_policy=pol, inner_tol=1e-6)
+    res = s2p_flex_solve(A, inst.b, cfg, S1, S2)
+    inner, outer = res.trace[-1].cum_inner, len(res.trace)
+    assert inner > 2 * outer
+    # a Golub-Kahan expansion applies A and A^T once each
+    assert (A.applies, A.adjoints) == (inner + 2 * outer,
+                                       inner + 2 * outer + 1)
+
+
 def test_sns_monotonicity_flags_match_sketched_majorant():
     # every flag recomputed on the returned iterates, with the weights of the
     # previous iterate, from sketched_majorant_value in irw mode; in hybrid

@@ -56,6 +56,100 @@ def test_lsqr_validation():
         lsqr_solve(op, np.zeros(4))
     with pytest.raises(ValueError):
         lsqr_solve(op, np.zeros(5), lam=-1.0)
+    with pytest.raises(ValueError, match="starting point"):
+        lsqr_solve(op, np.ones(5), x0=np.array([np.nan, 0.0, 0.0]))
+
+
+def test_lsqr_zero_rhs_returns_the_start():
+    rng = _rng(6)
+    op = DenseOperator(rng.standard_normal((6, 4)))
+    for lam in (0.0, 0.5):
+        res = lsqr_solve(op, np.zeros(6), lam=lam)
+        assert res.n_iter == 0 and res.converged
+        assert np.array_equal(res.x, np.zeros(4))
+    # a warm start whose residual is zero: b = op x0 and no penalty
+    x0 = rng.standard_normal(4)
+    res = lsqr_solve(op, op.apply(x0), x0=x0)
+    assert res.n_iter == 0 and res.converged
+    assert np.array_equal(res.x, x0)
+
+
+class _CountingDense(DenseOperator):
+    def __init__(self, M):
+        super().__init__(M)
+        self.calls = 0
+
+    def _apply(self, x):
+        self.calls += 1
+        return super()._apply(x)
+
+    def _apply_adjoint(self, y):
+        self.calls += 1
+        return super()._apply_adjoint(y)
+
+
+def _warm_instance(seed=7, m=40, n=15, lam=0.05):
+    # an ill-conditioned system, and a right preconditioner from a perturbed
+    # Gram matrix, so that LSQR takes a few dozen iterations
+    rng = _rng(seed)
+    M = rng.standard_normal((m, n)) * np.logspace(0, -3, n)
+    b = rng.standard_normal(m)
+    G = M.T @ M + lam * np.eye(n)
+    E = rng.standard_normal((n, n))
+    R = np.linalg.cholesky(G + 0.5 * np.linalg.norm(G, 2) * (E @ E.T) / n).T
+    return M, b, R, lam
+
+
+def test_lsqr_zero_start_is_the_cold_call():
+    M, b, R, lam = _warm_instance()
+    op = DenseOperator(M)
+    for kw in ({}, dict(lam=lam), dict(lam=lam, right_precond=R)):
+        cold = lsqr_solve(op, b, tol=1e-10, **kw)
+        warm = lsqr_solve(op, b, tol=1e-10, x0=np.zeros(15),
+                          r0=np.ones(40), atb=np.ones(15), **kw)
+        assert cold.n_iter == warm.n_iter
+        assert cold.x.tobytes() == warm.x.tobytes()
+        assert cold.residuals.tobytes() == warm.residuals.tobytes()
+
+
+def test_lsqr_warm_start_at_the_solution_stops_at_once():
+    M, b, R, lam = _warm_instance()
+    op = DenseOperator(M)
+    for kw in (dict(lam=lam), dict(lam=lam, right_precond=R)):
+        cold = lsqr_solve(op, b, tol=1e-10, **kw)
+        assert cold.converged and cold.n_iter > 5
+        warm = lsqr_solve(op, b, tol=1e-10, x0=cold.x, **kw)
+        assert warm.converged and warm.n_iter <= 1
+
+
+def test_lsqr_warm_start_meets_the_cold_target():
+    M, b, R, lam = _warm_instance()
+    tol = 1e-8
+    x_ref = np.linalg.solve(M.T @ M + lam * np.eye(15), M.T @ b)
+    Rt_inv = lambda v: np.linalg.solve(R.T, v)
+    target = tol * np.linalg.norm(Rt_inv(M.T @ b))
+    op = _CountingDense(M)
+    cold = lsqr_solve(op, b, lam=lam, right_precond=R, tol=tol)
+    x0 = x_ref + 0.1 * _rng(8).standard_normal(15)
+    op.calls = 0
+    warm = lsqr_solve(op, b, lam=lam, right_precond=R, tol=tol, x0=x0,
+                      r0=b - M @ x0, atb=M.T @ b)
+    # the start costs no apply of its own
+    assert op.calls == 2 * warm.n_iter + 1
+    assert warm.converged and cold.converged
+    for res in (cold, warm):
+        grad = Rt_inv(M.T @ (b - M @ res.x) - lam * res.x)
+        assert np.linalg.norm(grad) <= 1.01 * target
+    # both meet the same target, so they agree to its reach: tol times the
+    # squared condition number of the preconditioned augmented matrix
+    aug = np.vstack([M, np.sqrt(lam) * np.eye(15)]) @ np.linalg.inv(R)
+    reach = np.linalg.cond(aug) ** 2 * tol
+    assert np.linalg.norm(warm.x - cold.x) <= reach * np.linalg.norm(x_ref)
+    # and without r0 and atb, one apply each
+    op.calls = 0
+    again = lsqr_solve(op, b, lam=lam, right_precond=R, tol=tol, x0=x0)
+    assert op.calls == 2 * again.n_iter + 3
+    np.testing.assert_allclose(again.x, warm.x, rtol=1e-12)
 
 
 def test_gmres_matches_direct_solve():
