@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .irn import SolveResult, TraceRow, _rel_error
+from .irn import _TraceRecorder
 from .krylov import _finite_rhs
-from .weights import WeightSpec, objective_values
+from .weights import WeightSpec
 
 
 def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
@@ -25,8 +25,8 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
     Ax = np.zeros(A.nrows)  # A x, carried so each iteration applies A once
     v, Av = x, Ax
     t = 1.0
-    iterates, trace = [], []
-    for it in range(1, n_iter + 1):
+    rec = _TraceRecorder(A, b, weight, x_true)
+    for _ in range(n_iter):
         grad = 2.0 * A.apply_adjoint(Av - b)
         u = v - step * grad
         x_new = np.sign(u) * np.maximum(np.abs(u) - thresh, 0.0)
@@ -36,16 +36,5 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
         v = x_new + beta * (x_new - x)
         Av = Ax_new + beta * (Ax_new - Ax)  # A v from two exact applies
         x, Ax, t = x_new, Ax_new, t_new
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, Ax=Ax)
-        iterates.append(x.copy())
-        trace.append(
-            TraceRow(
-                outer=it,
-                cum_inner=it,
-                rel_error=_rel_error(x, x_true),
-                objective_mm=obj_mm,
-                objective_literal=obj_lit,
-                lam=lam,
-            )
-        )
-    return SolveResult(iterates, trace)
+        rec.row(x, lam, Ax=Ax)
+    return rec.result()

@@ -42,7 +42,13 @@ from .flex import (
     s2p_flex_solve,
     sns_flex_solve,
 )
-from .irn import IRNConfig, SolveResult, TraceRow, _rel_error, irn_s2p_solve, irn_solve
+from .irn import (
+    IRNConfig,
+    _dense_system_matrix,
+    _TraceRecorder,
+    irn_s2p_solve,
+    irn_solve,
+)
 from .krylov import gmres_solve, lsqr_solve
 from .operators import DenseOperator, IdentityOperator
 from .regparam import LambdaPolicy
@@ -51,7 +57,7 @@ from .sketching import (
     build_leverage_sketch,
     estimate_leverage_scores,
 )
-from .weights import WeightSpec, objective_values
+from .weights import WeightSpec
 
 CSV_COLUMNS = [
     "solver", "outer_iter", "cum_inner_iter", "rel_error", "objective_mm",
@@ -238,22 +244,9 @@ def _weight_spec(sec):
                       tau=_get(sec, "tau", float, 1e-10))
 
 
-def _result_from_history(xs, A, b, weight, lam, x_true):
-    trace = []
-    for it, x in enumerate(xs, 1):
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam)
-        trace.append(TraceRow(
-            outer=it, cum_inner=it, rel_error=_rel_error(x, x_true),
-            objective_mm=obj_mm, objective_literal=obj_lit, lam=lam,
-        ))
-    return SolveResult(list(xs), trace)
-
-
 def run_solver(name, cfg, inst):
     sec = _section(cfg, f"solver.{name}")
     family = _get(sec, "family", str, required=True)
-    if "seed" not in sec:
-        raise ConfigError(f"solver {name!r} is missing a seed")
     seed = _get(sec, "seed", int, required=True)
     k_max = _get(sec, "k_max", int, 50)
     mult = _get(sec, "sketch_multiplier", int, 4)
@@ -290,8 +283,7 @@ def run_solver(name, cfg, inst):
     if family == "irn":
         return irn_solve(inst.A, inst.b, config, x_true)
     if family == "irn_s2p":
-        M = inst.A.matrix if hasattr(inst.A, "matrix") else inst.A.materialize()
-        p = estimate_leverage_scores(M)
+        p = estimate_leverage_scores(_dense_system_matrix(inst.A))
         S = build_leverage_sketch(p, mult * inst.A.ncols, seed)
         return irn_s2p_solve(inst.A, inst.b, config, S, x_true)
     if family == "flex":
@@ -302,18 +294,18 @@ def run_solver(name, cfg, inst):
                   else s2p_flex_solve)
         return solver(inst.A, inst.b, config, S1, S2, x_true)
 
-    if family == "lsqr":
-        xs = []
-        lsqr_solve(inst.A, inst.b, lam=_get(sec, "lambda", float, 0.0),
-                   tol=_get(sec, "tol", float, 1e-12), maxit=k_max,
-                   callback=lambda x: xs.append(x.copy()))
-        return _result_from_history(xs, inst.A, inst.b, weight,
-                                    _get(sec, "lambda", float, 0.0), x_true)
-    if family == "gmres":
-        xs = []
-        gmres_solve(inst.A, inst.b, tol=_get(sec, "tol", float, 1e-12),
-                    maxit=k_max, callback=lambda x: xs.append(x.copy()))
-        return _result_from_history(xs, inst.A, inst.b, weight, 0.0, x_true)
+    if family in ("lsqr", "gmres"):
+        lam = _get(sec, "lambda", float, 0.0) if family == "lsqr" else 0.0
+        tol = _get(sec, "tol", float, 1e-12)
+        rec = _TraceRecorder(inst.A, inst.b, weight, x_true)
+        record = lambda x: rec.row(x, lam)  # one apply of A per row
+        if family == "lsqr":
+            lsqr_solve(inst.A, inst.b, lam=lam, tol=tol, maxit=k_max,
+                       callback=record)
+        else:
+            gmres_solve(inst.A, inst.b, tol=tol, maxit=k_max,
+                        callback=record)
+        return rec.result()
     if family == "fista":
         return fista_solve(inst.A, inst.b, _get(sec, "lambda", float, 1.0),
                            n_iter=k_max, weight=weight, x_true=x_true)

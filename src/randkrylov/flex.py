@@ -6,14 +6,15 @@ Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
 the diagonal weights W at the current iterate, expands the flexible
 factorization by one column with W^{-1} as preconditioner, and updates its
 projected pairs (``_projected_problem``): R1 from a column QR of the A z_j,
-kept unsketched by every scheme and sketched by S1 beside it by the sketched
-ones, and R2 from a QR of W Zbar (sketched by S2 or not; the identity
-outside ``irw`` mode). The column QRs grow through the factorization's own
-Gram-Schmidt kernel (``krylov.RowBasis``), and Zbar, Q and R are views of
-its buffers. Once the basis is spent (breakdown, or k reaches min(m, n))
-every scheme keeps it and only re-weights R2. The schemes
-differ only in how the projected Tikhonov problem in the coefficients y of
-x = Zbar y is then solved:
+kept unsketched whenever a step reads it (all but s2p at fixed lambda or
+with no regularization) and sketched by S1 by the sketched schemes, and R2
+from a QR of W Zbar (sketched by S2 or not; the identity outside ``irw``
+mode). The column QRs grow through the factorization's own Gram-Schmidt
+kernel (``krylov.RowBasis``), and Zbar, Q and R are views of its buffers.
+Once the basis is spent (breakdown, or k reaches min(m, n)) every scheme
+keeps it and only re-weights R2. The schemes differ only in how the
+projected Tikhonov problem in the coefficients y of x = Zbar y is then
+solved:
 
 * ``exact``: stacked QR of the unsketched pair.
 * ``sketch_and_solve``: stacked QR of the sketched pair; the projected
@@ -26,6 +27,10 @@ x = Zbar y is then solved:
   starts from the previous coefficients padded with zeros and stops at the
   cold start's target, as IRN's inner solves do, so in ``irw`` mode at
   fixed lambda the MM objective never rises, at any inner tolerance.
+
+Each iteration is one trace row (``irn._TraceRecorder``), recorded from the
+A x that the next s2p warm start reads; its ``cum_inner`` adds the inner
+LSQR iterations of s2p and 1 per iteration for the other two schemes.
 """
 
 from __future__ import annotations
@@ -37,11 +42,11 @@ import scipy.linalg
 
 from .krylov import (BREAKDOWN_RTOL, FlexibleFactorization, RowBasis,
                      lsqr_solve)
-from .irn import SolveResult, TraceRow, _rel_error
+from .irn import _TraceRecorder
 from .operators import LinearOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
 from .sketching import apply_sketch, apply_sketch_weighted
-from .weights import WeightSpec, compute_weights, objective_values
+from .weights import WeightSpec, compute_weights
 
 
 @dataclass
@@ -257,23 +262,23 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                                     or policy.kind == "fixed"))
 
     fact = FlexibleFactorization(config.basis, A, b, ell=config.ell)
-    qr = RowBasis(m)  # QR of the columns A z_j
+    qr = RowBasis(m) if unsketched_pair else None  # QR of the columns A z_j
     qr1 = RowBasis(S1.s) if sketched else qr  # of the S1 A z_j
     s1b = apply_sketch(S1, b) if sketched else b
 
     x, Ax = np.zeros(n), np.zeros(m)
     y = np.zeros(0)  # coefficients of x in the basis
     atb = A.apply_adjoint(b) if s2p else None  # the inner stopping targets
-    iterates, trace = [], []
-    cum_inner = 0
+    rec = _TraceRecorder(A, b, weight, x_true)
     eps_hat = float("nan")
-    for it in range(1, config.k_max + 1):
+    for _ in range(config.k_max):
         w = compute_weights(x, weight)
 
         if not fact.breakdown and fact.k < min(m, n):
             col = fact.expand(1.0 / w)
             if col is not None:
-                qr.append(col)
+                if unsketched_pair:
+                    qr.append(col)
                 if sketched:
                     qr1.append(apply_sketch(S1, col))
         Z = fact.Z
@@ -309,7 +314,6 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                 y = solve_projected_tikhonov(pp, max(lam, 1e-14))
             inner, stagnated = 1, False
         x = solution_map(y)
-        cum_inner += inner
 
         mono = None
         if sketched and not s2p:
@@ -319,24 +323,9 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                     _projected_majorant(pp, y_prev, lam),
                     _projected_majorant(pp, y, lam), eps_hat,
                 )
-        Ax = A.apply(x)
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, Ax=Ax)
-        iterates.append(x.copy())
-        trace.append(
-            TraceRow(
-                outer=it,
-                cum_inner=cum_inner,
-                rel_error=_rel_error(x, x_true),
-                objective_mm=obj_mm,
-                objective_literal=obj_lit,
-                lam=lam,
-                eps_hat=eps_hat,
-                mono_satisfied=mono,
-                breakdown=fact.breakdown,
-                stagnated=stagnated,
-            )
-        )
-    return SolveResult(iterates, trace)
+        Ax = rec.row(x, lam, inner, eps_hat=eps_hat, mono_satisfied=mono,
+                     breakdown=fact.breakdown, stagnated=stagnated)
+    return rec.result()
 
 
 def _s2p_projected_solve(A, b, Z, w, lam, pp, tol, y0, x0, Ax0, atb):

@@ -8,6 +8,9 @@ variable s = W_k x by LSQR warm-started at s0 = W_k x_{k-1}, from the
 previous objective's residual b - A x_{k-1}, to the cold start's target
 tol |(A W_k^{-1} R^{-1})^T b| (A^T b is taken once per solve). At fixed
 lambda the MM objective then never rises, at any inner tolerance.
+
+``_TraceRecorder`` writes the trace of every solver (these loops, flex,
+FISTA, the CLI's lsqr and gmres); IRN's ``cum_inner`` adds inner iterations.
 """
 
 from __future__ import annotations
@@ -68,10 +71,34 @@ class SolveResult:
         return [getattr(row, name) for row in self.trace]
 
 
-def _rel_error(x, x_true):
-    if x_true is None:
-        return float("nan")
-    return float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
+class _TraceRecorder:
+    """The iterates and trace of one solve. ``row`` records x: it keeps a
+    copy, evaluates both objectives at it from the caller's A x (one apply
+    of A when there is none), numbers the row, adds ``inner`` to the
+    cumulative inner count and passes the diagnostic flags through. It
+    returns A x, for the next warm start."""
+
+    def __init__(self, A, b, weight, x_true):
+        self.A, self.b, self.weight, self.x_true = A, b, weight, x_true
+        self.iterates, self.trace = [], []
+        self.cum_inner = 0
+
+    def row(self, x, lam, inner=1, Ax=None, **flags):
+        Ax = self.A.apply(x) if Ax is None else Ax
+        obj_mm, obj_lit = objective_values(self.A, self.b, x, self.weight,
+                                           lam, Ax=Ax)
+        self.cum_inner += inner
+        self.iterates.append(x.copy())
+        rel_error = (float("nan") if self.x_true is None else float(
+            np.linalg.norm(x - self.x_true) / np.linalg.norm(self.x_true)))
+        self.trace.append(TraceRow(
+            outer=len(self.trace) + 1, cum_inner=self.cum_inner,
+            rel_error=rel_error, objective_mm=obj_mm,
+            objective_literal=obj_lit, lam=lam, **flags))
+        return Ax
+
+    def result(self):
+        return SolveResult(self.iterates, self.trace)
 
 
 def _dense_system_matrix(A):
@@ -175,10 +202,8 @@ def _irn_loop(A, b, config, x_true, sketch):
 
     atb = A.apply_adjoint(b)  # the inner stopping targets
     x, Ax = np.zeros(n), np.zeros(A.nrows)
-    iterates = []
-    trace = []
-    cum_inner = 0
-    for k in range(1, config.outer_max + 1):
+    rec = _TraceRecorder(A, b, weight, x_true)
+    for _ in range(config.outer_max):
         w = compute_weights(x, weight)
         w_inv = 1.0 / w
         lam = _select_lambda(policy, system, w_inv, w_inv.__mul__)  # s -> x
@@ -192,19 +217,5 @@ def _irn_loop(A, b, config, x_true, sketch):
             x0=w * x, r0=b - Ax, atb=w_inv * atb,
         )
         x = w_inv * res.x
-        cum_inner += res.n_iter
-        Ax = A.apply(x)
-        obj_mm, obj_lit = objective_values(A, b, x, weight, lam, Ax=Ax)
-        iterates.append(x.copy())
-        trace.append(
-            TraceRow(
-                outer=k,
-                cum_inner=cum_inner,
-                rel_error=_rel_error(x, x_true),
-                objective_mm=obj_mm,
-                objective_literal=obj_lit,
-                lam=lam,
-                stagnated=res.stagnated,
-            )
-        )
-    return SolveResult(iterates, trace)
+        Ax = rec.row(x, lam, res.n_iter, stagnated=res.stagnated)
+    return rec.result()

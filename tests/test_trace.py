@@ -1,0 +1,177 @@
+"""The trace every solver family writes: rows numbered 1..N, both objectives
+and the relative error at the returned iterate, and the cumulative inner
+count (inner LSQR iterations for IRN and s2p, one per row otherwise)."""
+
+import dataclasses
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+import randkrylov.flex as flex
+import randkrylov.irn as irn
+from randkrylov.baselines import fista_solve
+from randkrylov.cli import run_solver
+from randkrylov.flex import (
+    FlexSolverConfig,
+    exact_flex_solve,
+    s2p_flex_solve,
+    sns_flex_solve,
+)
+from randkrylov.irn import IRNConfig, irn_s2p_solve, irn_solve
+from randkrylov.krylov import RowBasis, gmres_solve, lsqr_solve
+from randkrylov.operators import DenseOperator
+from randkrylov.problems import add_noise, gen_subset_selection
+from randkrylov.regparam import LambdaPolicy
+from randkrylov.sketching import (
+    build_flex_sketches,
+    build_leverage_sketch,
+    estimate_leverage_scores,
+)
+from randkrylov.weights import WeightSpec, objective_values
+
+WEIGHT = WeightSpec(p=1.0, tau=1e-4)
+K = 6
+FIXED = LambdaPolicy(kind="fixed", lam=0.5)
+DP = LambdaPolicy(kind="dp", nl=0.02)
+
+
+class _CountingDense(DenseOperator):
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.applies = 0
+
+    def _apply(self, x):
+        self.applies += 1
+        return super()._apply(x)
+
+
+def _instance(m=60, n=24):
+    inst = gen_subset_selection(m, n, bern_p=0.3, seed=3)
+    return add_noise(inst, 0.02, 53)
+
+
+def _irn(sketched, policy):
+    cfg = IRNConfig(weight=WEIGHT, outer_max=K, inner_tol=1e-6,
+                    lambda_policy=policy)
+
+    def run(inst):
+        if not sketched:
+            return irn_solve(inst.A, inst.b, cfg, inst.x_true)
+        S = build_leverage_sketch(estimate_leverage_scores(inst.A.matrix),
+                                  4 * inst.A.ncols, 1)
+        return irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
+    return run
+
+
+def _flex(scheme, policy=FIXED, mode="irw"):
+    cfg = FlexSolverConfig(mode=mode, scheme=scheme, k_max=K, weight=WEIGHT,
+                           lambda_policy=policy, inner_tol=1e-8)
+
+    def run(inst):
+        if scheme == "exact":
+            return exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
+        S1, S2 = build_flex_sketches(inst.A, inst.b, K, 4, 2)
+        solver = (sns_flex_solve if scheme == "sketch_and_solve"
+                  else s2p_flex_solve)
+        return solver(inst.A, inst.b, cfg, S1, S2, inst.x_true)
+    return run
+
+
+def _cli_config(family, **keys):
+    keys = dict(family=family, seed=1, k_max=K, tau=WEIGHT.tau, **keys)
+    return {f"solver.t.{key}": str(value) for key, value in keys.items()}
+
+
+def _cli(family, **keys):
+    return lambda inst: run_solver("t", _cli_config(family, **keys), inst)
+
+
+# family: (runner, square problem, cum_inner counts inner LSQR iterations)
+FAMILIES = {
+    "irn": (_irn(False, FIXED), False, True),
+    "irn_s2p": (_irn(True, DP), False, True),
+    "flex-exact": (_flex("exact"), False, False),
+    "flex-sns": (_flex("sketch_and_solve"), False, False),
+    "flex-s2p": (_flex("sketch_to_precondition"), False, True),
+    "flex-s2p-dp": (_flex("sketch_to_precondition", DP), False, True),
+    "fista": (lambda inst: fista_solve(inst.A, inst.b, 0.5, n_iter=K,
+                                       weight=WEIGHT, x_true=inst.x_true),
+              False, False),
+    "cli-lsqr": (_cli("lsqr", **{"lambda": 0.5}), False, False),
+    "cli-gmres": (_cli("gmres"), True, False),
+}
+
+
+@pytest.fixture
+def inner_iters(monkeypatch):
+    """The iteration count of every inner LSQR solve of IRN and s2p."""
+    counts = []
+
+    def counted(*args, **kwargs):
+        res = lsqr_solve(*args, **kwargs)
+        counts.append(res.n_iter)
+        return res
+    monkeypatch.setattr(irn, "lsqr_solve", counted)
+    monkeypatch.setattr(flex, "lsqr_solve", counted)
+    return counts
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_trace_rows_describe_the_returned_iterates(family, inner_iters):
+    run, square, counts_inner = FAMILIES[family]
+    inst = _instance(24, 24) if square else _instance()
+    res = run(inst)
+    rows = res.trace
+    assert len(rows) == len(res.iterates) == K
+    assert res.x is res.iterates[-1]
+    assert res.column("outer") == list(range(1, K + 1))
+    x_true_norm = np.linalg.norm(inst.x_true)
+    for row, x in zip(rows, res.iterates):
+        mm, lit = objective_values(inst.A, inst.b, x, WEIGHT, row.lam)
+        assert row.objective_mm == mm and row.objective_literal == lit
+        assert row.rel_error == np.linalg.norm(x - inst.x_true) / x_true_norm
+    steps = inner_iters if counts_inner else [1] * K
+    assert len(steps) == K
+    assert res.column("cum_inner") == list(accumulate(steps))
+
+
+@pytest.mark.parametrize("family", ["lsqr", "gmres"])
+def test_cli_krylov_families_apply_A_once_per_row(family):
+    inst = _instance(24, 24)
+    A = _CountingDense(inst.A.matrix)
+    inst = dataclasses.replace(inst, A=A)
+    if family == "lsqr":
+        lsqr_solve(A, inst.b, lam=0.5, tol=1e-12, maxit=K)
+    else:
+        gmres_solve(A, inst.b, tol=1e-12, maxit=K)
+    own, A.applies = A.applies, 0
+    keys = {"lambda": 0.5} if family == "lsqr" else {}
+    res = run_solver("t", _cli_config(family, **keys), inst)
+    assert len(res.trace) == K
+    assert A.applies == own + K
+
+
+def test_s2p_without_a_lambda_rule_builds_no_unsketched_column_qr(
+        monkeypatch):
+    dims = []
+
+    class Recording(RowBasis):
+        def __init__(self, dim):
+            dims.append(dim)
+            super().__init__(dim)
+    monkeypatch.setattr(flex, "RowBasis", Recording)
+    inst = _instance()
+    m = inst.A.nrows
+    assert build_flex_sketches(inst.A, inst.b, K, 4, 2)[0].s != m
+
+    def unsketched_qrs(scheme, policy=FIXED, mode="irw"):
+        dims.clear()
+        _flex(scheme, policy, mode)(inst)
+        return dims.count(m)
+
+    assert unsketched_qrs("sketch_to_precondition") == 0
+    assert unsketched_qrs("sketch_to_precondition", mode="none") == 0
+    assert unsketched_qrs("sketch_to_precondition", DP) == 1
+    assert unsketched_qrs("exact") == 1
+    assert unsketched_qrs("sketch_and_solve") == 1
