@@ -27,10 +27,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -244,6 +246,16 @@ def _weight_spec(sec):
                       tau=_get(sec, "tau", float, 1e-10))
 
 
+_leverage_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=1)
+def _leverage_scores(A):
+    """The irn-s2p leverage scores of A's rows, one QR per problem: every
+    irn-s2p solver of a run samples its sketch from them."""
+    return estimate_leverage_scores(_dense_system_matrix(A))
+
+
 def run_solver(name, cfg, inst):
     sec = _section(cfg, f"solver.{name}")
     family = _get(sec, "family", str, required=True)
@@ -283,7 +295,8 @@ def run_solver(name, cfg, inst):
     if family == "irn":
         return irn_solve(inst.A, inst.b, config, x_true)
     if family == "irn_s2p":
-        p = estimate_leverage_scores(_dense_system_matrix(inst.A))
+        with _leverage_lock:  # one QR also when solvers run in threads
+            p = _leverage_scores(inst.A)
         S = build_leverage_sketch(p, mult * inst.A.ncols, seed)
         return irn_s2p_solve(inst.A, inst.b, config, S, x_true)
     if family == "flex":
@@ -299,12 +312,11 @@ def run_solver(name, cfg, inst):
         tol = _get(sec, "tol", float, 1e-12)
         rec = _TraceRecorder(inst.A, inst.b, weight, x_true)
         record = lambda x: rec.row(x, lam)  # one apply of A per row
-        if family == "lsqr":
-            lsqr_solve(inst.A, inst.b, lam=lam, tol=tol, maxit=k_max,
-                       callback=record)
-        else:
-            gmres_solve(inst.A, inst.b, tol=tol, maxit=k_max,
-                        callback=record)
+        solve = (functools.partial(lsqr_solve, lam=lam) if family == "lsqr"
+                 else gmres_solve)
+        out = solve(inst.A, inst.b, tol=tol, maxit=k_max, callback=record)
+        if not rec.trace:  # b = 0: the solver returns x = 0 before a step
+            record(out.x)
         return rec.result()
     if family == "fista":
         return fista_solve(inst.A, inst.b, _get(sec, "lambda", float, 1.0),
@@ -455,15 +467,12 @@ def cmd_run(args):
     def _one(name):
         return name, run_solver(name, cfg, inst)
 
-    results = {}
     try:
         if args.threads > 1:
             with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-                for name, result in pool.map(_one, names):
-                    results[name] = result
+                results = dict(pool.map(_one, names))
         else:
-            for name in names:
-                results[name] = run_solver(name, cfg, inst)
+            results = dict(map(_one, names))
     except ConfigError:
         raise
     except Exception as exc:

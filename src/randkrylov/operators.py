@@ -3,6 +3,7 @@
 All operators are immutable after construction and work in float64. Each one
 provides a forward map ``apply`` and an adjoint map ``apply_adjoint`` that are
 consistent with each other: <Ax, y> == <x, A^T y> up to rounding.
+``RadonOperator`` traces all rays of one angle in one array operation.
 """
 
 from __future__ import annotations
@@ -217,46 +218,41 @@ class Convolution2DOperator(LinearOperator):
         return self._filter(y, self._transfer.conj())
 
 
-def _siddon_row(nx, theta_rad, offset):
-    """Intersection lengths of one parallel-beam ray with an nx-by-nx grid.
+def _siddon_rays(nx, theta_rad, offsets):
+    """Siddon (Med. Phys. 1985) intersection lengths of the parallel-beam rays
+    of one angle with an nx-by-nx grid covering [-nx/2, nx/2]^2.
 
-    The grid covers [-nx/2, nx/2]^2 with unit pixels. The ray is the line
-    {offset * normal + t * direction}, direction = (cos theta, sin theta).
-    Returns (pixel_indices, lengths) with row-major pixel numbering, row 0 at
-    the top of the image (largest y).
+    Ray r is the line {offsets[r] * normal + t * direction}, direction =
+    (cos theta, sin theta). The rays share the grid planes, so their crossing
+    parameters t form one (rays x planes) array. Returns (ray, pixel_indices,
+    lengths), ordered by ray and then by increasing t, with row-major pixel
+    numbering, row 0 at the top of the image (largest y).
     """
     d = np.array([np.cos(theta_rad), np.sin(theta_rad)])
-    nrm = np.array([-np.sin(theta_rad), np.cos(theta_rad)])
-    p0 = offset * nrm
+    p0 = offsets[:, None] * np.array([-np.sin(theta_rad), np.cos(theta_rad)])
     half = nx / 2.0
-    ts = []
-    for axis in range(2):
-        if abs(d[axis]) > 1e-12:
-            planes = np.arange(-half, half + 1.0)
-            ts.append((planes - p0[axis]) / d[axis])
-    if not ts:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    t = np.unique(np.concatenate(ts))
-    if t.size < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    mids = 0.5 * (t[:-1] + t[1:])
-    pts = p0[None, :] + mids[:, None] * d[None, :]
-    lengths = np.diff(t)
-    ix = np.floor(pts[:, 0] + half).astype(np.int64)
-    iy = np.floor(pts[:, 1] + half).astype(np.int64)
+    planes = np.arange(-half, half + 1.0)
+    # a grid corner repeats a t; its 0-length segment fails the length mask
+    t = np.sort(np.concatenate([(planes - p0[:, axis, None]) / d[axis]
+                                for axis in range(2)
+                                if abs(d[axis]) > 1e-12], axis=1), axis=1)
+    mids = 0.5 * (t[:, :-1] + t[:, 1:])
+    lengths = np.diff(t, axis=1)
+    ix = np.floor(p0[:, 0, None] + mids * d[0] + half).astype(np.int64)
+    iy = np.floor(p0[:, 1, None] + mids * d[1] + half).astype(np.int64)
     inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < nx) & (lengths > 1e-12)
-    ix, iy, lengths = ix[inside], iy[inside], lengths[inside]
     # row-major with row 0 at top: row = nx - 1 - iy, col = ix
-    pix = (nx - 1 - iy) * nx + ix
-    return pix, lengths
+    pix = (nx - 1 - iy[inside]) * nx + ix[inside]
+    return np.nonzero(inside)[0], pix, lengths[inside]
 
 
 class RadonOperator(LinearOperator):
     """Parallel-beam Radon transform with exact ray-pixel intersection lengths.
 
-    Rows of the underlying sparse matrix are ordered angle-major: all rays of
-    the first angle, then all rays of the second, and so on. Ray offsets are
-    equispaced over the image diagonal.
+    Ray offsets are equispaced over the image diagonal. ``_siddon_rays``
+    traces the rays one angle at a time, so the sparse matrix's entries come
+    angle-major (all rays of the first angle, then the second, ...), then by
+    ray, then along the ray.
     """
 
     kind = "radon"
@@ -269,17 +265,12 @@ class RadonOperator(LinearOperator):
         self.n_rays = int(n_rays)
         diag = np.sqrt(2.0) * nx
         offsets = np.linspace(-diag / 2.0, diag / 2.0, n_rays)
-        rows, cols, vals = [], [], []
-        for ia, ang in enumerate(angles_deg):
-            th = np.deg2rad(ang)
-            for ir, off in enumerate(offsets):
-                pix, lens = _siddon_row(nx, th, off)
-                rows.extend([ia * n_rays + ir] * pix.size)
-                cols.extend(pix.tolist())
-                vals.extend(lens.tolist())
+        rays, cols, vals = zip(*[_siddon_rays(nx, np.deg2rad(ang), offsets)
+                                 for ang in angles_deg])
+        rows = [ia * n_rays + ray for ia, ray in enumerate(rays)]
         self._mat = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(self.nrows, self.ncols)
-        )
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=self.shape)
 
     def _apply(self, x):
         return self._mat @ x

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import randkrylov.cli as cli
 from randkrylov.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -319,3 +320,77 @@ def test_monotonicity_violations_compare_equal_lambda_only():
     assert changing[0]["monotonicity_violations"] == 0
     assert fixed[0]["monotonicity_violations"] == 3
     assert mixed[0]["monotonicity_violations"] == 2
+
+
+def test_zero_rhs_krylov_families_record_one_zero_row(tmp_path):
+    # b = 0: lsqr (alpha = 0) and gmres (beta = 0) stop before their first
+    # step; the trace holds the returned x = 0 as its one row
+    bundle = tmp_path / "zb"
+    write_bundle(build_problem({
+        "problem.generator": "subset_selection", "problem.m": "12",
+        "problem.n": "12", "problem.seed": "3"}), str(bundle))
+    np.zeros(12).astype("<f8").tofile(str(bundle / "b.f64"))
+    cfg = _write(tmp_path, (
+        f"problem.generator = bundle\nproblem.bundle = {bundle}\n"
+        "solver.lsqr.family = lsqr\nsolver.lsqr.seed = 1\n"
+        "solver.lsqr.lambda = 0.5\n"
+        "solver.gmres.family = gmres\nsolver.gmres.seed = 1\n"
+    ), "zero.cfg")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("lsqr", "gmres"):
+        rows = read_trace(str(out / f"{name}.trace.csv"))
+        assert [(r["outer_iter"], r["cum_inner_iter"]) for r in rows] == \
+            [(1, 1)], name
+        assert rows[0]["rel_error"] == 1.0, name
+        x = np.fromfile(out / f"{name}.x.f64", dtype="<f8")
+        np.testing.assert_array_equal(x, np.zeros(12))
+
+
+IRN_S2P_PAIR = """
+problem.generator = subset_selection
+problem.m = 60
+problem.n = 10
+problem.seed = 4
+problem.nl = 0.05
+problem.noise_seed = 6
+"""
+IRN_S2P_SOLVERS = {
+    "fixed": ("solver.fixed.family = irn_s2p\nsolver.fixed.seed = 3\n"
+              "solver.fixed.lambda = 0.5\nsolver.fixed.outer_max = 4\n"),
+    "dp": ("solver.dp.family = irn_s2p\nsolver.dp.seed = 5\n"
+           "solver.dp.lambda_policy = dp\nsolver.dp.nl = 0.05\n"
+           "solver.dp.outer_max = 4\n"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
+                                               threads):
+    calls = []
+    real_scores, real_build = cli.estimate_leverage_scores, cli.build_problem
+
+    def counted_scores(M):
+        calls.append(M.shape)
+        return real_scores(M)
+
+    def build_checked(*args, **kwargs):
+        before = len(calls)
+        inst = real_build(*args, **kwargs)
+        assert len(calls) == before, "leverage scores computed while building"
+        return inst
+
+    monkeypatch.setattr(cli, "estimate_leverage_scores", counted_scores)
+    monkeypatch.setattr(cli, "build_problem", build_checked)
+    both = _write(tmp_path, IRN_S2P_PAIR + "".join(IRN_S2P_SOLVERS.values()),
+                  "both.cfg")
+    assert main(["run", "--config", both, "--out", str(tmp_path / "both"),
+                 "--threads", threads]) == 0
+    assert calls == [(60, 10)]
+    for name, text in IRN_S2P_SOLVERS.items():
+        alone = _write(tmp_path, IRN_S2P_PAIR + text, f"{name}.cfg")
+        assert main(["run", "--config", alone,
+                     "--out", str(tmp_path / name)]) == 0
+        for ext in ("trace.csv", "x.f64"):
+            assert (tmp_path / "both" / f"{name}.{ext}").read_bytes() == \
+                (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.ndimage
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from randkrylov.operators import (
     DimensionMismatch,
     IdentityOperator,
     RadonOperator,
-    _siddon_row,
+    _siddon_rays,
     gaussian_kernel,
 )
 
@@ -131,10 +132,16 @@ def test_convolution_matches_ndimage_wrap(nx, kernel):
                                    rtol=0, atol=1e-13)
 
 
+def _siddon_ray(nx, theta_rad, offset):
+    # one ray through the per-angle kernel
+    _, pix, lens = _siddon_rays(nx, theta_rad, np.array([offset]))
+    return pix, lens
+
+
 def test_siddon_horizontal_ray_oracle():
     # [DERIVED] ray y = 0.5 through a 4x4 unit grid: crosses the second row
     # from the top (iy = 2 -> row 1), one unit length per pixel
-    pix, lens = _siddon_row(4, 0.0, 0.5)
+    pix, lens = _siddon_ray(4, 0.0, 0.5)
     order = np.argsort(pix)
     np.testing.assert_array_equal(pix[order], [4, 5, 6, 7])
     np.testing.assert_allclose(lens[order], [1.0, 1.0, 1.0, 1.0], atol=1e-12)
@@ -142,7 +149,7 @@ def test_siddon_horizontal_ray_oracle():
 
 def test_siddon_vertical_ray_oracle():
     # [DERIVED] theta = 90 deg, offset -1.5: line x = 1.5, column ix = 3
-    pix, lens = _siddon_row(4, np.pi / 2.0, -1.5)
+    pix, lens = _siddon_ray(4, np.pi / 2.0, -1.5)
     order = np.argsort(pix)
     np.testing.assert_array_equal(pix[order], [3, 7, 11, 15])
     np.testing.assert_allclose(lens[order], [1.0, 1.0, 1.0, 1.0], atol=1e-12)
@@ -152,12 +159,12 @@ def test_siddon_diagonal_total_length():
     # [DERIVED] 45-degree ray through the center of an nx-square: chord
     # length nx*sqrt(2)
     for nx in (4, 7):
-        _, lens = _siddon_row(nx, np.pi / 4.0, 0.0)
+        _, lens = _siddon_ray(nx, np.pi / 4.0, 0.0)
         np.testing.assert_allclose(lens.sum(), nx * np.sqrt(2.0), rtol=1e-12)
 
 
 def test_siddon_ray_outside_grid_is_empty():
-    pix, lens = _siddon_row(4, 0.0, 10.0)
+    pix, lens = _siddon_ray(4, 0.0, 10.0)
     assert pix.size == 0 and lens.size == 0
 
 
@@ -181,3 +188,62 @@ def test_dense_adjoint_property(m, n, seed):
     rng = _rng(seed)
     op = DenseOperator(rng.standard_normal((m, n)))
     assert _adjoint_gap(op, rng, trials=3) < 1e-12
+
+
+def _siddon_row_reference(nx, theta_rad, offset):
+    # reference tracer: one ray at a time, np.unique over its crossing
+    # parameters
+    d = np.array([np.cos(theta_rad), np.sin(theta_rad)])
+    nrm = np.array([-np.sin(theta_rad), np.cos(theta_rad)])
+    p0 = offset * nrm
+    half = nx / 2.0
+    ts = []
+    for axis in range(2):
+        if abs(d[axis]) > 1e-12:
+            planes = np.arange(-half, half + 1.0)
+            ts.append((planes - p0[axis]) / d[axis])
+    t = np.unique(np.concatenate(ts))
+    mids = 0.5 * (t[:-1] + t[1:])
+    pts = p0[None, :] + mids[:, None] * d[None, :]
+    lengths = np.diff(t)
+    ix = np.floor(pts[:, 0] + half).astype(np.int64)
+    iy = np.floor(pts[:, 1] + half).astype(np.int64)
+    inside = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < nx) & (lengths > 1e-12)
+    ix, iy, lengths = ix[inside], iy[inside], lengths[inside]
+    return (nx - 1 - iy) * nx + ix, lengths
+
+
+def _radon_reference(nx, angles_deg, n_rays):
+    angles_deg = np.asarray(angles_deg, dtype=np.float64)
+    diag = np.sqrt(2.0) * nx
+    offsets = np.linspace(-diag / 2.0, diag / 2.0, n_rays)
+    rows, cols, vals = [], [], []
+    for ia, ang in enumerate(angles_deg):
+        th = np.deg2rad(ang)
+        for ir, off in enumerate(offsets):
+            pix, lens = _siddon_row_reference(nx, th, off)
+            rows.extend([ia * n_rays + ir] * pix.size)
+            cols.extend(pix.tolist())
+            vals.extend(lens.tolist())
+    return scipy.sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(angles_deg.size * n_rays, nx * nx))
+
+
+@pytest.mark.parametrize("nx, angles, n_rays", [
+    # experiment 3: 64x64, 18 angles in (0, 180], ceil(sqrt(2) nx) + 1 rays
+    (64, 180.0 * np.arange(1, 19) / 18, 92),
+    # odd nx: a ray at offset 0 runs along pixel centres, not grid lines
+    (17, [0.0, 45.0, 90.0, 135.0, 180.0], 25),
+    # an axis drops out at 0, 90 and 180 degrees; at 45 degrees some rays
+    # cross grid corners, where np.unique merges a repeated t
+    (16, [0.0, 45.0, 90.0, 180.0, 30.0], 5),
+    # 40 rays over the diagonal: many miss the grid and give empty rows
+    (7, [0.0, 45.0, 90.0, 180.0, 12.5], 40),
+])
+def test_radon_matrix_equals_per_ray_reference(nx, angles, n_rays):
+    got = RadonOperator(nx, angles, n_rays)._mat
+    ref = _radon_reference(nx, angles, n_rays)
+    assert got.shape == ref.shape
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(ref, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
