@@ -2,8 +2,9 @@
 
 Subcommands:
   gen     write a problem bundle directory from the [problem] keys
-  run     solve the configured problem with every configured solver and write
-          one trace CSV per solver, the solution vectors, and a summary
+  run     solve the configured problem with every configured solver, write
+          each solver's trace CSV and solution vector as it finishes, then a
+          summary
   report  tabulate one or more trace CSVs
 
 Config files are flat ``key = value`` lines with dotted section keys, e.g.::
@@ -19,7 +20,8 @@ Config files are flat ``key = value`` lines with dotted section keys, e.g.::
     solver.irn-lsqr.lambda = 100.0
     output.dir = out
 
-Exit codes: 0 success, 2 config/validation error, 3 solver error.
+Exit codes: 0 success, 2 config/validation error (nothing is written), 3
+solver error (the solvers that finished first keep their outputs; no summary).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .flex import (
 )
 from .irn import (
     IRNConfig,
+    TraceRow,
     _dense_system_matrix,
     _TraceRecorder,
     irn_s2p_solve,
@@ -231,21 +234,6 @@ def load_bundle(path):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-def _lambda_policy(sec, inst):
-    kind = _get(sec, "lambda_policy", str, "fixed")
-    lam = _get(sec, "lambda", float, 1.0)
-    tau_lambda = _get(sec, "tau_lambda", float, 1.01)
-    nl = _get(sec, "nl", float, inst.nl)
-    x_true = inst.x_true if kind == "optimal" else None
-    return LambdaPolicy(kind=kind, lam=lam, nl=nl, tau_lambda=tau_lambda,
-                        x_true=x_true)
-
-
-def _weight_spec(sec):
-    return WeightSpec(p=_get(sec, "p", float, 1.0),
-                      tau=_get(sec, "tau", float, 1e-10))
-
-
 _leverage_lock = threading.Lock()
 
 
@@ -256,19 +244,26 @@ def _leverage_scores(A):
     return estimate_leverage_scores(_dense_system_matrix(A))
 
 
-def run_solver(name, cfg, inst):
+def _solver_call(name, cfg, inst):
+    """The solve of solver ``name`` as a zero-argument callable. Every key is
+    parsed and validated here (a bad one raises ConfigError); no sketch or
+    leverage score is computed until the callable runs."""
     sec = _section(cfg, f"solver.{name}")
-    family = _get(sec, "family", str, required=True)
-    seed = _get(sec, "seed", int, required=True)
-    k_max = _get(sec, "k_max", int, 50)
-    mult = _get(sec, "sketch_multiplier", int, 4)
-    if k_max < 1 or mult < 1:
-        raise ConfigError(f"solver {name!r}: k_max and sketch_multiplier "
-                          "must be at least 1")
-    x_true = inst.x_true
     try:  # the configs validate themselves with ValueError
-        weight = _weight_spec(sec)
-        policy = _lambda_policy(sec, inst)
+        family = _get(sec, "family", str, required=True)
+        seed = _get(sec, "seed", int, required=True)
+        k_max = _get(sec, "k_max", int, 50)
+        mult = _get(sec, "sketch_multiplier", int, 4)
+        if k_max < 1 or mult < 1:
+            raise ConfigError("k_max and sketch_multiplier must be at least 1")
+        weight = WeightSpec(p=_get(sec, "p", float, 1.0),
+                            tau=_get(sec, "tau", float, 1e-10))
+        kind = _get(sec, "lambda_policy", str, "fixed")
+        policy = LambdaPolicy(
+            kind=kind, lam=_get(sec, "lambda", float, 1.0),
+            nl=_get(sec, "nl", float, inst.nl),
+            tau_lambda=_get(sec, "tau_lambda", float, 1.01),
+            x_true=inst.x_true if kind == "optimal" else None)
         if family in ("irn", "irn_s2p"):
             config = IRNConfig(
                 weight=weight,
@@ -289,39 +284,58 @@ def run_solver(name, cfg, inst):
                 lambda_policy=policy,
                 inner_tol=_get(sec, "inner_tol", float, 1e-10),
             )
-    except ValueError as exc:
+        elif family in ("lsqr", "gmres"):
+            lam = _get(sec, "lambda", float, 0.0) if family == "lsqr" else 0.0
+            tol = _get(sec, "tol", float, 1e-12)
+        elif family != "fista":
+            raise ConfigError(f"unknown solver family {family!r}")
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"solver {name!r}: {exc}") from exc
 
+    A, b, x_true = inst.A, inst.b, inst.x_true
     if family == "irn":
-        return irn_solve(inst.A, inst.b, config, x_true)
+        return lambda: irn_solve(A, b, config, x_true)
     if family == "irn_s2p":
-        with _leverage_lock:  # one QR also when solvers run in threads
-            p = _leverage_scores(inst.A)
-        S = build_leverage_sketch(p, mult * inst.A.ncols, seed)
-        return irn_s2p_solve(inst.A, inst.b, config, S, x_true)
+        def solve():
+            with _leverage_lock:  # one QR also when solvers run in threads
+                p = _leverage_scores(A)
+            S = build_leverage_sketch(p, mult * A.ncols, seed)
+            return irn_s2p_solve(A, b, config, S, x_true)
+        return solve
     if family == "flex":
         if config.scheme == "exact":
-            return exact_flex_solve(inst.A, inst.b, config, x_true)
-        S1, S2 = build_flex_sketches(inst.A, inst.b, k_max, mult, seed)
+            return lambda: exact_flex_solve(A, b, config, x_true)
         solver = (sns_flex_solve if config.scheme == "sketch_and_solve"
                   else s2p_flex_solve)
-        return solver(inst.A, inst.b, config, S1, S2, x_true)
 
-    if family in ("lsqr", "gmres"):
-        lam = _get(sec, "lambda", float, 0.0) if family == "lsqr" else 0.0
-        tol = _get(sec, "tol", float, 1e-12)
-        rec = _TraceRecorder(inst.A, inst.b, weight, x_true)
+        def solve():
+            S1, S2 = build_flex_sketches(A, b, k_max, mult, seed)
+            return solver(A, b, config, S1, S2, x_true)
+        return solve
+    if family == "fista":
+        return lambda: fista_solve(A, b, policy.lam, n_iter=k_max,
+                                   weight=weight, x_true=x_true)
+
+    def solve():
+        rec = _TraceRecorder(A, b, weight, x_true)
         record = lambda x: rec.row(x, lam)  # one apply of A per row
-        solve = (functools.partial(lsqr_solve, lam=lam) if family == "lsqr"
-                 else gmres_solve)
-        out = solve(inst.A, inst.b, tol=tol, maxit=k_max, callback=record)
+        krylov = (functools.partial(lsqr_solve, lam=lam) if family == "lsqr"
+                  else gmres_solve)
+        out = krylov(A, b, tol=tol, maxit=k_max, callback=record)
         if not rec.trace:  # b = 0: the solver returns x = 0 before a step
             record(out.x)
         return rec.result()
-    if family == "fista":
-        return fista_solve(inst.A, inst.b, _get(sec, "lambda", float, 1.0),
-                           n_iter=k_max, weight=weight, x_true=x_true)
-    raise ConfigError(f"unknown solver family {family!r} for {name!r}")
+    return solve
+
+
+def run_solver(name, cfg, inst):
+    """The SolveResult of solver ``name``: ConfigError for a bad key,
+    SolverError for a solve that raises."""
+    solve = _solver_call(name, cfg, inst)
+    try:
+        return solve()
+    except Exception as exc:
+        raise SolverError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -359,26 +373,27 @@ def _atomic_write(path, text):
 
 
 def summarize_traces(rows_by_solver, threshold=None):
-    """Per-solver summary: best relative error, iterations to threshold,
-    final mm objective, and monotonicity-violation count."""
+    """Per-solver summary of each solver's TraceRows: best relative error,
+    iterations to threshold, final mm objective, and monotonicity-violation
+    count."""
     out = []
     for name, rows in rows_by_solver.items():
-        errs = [r["rel_error"] for r in rows if not np.isnan(r["rel_error"])]
-        objs = [r["objective_mm"] for r in rows]
+        errs = [r.rel_error for r in rows if not np.isnan(r.rel_error)]
+        objs = [r.objective_mm for r in rows]
         best = min(errs) if errs else float("nan")
         thr = threshold if threshold is not None else (
             1.05 * best if errs else float("nan")
         )
         to_thr = ""
         for r in rows:
-            if not np.isnan(r["rel_error"]) and r["rel_error"] <= thr:
-                to_thr = r["cum_inner_iter"]
+            if not np.isnan(r.rel_error) and r.rel_error <= thr:
+                to_thr = r.cum_inner
                 break
         # a rise counts only between rows minimizing the same functional
         slack = 1e-8 * objs[0] if objs else 0.0
         viol = sum(1 for a, c in zip(rows, rows[1:])
-                   if c["lambda"] == a["lambda"]
-                   and c["objective_mm"] > a["objective_mm"] + slack)
+                   if c.lam == a.lam
+                   and c.objective_mm > a.objective_mm + slack)
         out.append({
             "solver": name,
             "best_rel_error": best,
@@ -390,6 +405,8 @@ def summarize_traces(rows_by_solver, threshold=None):
 
 
 def read_trace(path):
+    """The solver name (the file name when the trace has no rows) and the
+    TraceRows of the trace CSV at ``path``."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
@@ -398,19 +415,20 @@ def read_trace(path):
                 f"{path}: trace schema mismatch, missing column(s) "
                 f"{sorted(missing)}"
             )
-        rows = []
-        for rec in reader:
-            rows.append({
-                "solver": rec["solver"],
-                "outer_iter": int(rec["outer_iter"]),
-                "cum_inner_iter": int(rec["cum_inner_iter"]),
-                "rel_error": float(rec["rel_error"]) if rec["rel_error"]
-                else float("nan"),
-                "objective_mm": float(rec["objective_mm"]),
-                "objective_literal": float(rec["objective_literal"]),
-                "lambda": float(rec["lambda"]),
-            })
-    return rows
+        recs = list(reader)
+    rows = [TraceRow(
+        outer=int(rec["outer_iter"]),
+        cum_inner=int(rec["cum_inner_iter"]),
+        rel_error=float(rec["rel_error"] or "nan"),
+        objective_mm=float(rec["objective_mm"]),
+        objective_literal=float(rec["objective_literal"]),
+        lam=float(rec["lambda"]),
+        eps_hat=float(rec["eps_hat"] or "nan"),
+        mono_satisfied=(None if not rec["mono_cond_satisfied"]
+                        else rec["mono_cond_satisfied"] == "1"),
+        breakdown=rec["breakdown_flag"] == "1",
+    ) for rec in recs]
+    return (recs[0]["solver"] if recs else os.path.basename(path)), rows
 
 
 def _write_summary(outdir, summaries):
@@ -453,34 +471,15 @@ def cmd_run(args):
     if not names:
         raise ConfigError("no solvers configured")
     inst = build_problem(cfg, args.seed_override)
+    for name in names:  # every solver's keys, before any solver runs
+        _solver_call(name, cfg, inst)
     outdir = args.out or _get(_section(cfg, "output"), "dir", str, "out")
     os.makedirs(outdir, exist_ok=True)
 
-    # validate before any solver runs
-    for name in names:
-        sec = _section(cfg, f"solver.{name}")
-        if "family" not in sec:
-            raise ConfigError(f"solver {name!r} is missing a family")
-        if "seed" not in sec:
-            raise ConfigError(f"solver {name!r} is missing a seed")
-
     def _one(name):
-        return name, run_solver(name, cfg, inst)
-
-    try:
-        if args.threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
-                results = dict(pool.map(_one, names))
-        else:
-            results = dict(map(_one, names))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise SolverError(str(exc)) from exc
-
-    rows_by_solver = {}
-    for name in names:
-        result = results[name]
+        """Solve, write the outputs and keep only the trace: the iterates
+        are released before the next solver starts."""
+        result = run_solver(name, cfg, inst)
         _atomic_write(os.path.join(outdir, f"{name}.trace.csv"),
                       trace_to_csv(name, result))
         result.x.astype("<f8").tofile(os.path.join(outdir, f"{name}.x.f64"))
@@ -488,10 +487,14 @@ def cmd_run(args):
                    "descriptor": inst.descriptor, "seed": inst.seed}
         _atomic_write(os.path.join(outdir, f"{name}.x.json"),
                       json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-        rows_by_solver[name] = read_trace(
-            os.path.join(outdir, f"{name}.trace.csv")
-        )
-    text = _write_summary(outdir, summarize_traces(rows_by_solver))
+        return name, result.trace
+
+    if args.threads > 1:
+        with concurrent.futures.ThreadPoolExecutor(args.threads) as pool:
+            traces = dict(pool.map(_one, names))
+    else:
+        traces = dict(map(_one, names))
+    text = _write_summary(outdir, summarize_traces(traces))
     print(text, end="")
     return 0
 
@@ -499,11 +502,7 @@ def cmd_run(args):
 def cmd_report(args):
     if not args.traces:
         raise ConfigError("report needs at least one trace file")
-    rows_by_solver = {}
-    for path in args.traces:
-        rows = read_trace(path)
-        name = rows[0]["solver"] if rows else os.path.basename(path)
-        rows_by_solver[name] = rows
+    rows_by_solver = dict(map(read_trace, args.traces))
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     text = _write_summary(outdir, summarize_traces(

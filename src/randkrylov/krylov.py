@@ -191,7 +191,7 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         y = prec(x)
         top = op.apply(y)
         if lam == 0.0:
-            return np.concatenate([top, np.zeros(0)])
+            return top
         return np.concatenate([top, sqlam * y])
 
     def rmatvec(r):
@@ -209,7 +209,7 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     else:
         x0, r0, atb = np.zeros(n), b, None
     reg0 = -sqlam * x0 if warm else np.zeros(n)
-    bb = np.concatenate([r0, reg0 if lam > 0.0 else np.zeros(0)])
+    bb = np.concatenate([r0, reg0]) if lam > 0.0 else r0
     lift = (lambda v: x0 + prec(v)) if warm else prec
 
     # Paige-Saunders recurrences.
@@ -226,7 +226,7 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     xhat = np.zeros(n)
     phibar, rhobar = beta, alpha
     residuals = [beta]
-    best = (beta, xhat.copy(), 0)
+    best, best_it = beta, 0  # phibar never rises: the last xhat is the best
     stagnated = converged = False
     it = 0
     for it in range(1, maxit + 1):
@@ -249,11 +249,10 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         residuals.append(phibar)
         if callback is not None:
             callback(lift(xhat))
-        if phibar < best[0] - 1e-14 * residuals[0]:
-            best = (phibar, xhat.copy(), it)
-        elif it - best[2] >= 10:
+        if phibar < best - 1e-14 * residuals[0]:
+            best, best_it = phibar, it
+        elif it - best_it >= 10:
             stagnated = True
-            xhat = best[1]
             break
         # |A^T r| = phibar * alpha * |c|
         if abs(phibar * alpha * c) <= tol * grad0:

@@ -1,9 +1,12 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 import randkrylov.cli as cli
+from randkrylov import TraceRow
 from randkrylov.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -110,7 +113,7 @@ def test_sketched_flex_pilot_fits_a_square_problem(tmp_path):
         ), f"square-{basis}.cfg")
         out = tmp_path / basis
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0, basis
-        assert len(read_trace(str(out / "sns.trace.csv"))) == 12, basis
+        assert len(read_trace(str(out / "sns.trace.csv"))[1]) == 12, basis
 
 
 def test_exit_code_2_on_config_errors(tmp_path):
@@ -192,15 +195,55 @@ def test_exit_code_2_on_config_errors(tmp_path):
                          "--out", str(tmp_path / f"p{i}{cmd}")]) == 2, problem
 
 
-def test_exit_code_3_on_solver_failure(tmp_path):
-    # IRN rejects the projected-problem wgcv rule only once it runs
+def test_every_solver_is_checked_before_the_first_runs(tmp_path,
+                                                       monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "irn_solve",
+                        lambda *args, **kwargs: calls.append(args))
     cfg = _write(tmp_path, (
         "problem.generator = subset_selection\nproblem.m = 20\n"
         "problem.n = 6\nproblem.seed = 1\n"
         "solver.a.family = irn\nsolver.a.seed = 1\n"
+        "solver.b.family = flex\nsolver.b.seed = 1\nsolver.b.k_max = 0\n"
+    ), "late-bad.cfg")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_no_solve_result_outlives_its_write(tmp_path, monkeypatch):
+    refs, alive_at_start = [], []
+    real_run_solver = cli.run_solver
+
+    def tracked(name, cfg, inst):
+        gc.collect()
+        alive_at_start.append([r() is not None for r in refs])
+        result = real_run_solver(name, cfg, inst)
+        refs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_solver", tracked)
+    cfg = _write(tmp_path, TINY)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert alive_at_start == [[], [False]]
+
+
+def test_exit_code_3_on_solver_failure(tmp_path):
+    # IRN rejects the projected-problem wgcv rule only once it runs; the
+    # solver that finished first keeps its outputs, and no summary is written
+    cfg = _write(tmp_path, (
+        "problem.generator = subset_selection\nproblem.m = 40\n"
+        "problem.n = 12\nproblem.seed = 3\n"
+        "solver.ok.family = irn\nsolver.ok.seed = 1\n"
+        "solver.ok.outer_max = 2\n"
+        "solver.a.family = irn\nsolver.a.seed = 1\n"
         "solver.a.lambda_policy = wgcv\n"
     ), "fail.cfg")
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "f")]) == 3
+    out = tmp_path / "f"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["ok.trace.csv", "ok.x.f64", "ok.x.json"]
 
 
 def test_gen_and_bundle_roundtrip(tmp_path):
@@ -236,6 +279,9 @@ def test_report_from_traces(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "irn-lsqr" in text and "sns-irw-flsqr" in text
     assert (rep / "summary.csv").exists()
+    # the run summarizes its rows in memory; the CSVs hold them exactly
+    for name in ("summary.csv", "summary.txt"):
+        assert (rep / name).read_bytes() == (out / name).read_bytes(), name
     assert main(["report"]) == 2
 
 
@@ -309,8 +355,8 @@ def test_missing_bundle_exits_2(tmp_path, missing):
 
 def test_monotonicity_violations_compare_equal_lambda_only():
     def rows(objs, lams):
-        return [{"rel_error": float("nan"), "cum_inner_iter": i + 1,
-                 "objective_mm": f, "lambda": lam}
+        return [TraceRow(outer=i + 1, cum_inner=i + 1, rel_error=float("nan"),
+                         objective_mm=f, objective_literal=f, lam=lam)
                 for i, (f, lam) in enumerate(zip(objs, lams))]
 
     rising = [1.0, 2.0, 3.0, 2.5, 4.0]
@@ -339,10 +385,10 @@ def test_zero_rhs_krylov_families_record_one_zero_row(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     for name in ("lsqr", "gmres"):
-        rows = read_trace(str(out / f"{name}.trace.csv"))
-        assert [(r["outer_iter"], r["cum_inner_iter"]) for r in rows] == \
-            [(1, 1)], name
-        assert rows[0]["rel_error"] == 1.0, name
+        solver, rows = read_trace(str(out / f"{name}.trace.csv"))
+        assert solver == name
+        assert [(r.outer, r.cum_inner) for r in rows] == [(1, 1)], name
+        assert rows[0].rel_error == 1.0, name
         x = np.fromfile(out / f"{name}.x.f64", dtype="<f8")
         np.testing.assert_array_equal(x, np.zeros(12))
 

@@ -60,6 +60,23 @@ def test_lsqr_validation():
         lsqr_solve(op, np.ones(5), x0=np.array([np.nan, 0.0, 0.0]))
 
 
+def test_lsqr_stagnates_on_a_consistent_system_at_tol_zero():
+    # tol = 0 never stops on the gradient test: phibar falls to rounding
+    # level, then 10 iterations pass without progress
+    rng = _rng(5)
+    M = rng.standard_normal((8, 5))
+    x_true = rng.standard_normal(5)
+    iterates = []
+    res = lsqr_solve(DenseOperator(M), M @ x_true, tol=0.0, maxit=200,
+                     callback=iterates.append)
+    assert res.stagnated and not res.converged
+    assert res.n_iter == len(iterates) < 200
+    assert np.all(np.diff(res.residuals) <= 0.0)
+    # phibar never rises, so the last iterate is returned as it is
+    assert np.array_equal(res.x, iterates[-1])
+    np.testing.assert_allclose(res.x, x_true, rtol=1e-12)
+
+
 def test_lsqr_zero_rhs_returns_the_start():
     rng = _rng(6)
     op = DenseOperator(rng.standard_normal((6, 4)))
