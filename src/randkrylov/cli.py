@@ -35,6 +35,7 @@ import json
 import os
 import sys
 import threading
+import weakref
 
 import numpy as np
 
@@ -234,14 +235,10 @@ def load_bundle(path):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
+# The irn-s2p leverage scores of each problem's A, one QR per problem; an
+# entry lives only as long as its A, so no run's problem outlives the run.
 _leverage_lock = threading.Lock()
-
-
-@functools.lru_cache(maxsize=1)
-def _leverage_scores(A):
-    """The irn-s2p leverage scores of A's rows, one QR per problem: every
-    irn-s2p solver of a run samples its sketch from them."""
-    return estimate_leverage_scores(_dense_system_matrix(A))
+_leverage_scores = weakref.WeakKeyDictionary()
 
 
 def _solver_call(name, cfg, inst):
@@ -264,6 +261,8 @@ def _solver_call(name, cfg, inst):
             nl=_get(sec, "nl", float, inst.nl),
             tau_lambda=_get(sec, "tau_lambda", float, 1.01),
             x_true=inst.x_true if kind == "optimal" else None)
+        if kind != "fixed" and family in ("fista", "lsqr", "gmres"):
+            raise ConfigError(f"family {family!r} has no lambda rule")
         if family in ("irn", "irn_s2p"):
             config = IRNConfig(
                 weight=weight,
@@ -298,7 +297,10 @@ def _solver_call(name, cfg, inst):
     if family == "irn_s2p":
         def solve():
             with _leverage_lock:  # one QR also when solvers run in threads
-                p = _leverage_scores(A)
+                if A not in _leverage_scores:
+                    _leverage_scores[A] = estimate_leverage_scores(
+                        _dense_system_matrix(A))
+                p = _leverage_scores[A]
             S = build_leverage_sketch(p, mult * A.ncols, seed)
             return irn_s2p_solve(A, b, config, S, x_true)
         return solve
@@ -477,8 +479,8 @@ def cmd_run(args):
     os.makedirs(outdir, exist_ok=True)
 
     def _one(name):
-        """Solve, write the outputs and keep only the trace: the iterates
-        are released before the next solver starts."""
+        """Solve, write the outputs and keep only the trace: the final x
+        is released before the next solver starts."""
         result = run_solver(name, cfg, inst)
         _atomic_write(os.path.join(outdir, f"{name}.trace.csv"),
                       trace_to_csv(name, result))

@@ -48,7 +48,7 @@ class IRNConfig:
 class TraceRow:
     outer: int
     cum_inner: int
-    rel_error: float  # nan when x_true unknown
+    rel_error: float  # nan when x_true is unknown or zero
     objective_mm: float
     objective_literal: float
     lam: float
@@ -60,27 +60,25 @@ class TraceRow:
 
 @dataclass
 class SolveResult:
-    iterates: list
+    x: np.ndarray
     trace: list
-
-    @property
-    def x(self):
-        return self.iterates[-1]
 
     def column(self, name):
         return [getattr(row, name) for row in self.trace]
 
 
 class _TraceRecorder:
-    """The iterates and trace of one solve. ``row`` records x: it keeps a
-    copy, evaluates both objectives at it from the caller's A x (one apply
-    of A when there is none), numbers the row, adds ``inner`` to the
-    cumulative inner count and passes the diagnostic flags through. It
-    returns A x, for the next warm start."""
+    """The latest x and the trace of one solve. ``row`` records x: it keeps
+    a copy (a caller may update its x in place), evaluates both objectives
+    at it from the caller's A x (one apply of A when there is none), numbers
+    the row, adds ``inner`` to the cumulative inner count and passes the
+    diagnostic flags through. It returns A x, for the next warm start."""
 
     def __init__(self, A, b, weight, x_true):
-        self.A, self.b, self.weight, self.x_true = A, b, weight, x_true
-        self.iterates, self.trace = [], []
+        self.A, self.b, self.weight = A, b, weight
+        # x_true = 0, like None (np.any(None) is False): no relative error
+        self.x_true = x_true if np.any(x_true) else None
+        self.x, self.trace = None, []
         self.cum_inner = 0
 
     def row(self, x, lam, inner=1, Ax=None, **flags):
@@ -88,7 +86,7 @@ class _TraceRecorder:
         obj_mm, obj_lit = objective_values(self.A, self.b, x, self.weight,
                                            lam, Ax=Ax)
         self.cum_inner += inner
-        self.iterates.append(x.copy())
+        self.x = x.copy()
         rel_error = (float("nan") if self.x_true is None else float(
             np.linalg.norm(x - self.x_true) / np.linalg.norm(self.x_true)))
         self.trace.append(TraceRow(
@@ -98,7 +96,7 @@ class _TraceRecorder:
         return Ax
 
     def result(self):
-        return SolveResult(self.iterates, self.trace)
+        return SolveResult(self.x, self.trace)
 
 
 def _dense_system_matrix(A):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 
 from randkrylov.baselines import fista_solve
-from randkrylov.operators import DenseOperator
+from randkrylov.operators import DenseOperator, IdentityOperator
 from randkrylov.weights import WeightSpec, objective_values
 
 
@@ -49,18 +51,34 @@ def test_fista_applies_A_and_its_adjoint_once_per_iteration():
     probe.norm_estimate()
     A = _CountingDense(M)
     res = fista_solve(A, b, 0.3, n_iter=25)
-    assert len(res.iterates) == 25
+    assert len(res.trace) == 25
     assert A.applies == probe.applies + 25
     assert A.adjoints == probe.adjoints + 25
 
 
-def test_fista_matches_the_two_apply_iteration():
+def test_fista_matches_the_two_apply_iteration(iterates):
     M, b = _problem()
     lam, ws = 0.3, WeightSpec(p=1.0, tau=1e-10)
     res = fista_solve(DenseOperator(M), b, lam, n_iter=60, weight=ws)
     ref = _fista_reference(M, b, lam, 60)
-    for x, x_ref, row in zip(res.iterates, ref, res.trace):
+    [xs] = iterates
+    for x, x_ref, row in zip(xs, ref, res.trace):
         np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-14)
         mm, lit = objective_values(DenseOperator(M), b, x, ws, lam)
         assert abs(row.objective_mm - mm) <= 1e-12 * mm
         assert abs(row.objective_literal - lit) <= 1e-12 * lit
+
+
+def test_a_solve_keeps_a_bounded_number_of_iterates():
+    # a solve keeps its latest x and its trace, not a copy of every iterate:
+    # 50 iterations on 20,000 columns stay below 20 vectors of that length
+    n = 20_000
+    A, b = IdentityOperator(n), np.linspace(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        res = fista_solve(A, b, 0.1, n_iter=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.trace) == 50
+    assert peak < 20 * n * b.itemsize

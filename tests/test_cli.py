@@ -229,6 +229,29 @@ def test_no_solve_result_outlives_its_write(tmp_path, monkeypatch):
     assert alive_at_start == [[], [False]]
 
 
+def test_families_without_a_lambda_rule_reject_one(tmp_path, capsys):
+    # fista, lsqr and gmres solve at the fixed lambda only; any other rule
+    # exits 2 before a solver runs
+    base = ("problem.generator = subset_selection\nproblem.m = 12\n"
+            "problem.n = 12\nproblem.seed = 3\n")
+    for i, (family, kind) in enumerate([
+        ("fista", "dp"), ("lsqr", "optimal"), ("gmres", "dp"),
+        ("fista", "gcv"), ("lsqr", "fixed"),
+    ]):
+        solver = "".join(f"solver.a.{kv}\n" for kv in (
+            f"family = {family}", "seed = 1", f"lambda_policy = {kind}",
+            "nl = 0.02", "k_max = 3"))
+        cfg = _write(tmp_path, base + solver, f"rule{i}.cfg")
+        out = tmp_path / f"r{i}"
+        code = main(["run", "--config", cfg, "--out", str(out)])
+        if kind == "fixed":
+            assert code == 0
+            continue
+        assert code == 2, (family, kind)
+        assert "has no lambda rule" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_exit_code_3_on_solver_failure(tmp_path):
     # IRN rejects the projected-problem wgcv rule only once it runs; the
     # solver that finished first keeps its outputs, and no summary is written
@@ -440,3 +463,20 @@ def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
         for ext in ("trace.csv", "x.f64"):
             assert (tmp_path / "both" / f"{name}.{ext}").read_bytes() == \
                 (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)
+
+
+def test_no_problem_outlives_its_run(tmp_path, monkeypatch):
+    # the irn-s2p leverage scores are kept for the run's A, not past it
+    problems = []
+    real_build = cli.build_problem
+
+    def build_recorded(*args, **kwargs):
+        inst = real_build(*args, **kwargs)
+        problems.append(weakref.ref(inst.A))
+        return inst
+
+    monkeypatch.setattr(cli, "build_problem", build_recorded)
+    cfg = _write(tmp_path, IRN_S2P_PAIR + "".join(IRN_S2P_SOLVERS.values()))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    gc.collect()
+    assert [ref() for ref in problems] == [None]

@@ -104,7 +104,7 @@ def test_flex_config_validation():
         s2p_flex_solve(None, None, FlexSolverConfig(), None, None)
 
 
-def test_exact_fgmres_unweighted_equals_gmres():
+def test_exact_fgmres_unweighted_equals_gmres(iterates):
     # p=2 (unit weights), full orthogonalization, no regularization: the
     # flexible Arnoldi solver is plain GMRES
     inst = _square_instance(n=25, nl=0.0)
@@ -112,15 +112,16 @@ def test_exact_fgmres_unweighted_equals_gmres():
                            ell=None, k_max=10,
                            weight=WeightSpec(p=2.0, tau=1e-10),
                            lambda_policy=LambdaPolicy(kind="fixed", lam=0.0))
-    res = exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
+    exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
     xs = []
     gmres_solve(inst.A, inst.b, tol=0.0, maxit=10,
                 callback=lambda x: xs.append(x.copy()))
-    for xf, xg in zip(res.iterates, xs):
+    [xfs] = iterates
+    for xf, xg in zip(xfs, xs):
         np.testing.assert_allclose(xf, xg, rtol=1e-9, atol=1e-10)
 
 
-def test_exact_flsqr_unweighted_equals_lsqr():
+def test_exact_flsqr_unweighted_equals_lsqr(iterates):
     # well-conditioned Gaussian system keeps the recurrence-based LSQR and
     # the QR-projected flexible form numerically close
     from randkrylov.operators import DenseOperator
@@ -132,32 +133,33 @@ def test_exact_flsqr_unweighted_equals_lsqr():
                            ell=None, k_max=8,
                            weight=WeightSpec(p=2.0, tau=1e-10),
                            lambda_policy=LambdaPolicy(kind="fixed", lam=0.0))
-    res = exact_flex_solve(A, b, cfg)
+    exact_flex_solve(A, b, cfg)
     xs = []
     lsqr_solve(A, b, tol=0.0, maxit=8,
                callback=lambda x: xs.append(x.copy()))
-    for xf, xl in zip(res.iterates, xs):
+    [xfs] = iterates
+    for xf, xl in zip(xfs, xs):
         np.testing.assert_allclose(xf, xl, rtol=1e-6, atol=1e-8)
 
 
-def test_sns_identity_sketch_matches_exact():
+def test_sns_identity_sketch_matches_exact(iterates):
     inst = _tall_instance(m=40, n=18)
     ws = WeightSpec(p=1.0, tau=1e-4)
     pol = LambdaPolicy(kind="fixed", lam=0.5)
     base = dict(basis="golub_kahan", mode="irw", ell=None, k_max=10,
                 weight=ws, lambda_policy=pol)
-    ref = exact_flex_solve(inst.A, inst.b,
-                           FlexSolverConfig(scheme="exact", **base),
-                           inst.x_true)
+    exact_flex_solve(inst.A, inst.b, FlexSolverConfig(scheme="exact", **base),
+                     inst.x_true)
     S1, S2 = identity_sketch(40), identity_sketch(18)
-    got = sns_flex_solve(inst.A, inst.b,
-                         FlexSolverConfig(scheme="sketch_and_solve", **base),
-                         S1, S2, inst.x_true)
-    for xr, xg in zip(ref.iterates, got.iterates):
+    sns_flex_solve(inst.A, inst.b,
+                   FlexSolverConfig(scheme="sketch_and_solve", **base),
+                   S1, S2, inst.x_true)
+    ref_xs, got_xs = iterates
+    for xr, xg in zip(ref_xs, got_xs):
         np.testing.assert_allclose(xg, xr, rtol=1e-8, atol=1e-9)
 
 
-def test_s2p_identity_sketch_matches_exact():
+def test_s2p_identity_sketch_matches_exact(iterates):
     inst = _tall_instance(m=40, n=18)
     ws = WeightSpec(p=1.0, tau=1e-4)
     S1, S2 = identity_sketch(40), identity_sketch(18)
@@ -178,7 +180,7 @@ def test_s2p_identity_sketch_matches_exact():
             msg = f"{mode} {pol.kind}"
             np.testing.assert_allclose(got.column("lam"), ref.column("lam"),
                                        rtol=1e-8, atol=1e-12, err_msg=msg)
-            for xr, xg in zip(ref.iterates, got.iterates):
+            for xr, xg in zip(*iterates[-2:]):
                 np.testing.assert_allclose(xg, xr, rtol=1e-7, atol=1e-8,
                                            err_msg=msg)
 
@@ -196,7 +198,7 @@ def _normal_equation_lambda(policy, A, w, b):
     return optimal_select(y_of, policy.x_true, scale=smax), y_of
 
 
-def test_s2p_identity_phase_after_span_exhaustion():
+def test_s2p_identity_phase_after_span_exhaustion(iterates):
     # k_max beyond the space dimension spends the basis at outer iteration
     # 12; from 13 on the loop keeps that basis, which spans R^n, so each step
     # solves the full reweighted problem
@@ -212,7 +214,8 @@ def test_s2p_identity_phase_after_span_exhaustion():
                                inner_tol=1e-12)
         res = s2p_flex_solve(inst.A, inst.b, cfg, S1, S2,
                              inst.x_true)
-        assert len(res.iterates) == 15
+        xs = iterates[-1]
+        assert len(xs) == 15
         assert np.all(np.isfinite(res.x))
         if pol.kind == "fixed":
             F = res.column("objective_mm")
@@ -220,7 +223,7 @@ def test_s2p_identity_phase_after_span_exhaustion():
             assert all(b <= a + slack for a, b in zip(F, F[1:]))
             continue
         for it in (13, 14, 15):
-            w = compute_weights(res.iterates[it - 2], ws)
+            w = compute_weights(xs[it - 2], ws)
             ref, y_of = _normal_equation_lambda(pol, inst.A.matrix, w, inst.b)
             got = res.trace[it - 1].lam
             assert ref > 0.0, (pol.kind, it)
@@ -231,7 +234,7 @@ def test_s2p_identity_phase_after_span_exhaustion():
                 assert err(got) <= err(ref) * (1.0 + 1e-8), it
         if pol.kind == "dp":  # the identity-phase solves meet the discrepancy
             target = pol.tau_lambda * pol.nl * np.linalg.norm(inst.b)
-            for x in res.iterates[12:]:
+            for x in xs[12:]:
                 r = np.linalg.norm(inst.A.apply(x) - inst.b)
                 assert abs(r / target - 1.0) < 1e-6
 
@@ -284,7 +287,7 @@ def test_flex_schemes_never_materialize_A():
         }
         for scheme, run in runs.items():
             res = run(FlexSolverConfig(scheme=scheme, **base))
-            assert len(res.iterates) == 15, (scheme, pol.kind)
+            assert len(res.trace) == 15, (scheme, pol.kind)
             assert np.all(np.isfinite(res.x)), (scheme, pol.kind)
 
 
@@ -320,7 +323,7 @@ def test_sns_applies_A_as_often_as_exact():
                 res = exact_flex_solve(A, inst.b, cfg)
             else:
                 res = sns_flex_solve(A, inst.b, cfg, S1, S2)
-            assert len(res.iterates) == 12
+            assert len(res.trace) == 12
             counts[scheme] = (A.applies, A.adjoints)
         assert any(r.mono_satisfied is not None for r in res.trace), basis
         assert counts["sketch_and_solve"] == counts["exact"], basis
@@ -353,8 +356,8 @@ def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
                                        inner + 2 * outer + 1)
 
 
-def test_sns_monotonicity_flags_match_sketched_majorant():
-    # every flag recomputed on the returned iterates, with the weights of the
+def test_sns_monotonicity_flags_match_sketched_majorant(iterates):
+    # every flag recomputed on the recorded iterates, with the weights of the
     # previous iterate, from sketched_majorant_value in irw mode; in hybrid
     # mode the penalty is lam |y|^2 in the coefficients of x = Zbar y, on
     # the replayed basis
@@ -369,7 +372,7 @@ def test_sns_monotonicity_flags_match_sketched_majorant():
         fact = FlexibleFactorization("golub_kahan", inst.A, inst.b, ell=4)
         x_prev = np.zeros(inst.A.ncols)
         flags = []
-        for row, x in zip(res.trace, res.iterates):
+        for row, x in zip(res.trace, iterates[-1]):
             w = compute_weights(x_prev, ws)
             fact.expand(1.0 / w)
 
@@ -404,8 +407,8 @@ def test_sns_hybrid_monotonicity_flags_track_the_minimized_functional():
     assert [r.mono_satisfied for r in res.trace] == [True] * 15
 
 
-def test_sns_eps_hat_is_the_exact_span_distortion():
-    # replay the basis from the returned iterates (weights of the previous
+def test_sns_eps_hat_is_the_exact_span_distortion(iterates):
+    # replay the basis from the recorded iterates (weights of the previous
     # iterate) and compare eps_hat with the distortion of S1 over
     # span([A Zbar, b]) and, in irw mode, of S2 over span(W Zbar); the square
     # runs go past span exhaustion (n = 12, k_max = 15), where b lies in
@@ -432,7 +435,7 @@ def test_sns_eps_hat_is_the_exact_span_distortion():
             fact = FlexibleFactorization(basis, inst.A, inst.b, ell=ell)
             AZ = []
             x_prev = np.zeros(n)
-            for row, x in zip(res.trace, res.iterates):
+            for row, x in zip(res.trace, iterates[-1]):
                 w = compute_weights(x_prev, ws)
                 if fact.k < min(m, n) and not fact.breakdown:
                     AZ.append(fact.expand(1.0 / w))
@@ -445,7 +448,7 @@ def test_sns_eps_hat_is_the_exact_span_distortion():
             assert fact.k == min(m, n, 15), (basis, mode)
 
 
-def test_change_of_variables_solves_the_psi_functional():
+def test_change_of_variables_solves_the_psi_functional(iterates):
     # min |Ax - b|^2 + lam |Psi x|_1 (smoothed) is the Psi = I problem on
     # A Psi^{-1} in u = Psi x; each solver's objective, mapped back, is the
     # Psi-functional evaluated here from its definition
@@ -467,8 +470,8 @@ def test_change_of_variables_solves_the_psi_functional():
             irn_solve(AP, inst.b, IRNConfig(weight=ws, outer_max=6,
                                             lambda_policy=pol)),
         ]
-        for res in runs:
-            for row, u in zip(res.trace, res.iterates):
+        for res, us in zip(runs, iterates[-3:]):
+            for row, u in zip(res.trace, us):
                 x = psi_inv.apply(u)
                 r = inst.A.matrix @ x - inst.b
                 F = r @ r + (2 * lam / p) * np.sum(((d * x) ** 2

@@ -31,16 +31,17 @@ def _instance(m=60, n=20, seed=1, nl=0.02):
     return add_noise(inst, nl, seed + 100)
 
 
-def test_irn_p2_collapses_to_tikhonov():
+def test_irn_p2_collapses_to_tikhonov(iterates):
     inst = _instance()
     lam = 0.8
     cfg = IRNConfig(weight=WeightSpec(p=2.0, tau=1e-10), outer_max=3,
                     inner_tol=1e-14,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=lam))
-    res = irn_solve(inst.A, inst.b, cfg, inst.x_true)
+    irn_solve(inst.A, inst.b, cfg, inst.x_true)
     M = inst.A.matrix
     ref = np.linalg.solve(M.T @ M + lam * np.eye(M.shape[1]), M.T @ inst.b)
-    for x in res.iterates:
+    [xs] = iterates
+    for x in xs:
         np.testing.assert_allclose(x, ref, rtol=1e-8, atol=1e-10)
 
 
@@ -55,7 +56,7 @@ def test_irn_objective_monotone_fixed_lambda():
     assert all(b <= a + slack for a, b in zip(F, F[1:]))
 
 
-def test_irn_trace_invariants():
+def test_irn_trace_invariants(iterates):
     inst = _instance()
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=4,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=0.5))
@@ -64,7 +65,7 @@ def test_irn_trace_invariants():
     inner = res.column("cum_inner")
     assert all(b >= a for a, b in zip(inner, inner[1:]))
     assert np.all(np.isfinite(res.column("rel_error")))
-    assert res.x is res.iterates[-1]
+    assert res.x is iterates[0][-1]
 
 
 def test_preconditioner_factor_identity():
@@ -96,15 +97,16 @@ def test_preconditioner_drives_condition_down():
     assert cond < np.linalg.cond(stacked)
 
 
-def test_irn_s2p_matches_plain_irn():
+def test_irn_s2p_matches_plain_irn(iterates):
     inst = _instance(m=100, n=25)
     cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=5,
                     inner_tol=1e-12,
                     lambda_policy=LambdaPolicy(kind="fixed", lam=1.0))
-    plain = irn_solve(inst.A, inst.b, cfg, inst.x_true)
+    irn_solve(inst.A, inst.b, cfg, inst.x_true)
     S = identity_sketch(100)
-    prec = irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
-    for xp, xs in zip(plain.iterates, prec.iterates):
+    irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
+    plain_xs, prec_xs = iterates
+    for xp, xs in zip(plain_xs, prec_xs):
         np.testing.assert_allclose(xs, xp, rtol=1e-6, atol=1e-8)
 
 

@@ -1,5 +1,5 @@
 """The trace every solver family writes: rows numbered 1..N, both objectives
-and the relative error at the returned iterate, and the cumulative inner
+and the relative error at the recorded iterate, and the cumulative inner
 count (inner LSQR iterations for IRN and s2p, one per row otherwise)."""
 
 import dataclasses
@@ -118,22 +118,34 @@ def inner_iters(monkeypatch):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_trace_rows_describe_the_returned_iterates(family, inner_iters):
+def test_trace_rows_describe_the_returned_iterates(family, inner_iters,
+                                                  iterates):
     run, square, counts_inner = FAMILIES[family]
     inst = _instance(24, 24) if square else _instance()
     res = run(inst)
     rows = res.trace
-    assert len(rows) == len(res.iterates) == K
-    assert res.x is res.iterates[-1]
+    [xs] = iterates
+    assert len(rows) == len(xs) == K
+    assert res.x is xs[-1]
     assert res.column("outer") == list(range(1, K + 1))
     x_true_norm = np.linalg.norm(inst.x_true)
-    for row, x in zip(rows, res.iterates):
+    for row, x in zip(rows, xs):
         mm, lit = objective_values(inst.A, inst.b, x, WEIGHT, row.lam)
         assert row.objective_mm == mm and row.objective_literal == lit
         assert row.rel_error == np.linalg.norm(x - inst.x_true) / x_true_norm
     steps = inner_iters if counts_inner else [1] * K
     assert len(steps) == K
     assert res.column("cum_inner") == list(accumulate(steps))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["cli-lsqr", "fista", "irn"])
+def test_zero_x_true_has_no_relative_error(family):
+    inst = gen_subset_selection(20, 6, seed=1)  # draws x_true = 0, so b = 0
+    assert not inst.x_true.any()
+    res = FAMILIES[family][0](inst)
+    assert np.all(np.isnan(res.column("rel_error")))
+    assert np.all(np.isfinite(res.column("objective_mm")))
 
 
 @pytest.mark.parametrize("family", ["lsqr", "gmres"])
