@@ -99,19 +99,25 @@ def parse_config(path):
     return cfg
 
 
+class _Section(dict):
+    """One config section; ``read`` holds every key looked up in it."""
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
 def _section(cfg, prefix):
     plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
+    sec = _Section((k[plen:], v) for k, v in cfg.items()
+                   if k.startswith(prefix + "."))
+    sec.read = set()
+    return sec
 
 
 def _solver_names(cfg):
-    names = []
-    for key in cfg:
-        if key.startswith("solver."):
-            name = key.split(".")[1]
-            if name not in names:
-                names.append(name)
-    return names
+    return list(dict.fromkeys(key.split(".")[1] for key in cfg
+                              if key.startswith("solver.")))
 
 
 def _get(sec, key, cast, default=None, required=False):
@@ -235,10 +241,21 @@ def load_bundle(path):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-# The irn-s2p leverage scores of each problem's A, one QR per problem; an
-# entry lives only as long as its A, so no run's problem outlives the run.
-_leverage_lock = threading.Lock()
-_leverage_scores = weakref.WeakKeyDictionary()
+# What the sketched solvers build from each problem, once per problem: the
+# irn-s2p leverage scores of A and the flex sketches of each (b, k_max,
+# multiplier, seed). An entry lives only as long as its A and holds no
+# reference to it, so no run's problem outlives the run.
+_problem_lock = threading.Lock()
+_problem_cache = weakref.WeakKeyDictionary()
+
+
+def _per_problem(A, key, build):
+    """build(), once per A and key, also when solvers run in threads."""
+    with _problem_lock:
+        cache = _problem_cache.setdefault(A, {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
 
 def _solver_call(name, cfg, inst):
@@ -284,10 +301,15 @@ def _solver_call(name, cfg, inst):
                 inner_tol=_get(sec, "inner_tol", float, 1e-10),
             )
         elif family in ("lsqr", "gmres"):
-            lam = _get(sec, "lambda", float, 0.0) if family == "lsqr" else 0.0
+            if family == "gmres" and "lambda" in sec:
+                raise ConfigError("family 'gmres' takes no lambda")
+            lam = _get(sec, "lambda", float, 0.0)
             tol = _get(sec, "tol", float, 1e-12)
         elif family != "fista":
             raise ConfigError(f"unknown solver family {family!r}")
+        unknown = sorted(set(sec) - sec.read)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {', '.join(unknown)}")
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"solver {name!r}: {exc}") from exc
 
@@ -296,11 +318,8 @@ def _solver_call(name, cfg, inst):
         return lambda: irn_solve(A, b, config, x_true)
     if family == "irn_s2p":
         def solve():
-            with _leverage_lock:  # one QR also when solvers run in threads
-                if A not in _leverage_scores:
-                    _leverage_scores[A] = estimate_leverage_scores(
-                        _dense_system_matrix(A))
-                p = _leverage_scores[A]
+            p = _per_problem(A, "leverage", lambda: estimate_leverage_scores(
+                _dense_system_matrix(A)))
             S = build_leverage_sketch(p, mult * A.ncols, seed)
             return irn_s2p_solve(A, b, config, S, x_true)
         return solve
@@ -311,7 +330,9 @@ def _solver_call(name, cfg, inst):
                   else s2p_flex_solve)
 
         def solve():
-            S1, S2 = build_flex_sketches(A, b, k_max, mult, seed)
+            S1, S2 = _per_problem(
+                A, ("flex", b.tobytes(), k_max, mult, seed),
+                lambda: build_flex_sketches(A, b, k_max, mult, seed))
             return solver(A, b, config, S1, S2, x_true)
         return solve
     if family == "fista":
@@ -383,14 +404,9 @@ def summarize_traces(rows_by_solver, threshold=None):
         errs = [r.rel_error for r in rows if not np.isnan(r.rel_error)]
         objs = [r.objective_mm for r in rows]
         best = min(errs) if errs else float("nan")
-        thr = threshold if threshold is not None else (
-            1.05 * best if errs else float("nan")
-        )
-        to_thr = ""
-        for r in rows:
-            if not np.isnan(r.rel_error) and r.rel_error <= thr:
-                to_thr = r.cum_inner
-                break
+        thr = threshold if threshold is not None else 1.05 * best
+        # a NaN error or threshold compares false
+        to_thr = next((r.cum_inner for r in rows if r.rel_error <= thr), "")
         # a rise counts only between rows minimizing the same functional
         slack = 1e-8 * objs[0] if objs else 0.0
         viol = sum(1 for a, c in zip(rows, rows[1:])
@@ -442,10 +458,7 @@ def _write_summary(outdir, summaries):
     lines = ["{:<28} {:>14} {:>10} {:>16} {:>6}".format(
         "solver", "best_rel_err", "to_thr", "final_F", "viol")]
     for s in summaries:
-        writer.writerow([s["solver"], _fmt(s["best_rel_error"]),
-                         s["iters_to_threshold"],
-                         _fmt(s["final_objective_mm"]),
-                         s["monotonicity_violations"]])
+        writer.writerow([_fmt(s[col]) for col in header])
         lines.append("{:<28} {:>14.6g} {:>10} {:>16.8g} {:>6}".format(
             s["solver"], s["best_rel_error"], str(s["iters_to_threshold"]),
             s["final_objective_mm"], s["monotonicity_violations"]))

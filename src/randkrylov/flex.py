@@ -22,11 +22,15 @@ solved:
   monotonicity diagnostics, both read exactly from the two pairs at every
   iteration, with no random probe and no apply of A.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
-  LSQR, right-preconditioned by the Cholesky factor of the sketched Gram pair
-  R1^T R1 + lam R2^T R2; lambda is chosen on the unsketched pair. LSQR
-  starts from the previous coefficients padded with zeros and stops at the
-  cold start's target, as IRN's inner solves do, so in ``irw`` mode at
-  fixed lambda the MM objective never rises, at any inner tolerance.
+  LSQR, right-preconditioned by the R that sketch-and-solve solves with
+  (Blendenpik's preconditioner; no Gram matrix is formed); lambda is chosen
+  on the unsketched pair. LSQR starts from the previous coefficients padded
+  with zeros and stops at the cold start's target, as IRN's inner solves
+  do, so in ``irw`` mode at fixed lambda the MM objective never rises, at
+  any inner tolerance.
+
+All three factor the stacked pair in ``_stacked_factor``; a singular one is
+retried once at lambda = 1e-14.
 
 Each iteration is one trace row (``irn._TraceRecorder``), recorded from the
 A x that the next s2p warm start reads; its ``cum_inner`` adds the inner
@@ -62,25 +66,26 @@ class ProjectedProblem:
     k: int
 
 
-def solve_projected_tikhonov(pp, lam):
-    """Minimizer of |R1 y - beta|^2 + lam |R2 y|^2 via a stacked QR (never
-    explicit normal equations)."""
+def _stacked_factor(pp, lam):
+    """Q and R of the QR of the stacked pair [R1; sqrt(lam) R2] (R1 alone at
+    lam = 0), the factor that every scheme solves or preconditions with;
+    LinAlgError when R is numerically singular."""
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
-    k = pp.k
-    if lam == 0.0:
-        stacked = pp.R1
-        rhs = pp.beta
-    else:
-        stacked = np.vstack([pp.R1, np.sqrt(lam) * pp.R2])
-        rhs = np.concatenate([pp.beta, np.zeros(k)])
+    stacked = (pp.R1 if lam == 0.0
+               else np.vstack([pp.R1, np.sqrt(lam) * pp.R2]))
     q, r = np.linalg.qr(stacked)
     diag = np.abs(np.diag(r))
     if diag.size and diag.min() <= 1e-14 * max(diag.max(), 1.0):
-        if lam == 0.0:
-            raise np.linalg.LinAlgError("singular projected problem")
-        # shared null direction of R1 and R2
-        raise np.linalg.LinAlgError("singular regularized pencil")
+        raise np.linalg.LinAlgError("singular stacked pair [R1; sqrt(lam) R2]")
+    return q, r
+
+
+def solve_projected_tikhonov(pp, lam):
+    """Minimizer of |R1 y - beta|^2 + lam |R2 y|^2 via a stacked QR (never
+    explicit normal equations)."""
+    q, r = _stacked_factor(pp, lam)
+    rhs = pp.beta if lam == 0.0 else np.concatenate([pp.beta, np.zeros(pp.k)])
     return scipy.linalg.solve_triangular(r, q.T @ rhs, lower=False)
 
 
@@ -231,8 +236,8 @@ def exact_flex_solve(A, b, config, x_true=None):
 
 def s2p_flex_solve(A, b, config, S1, S2, x_true=None):
     """Sketch-to-precondition flexible Krylov iteration: the unsketched
-    projected problem is solved by LSQR, right-preconditioned with the
-    Cholesky factor of the sketched k-by-k Gram matrix."""
+    projected problem is solved by LSQR, right-preconditioned with the R
+    factor of the stacked QR of the sketched pair."""
     if config.scheme != "sketch_to_precondition":
         raise ValueError("config.scheme must be 'sketch_to_precondition'")
     return _flex_loop(A, b, config, S1, S2, x_true)
@@ -302,17 +307,20 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                                            solution_map)
         # the previous iterate in the current basis
         y_prev = np.pad(y, (0, fact.k - y.size))
-        if s2p:
-            res = _s2p_projected_solve(A, b, Z, w_reg, lam, pp,
-                                       config.inner_tol, y_prev, x, Ax, atb)
-            y, inner, stagnated = res.x, res.n_iter, res.stagnated
-        else:
-            try:
-                y = solve_projected_tikhonov(pp, lam)
-            except np.linalg.LinAlgError:
-                # rank-deficient R2 with lam ~ 0: apply the floor and retry
-                y = solve_projected_tikhonov(pp, max(lam, 1e-14))
-            inner, stagnated = 1, False
+
+        def step(lam):
+            if s2p:
+                res = _s2p_projected_solve(A, b, Z, w_reg, lam, pp,
+                                           config.inner_tol, y_prev, x, Ax,
+                                           atb)
+                return res.x, res.n_iter, res.stagnated
+            return solve_projected_tikhonov(pp, lam), 1, False
+        try:
+            y, inner, stagnated = step(lam)
+        except np.linalg.LinAlgError:
+            # a singular stacked pair (rank-deficient R2 with lam ~ 0): apply
+            # the floor and retry; the trace keeps the chosen lam
+            y, inner, stagnated = step(max(lam, 1e-14))
         x = solution_map(y)
 
         mono = None
@@ -330,30 +338,15 @@ def _flex_loop(A, b, config, S1, S2, x_true):
 
 def _s2p_projected_solve(A, b, Z, w, lam, pp, tol, y0, x0, Ax0, atb):
     """LSQR on [A Zbar; sqrt(lam) L] y ~ [b; 0] (L as in
-    ``_StackedProjected``), right-preconditioned by the Cholesky factor of
-    the sketched Gram pair, and warm-started at y0 from x0 = Zbar y0,
+    ``_StackedProjected``), right-preconditioned by the R factor of the
+    sketched pair's stacked QR, and warm-started at y0 from x0 = Zbar y0,
     Ax0 = A x0 and atb = A^T b, without an apply."""
-    R = _chol_with_jitter(pp.R1.T @ pp.R1 + lam * (pp.R2.T @ pp.R2), lam)
+    _, R = _stacked_factor(pp, lam)
     op = _StackedProjected(A, Z, w, lam)
     rhs = np.concatenate([b, np.zeros(op.nrows - b.size)])
     return lsqr_solve(op, rhs, lam=0.0, right_precond=R, tol=tol,
                       maxit=max(4 * op.ncols, 8), x0=y0,
                       r0=rhs - op.stack(y0, x0, Ax0), atb=Z.T @ atb)
-
-
-def _chol_with_jitter(M, lam):
-    try:
-        return scipy.linalg.cholesky(M, lower=False)
-    except np.linalg.LinAlgError:
-        jitter = max(lam, 1.0) * 1e-8 * max(np.trace(M), 1.0)
-        try:
-            return scipy.linalg.cholesky(
-                M + jitter * np.eye(M.shape[0]), lower=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "projected Gram matrix is numerically indefinite"
-            ) from exc
 
 
 def _select_s2p_lambda(policy, pp, b_norm, solution_map):

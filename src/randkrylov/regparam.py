@@ -129,21 +129,15 @@ def gsvd_small(R1, R2):
     k = R1.shape[1]
     if R1.shape[1] != R2.shape[1]:
         raise ValueError("R1 and R2 must have the same number of columns")
-    stacked = np.vstack([R1, R2])
-    Q, T = np.linalg.qr(stacked)
+    Q, T = np.linalg.qr(np.vstack([R1, R2]))
     if np.linalg.matrix_rank(T) < k:
         raise np.linalg.LinAlgError("stacked pair [R1; R2] is rank deficient")
-    Q1 = Q[: R1.shape[0]]
-    Q2 = Q[R1.shape[0]:]
-    U, c, Wt = np.linalg.svd(Q1)
+    U, c, Wt = np.linalg.svd(Q[: R1.shape[0]])
     c = np.clip(c[:k], 0.0, 1.0)
     U = U[:, :k]
-    B = Q2 @ Wt.T[:, :k]
+    B = Q[R1.shape[0]:] @ Wt.T[:, :k]
     s = np.linalg.norm(B, axis=0)
-    V = np.zeros_like(B)
-    for i in range(k):
-        if s[i] > 1e-14:
-            V[:, i] = B[:, i] / s[i]
+    V = np.divide(B, s, out=np.zeros_like(B), where=s > 1e-14)
     Xt = Wt[:k] @ T
     return U, V, Xt, c, s
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,6 +253,39 @@ def test_families_without_a_lambda_rule_reject_one(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gmres_rejects_a_lambda(tmp_path, capsys):
+    # gmres solves at lambda = 0 only; a lambda key exits 2, not a run at 0
+    cfg = _write(tmp_path, (
+        "problem.generator = subset_selection\nproblem.m = 12\n"
+        "problem.n = 12\nproblem.seed = 3\n"
+        "solver.a.family = gmres\nsolver.a.seed = 1\n"
+        "solver.a.lambda = 5.0\nsolver.a.k_max = 3\n"), "gmres.cfg")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "takes no lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_solver_keys_exit_2(tmp_path, capsys):
+    # a key that the solver's family does not read is rejected by name,
+    # before any solver runs
+    base = ("problem.generator = subset_selection\nproblem.m = 20\n"
+            "problem.n = 6\nproblem.seed = 1\n")
+    for i, (family, key) in enumerate([
+        ("flex", "lamda = 5.0"), ("irn", "ell = 4"),
+        ("flex", "outer_max = 3"), ("fista", "tol = 0"),
+        ("lsqr", "inner_tol = 1e-6"),
+    ]):
+        solver = "".join(f"solver.t.{kv}\n" for kv in (
+            f"family = {family}", "seed = 1", "k_max = 3", key))
+        cfg = _write(tmp_path, base + solver, f"unknown{i}.cfg")
+        out = tmp_path / f"u{i}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2, key
+        err = capsys.readouterr().err
+        assert "unknown key" in err and key.split(" ")[0] in err, err
+        assert not out.exists()
+
+
 def test_exit_code_3_on_solver_failure(tmp_path):
     # IRN rejects the projected-problem wgcv rule only once it runs; the
     # solver that finished first keeps its outputs, and no summary is written
@@ -465,8 +499,52 @@ def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
                 (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)
 
 
+FLEX_SOLVERS = {
+    scheme: "".join(f"solver.{scheme}.{kv}\n" for kv in (
+        "family = flex", "seed = 2", f"scheme = {scheme}", "k_max = 5",
+        "lambda = 0.5", "tau = 1e-4"))
+    for scheme in ("sketch_and_solve", "sketch_to_precondition")
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_flex_sketches_once_per_problem_and_key(tmp_path, monkeypatch,
+                                                threads):
+    calls = []
+    real = cli.build_flex_sketches
+
+    def counted(A, b, k_max, mult, seed):
+        calls.append(seed)
+        return real(A, b, k_max, mult, seed)
+
+    monkeypatch.setattr(cli, "build_flex_sketches", counted)
+    text = IRN_S2P_PAIR + "".join(FLEX_SOLVERS.values())
+    both = _write(tmp_path, text, "both.cfg")
+    assert main(["run", "--config", both, "--out", str(tmp_path / "both"),
+                 "--threads", threads]) == 0
+    assert calls == [2]
+    for name, solver in FLEX_SOLVERS.items():
+        alone = _write(tmp_path, IRN_S2P_PAIR + solver, f"{name}.cfg")
+        assert main(["run", "--config", alone,
+                     "--out", str(tmp_path / name)]) == 0
+        for ext in ("trace.csv", "x.f64"):
+            assert (tmp_path / "both" / f"{name}.{ext}").read_bytes() == \
+                (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)
+    # a different seed, or a different b on the same A, draws its own
+    cfg = parse_config(both)
+    inst = build_problem(cfg)
+    del calls[:]
+    cli.run_solver("sketch_and_solve", cfg, inst)
+    cfg["solver.sketch_and_solve.seed"] = "3"
+    cli.run_solver("sketch_and_solve", cfg, inst)
+    cli.run_solver("sketch_and_solve", cfg, replace(inst, b=2.0 * inst.b))
+    cli.run_solver("sketch_to_precondition", cfg, inst)
+    assert calls == [2, 3, 3]
+
+
 def test_no_problem_outlives_its_run(tmp_path, monkeypatch):
-    # the irn-s2p leverage scores are kept for the run's A, not past it
+    # the irn-s2p leverage scores and the flex sketches are kept for the
+    # run's A, not past it
     problems = []
     real_build = cli.build_problem
 
@@ -476,7 +554,8 @@ def test_no_problem_outlives_its_run(tmp_path, monkeypatch):
         return inst
 
     monkeypatch.setattr(cli, "build_problem", build_recorded)
-    cfg = _write(tmp_path, IRN_S2P_PAIR + "".join(IRN_S2P_SOLVERS.values()))
+    cfg = _write(tmp_path, IRN_S2P_PAIR + "".join(IRN_S2P_SOLVERS.values())
+                 + "".join(FLEX_SOLVERS.values()))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     gc.collect()
     assert [ref() for ref in problems] == [None]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randkrylov.flex as flex
 from randkrylov.baselines import fista_solve
 from randkrylov.flex import (
     FlexSolverConfig,
@@ -17,6 +19,7 @@ from randkrylov.irn import IRNConfig, irn_solve
 from randkrylov.krylov import FlexibleFactorization, gmres_solve, lsqr_solve
 from randkrylov.operators import (
     CompositeOperator,
+    DenseOperator,
     DiagonalOperator,
     LinearOperator,
 )
@@ -68,6 +71,26 @@ def test_projected_tikhonov_singular_raises():
     pp = ProjectedProblem(np.zeros((2, 2)), np.ones(2), 0.0, np.zeros((2, 2)), 2)
     with pytest.raises(np.linalg.LinAlgError):
         solve_projected_tikhonov(pp, 1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-20])
+def test_s2p_preconditioner_whitens_a_pair_with_a_singular_gram(monkeypatch,
+                                                                 lam):
+    # R1^T R1 + lam R2^T R2 rounds to a singular matrix here; the R of the
+    # stacked QR still whitens the sketched pair
+    R1 = np.array([[1.0, 1.0], [0.0, 1e-9]])
+    pp = ProjectedProblem(R1, np.ones(2), 0.0, np.eye(2), 2)
+    seen = []
+    monkeypatch.setattr(flex, "lsqr_solve",
+                        lambda *args, right_precond, **kwargs:
+                        seen.append(right_precond))
+    A, b, zero = DenseOperator(np.eye(2)), np.ones(2), np.zeros(2)
+    flex._s2p_projected_solve(A, b, np.eye(2), None, lam, pp, 1e-10, zero,
+                              zero, zero, b)
+    stacked = np.vstack([R1, np.sqrt(lam) * np.eye(2)])
+    whitened = scipy.linalg.solve_triangular(seen[0], stacked.T,
+                                              trans="T").T
+    assert np.linalg.cond(whitened) <= 1.0 + 1e-8
 
 
 def test_monotonicity_condition_edges():
@@ -237,6 +260,35 @@ def test_s2p_identity_phase_after_span_exhaustion(iterates):
             for x in xs[12:]:
                 r = np.linalg.norm(inst.A.apply(x) - inst.b)
                 assert abs(r / target - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("scheme", ["exact", "sketch_and_solve",
+                                    "sketch_to_precondition"])
+def test_singular_stacked_pair_retries_at_the_lambda_floor(monkeypatch,
+                                                           scheme):
+    # every scheme takes its factor from one helper; a singular one is
+    # retried at lambda = 1e-14, and the trace keeps the chosen lambda
+    inst = _tall_instance()
+    lams, real = [], flex._stacked_factor
+
+    def singular_at_zero(pp, lam):
+        lams.append(lam)
+        if lam == 0.0:
+            raise np.linalg.LinAlgError("singular stacked pair")
+        return real(pp, lam)
+
+    monkeypatch.setattr(flex, "_stacked_factor", singular_at_zero)
+    cfg = FlexSolverConfig(mode="none", scheme=scheme, k_max=4)
+    if scheme == "exact":
+        res = exact_flex_solve(inst.A, inst.b, cfg)
+    else:
+        S1, S2 = build_flex_sketches(inst.A, inst.b, 4, 4, 1)
+        solve = (sns_flex_solve if scheme == "sketch_and_solve"
+                 else s2p_flex_solve)
+        res = solve(inst.A, inst.b, cfg, S1, S2)
+    assert lams == [0.0, 1e-14] * 4
+    assert res.column("lam") == [0.0] * 4
+    assert np.all(np.isfinite(res.x))
 
 
 def test_s2p_rejects_gcv_policies():
