@@ -10,7 +10,8 @@ kept unsketched whenever a step reads it (all but s2p at fixed lambda or
 with no regularization) and sketched by S1 by the sketched schemes, and R2
 from a QR of W Zbar (sketched by S2 or not; the identity outside ``irw``
 mode). The column QRs grow through the factorization's own Gram-Schmidt
-kernel (``krylov.RowBasis``), and Zbar, Q and R are views of its buffers.
+kernel (``krylov.RowBasis``, classical Gram-Schmidt with one
+reorthogonalization pass), and Zbar, Q and R are views of its buffers.
 Once the basis is spent (breakdown, or k reaches min(m, n)) every scheme
 keeps it and only re-weights R2. The schemes differ only in how the
 projected Tikhonov problem in the coefficients y of x = Zbar y is then
@@ -182,13 +183,13 @@ def _projected_problem(qr, rhs, L):
     return ProjectedProblem(qr.R, beta, beta_perp, R2, qr.k)
 
 
-def _select_projected_lambda(policy, pp, b_norm, sketch_rows, solution_map):
+def _select_projected_lambda(policy, pp, b_norm, sketch_rows, gram):
     """One lambda choice per iteration on the (possibly sketched) projected
-    problem."""
+    problem; ``gram`` is the oracle's (Zbar^T Zbar, Zbar^T x_true)."""
     if policy.kind == "fixed":
         return policy.lam
     pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
-    return select_lambda(policy, pair, b_norm, solution_map, sketch_rows)
+    return select_lambda(policy, pair, b_norm, gram, sketch_rows)
 
 
 def _factor_distortion(R_hat, R):
@@ -295,16 +296,17 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         pp = (_projected_problem(qr1, s1b, None if w_reg is None
                                  else apply_sketch_weighted(S2, w_reg, Z))
               if sketched else pp0)
-        solution_map = Z.__matmul__  # y -> x = Zbar y
+        # the oracle's Gram data of the map y -> x = Zbar y
+        gram = ((Z.T @ Z, Z.T @ policy.x_true) if policy.kind == "optimal"
+                else None)
 
         if config.mode == "none":
             lam = 0.0
         elif s2p:
-            lam = _select_s2p_lambda(policy, pp0, b_norm, solution_map)
+            lam = _select_s2p_lambda(policy, pp0, b_norm, gram)
         else:
             lam = _select_projected_lambda(policy, pp, b_norm,
-                                           S1.s if sketched else m,
-                                           solution_map)
+                                           S1.s if sketched else m, gram)
         # the previous iterate in the current basis
         y_prev = np.pad(y, (0, fact.k - y.size))
 
@@ -321,7 +323,7 @@ def _flex_loop(A, b, config, S1, S2, x_true):
             # a singular stacked pair (rank-deficient R2 with lam ~ 0): apply
             # the floor and retry; the trace keeps the chosen lam
             y, inner, stagnated = step(max(lam, 1e-14))
-        x = solution_map(y)
+        x = Z @ y
 
         mono = None
         if sketched and not s2p:
@@ -349,10 +351,10 @@ def _s2p_projected_solve(A, b, Z, w, lam, pp, tol, y0, x0, Ax0, atb):
                       r0=rhs - op.stack(y0, x0, Ax0), atb=Z.T @ atb)
 
 
-def _select_s2p_lambda(policy, pp, b_norm, solution_map):
+def _select_s2p_lambda(policy, pp, b_norm, gram):
     """Lambda for the sketch-to-precondition step, chosen on the unsketched
     projected pair."""
     if policy.kind == "fixed":
         return policy.lam
     pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
-    return select_lambda(policy, pair, b_norm, solution_map)
+    return select_lambda(policy, pair, b_norm, gram)

@@ -140,13 +140,16 @@ def _reweighted_pair(system, w_inv):
                         float(sv[0] ** 2) if sv.size else 1.0, system.m)
 
 
-def _select_lambda(policy, system, w_inv, solution_map):
+def _select_lambda(policy, system, w_inv):
     """One lambda update per outer iteration, from the pair of the reweighted
-    system A W^{-1}: an n-by-n SVD, with A = Q R taken once per solve."""
+    system A W^{-1}: an n-by-n SVD, with A = Q R taken once per solve. The
+    oracle's map s -> x = W^{-1} s has Gram data (W^{-2}, W^{-1} x_true)."""
     if policy.kind == "fixed":
         return policy.lam
+    gram = ((np.diag(w_inv**2), w_inv * policy.x_true)
+            if policy.kind == "optimal" else None)
     return select_lambda(policy, _reweighted_pair(system, w_inv),
-                         system.b_norm, solution_map)
+                         system.b_norm, gram)
 
 
 def irn_solve(A, b, config, x_true=None):
@@ -204,7 +207,7 @@ def _irn_loop(A, b, config, x_true, sketch):
     for _ in range(config.outer_max):
         w = compute_weights(x, weight)
         w_inv = 1.0 / w
-        lam = _select_lambda(policy, system, w_inv, w_inv.__mul__)  # s -> x
+        lam = _select_lambda(policy, system, w_inv)
         op_k = CompositeOperator([A, DiagonalOperator(w_inv)])
 
         R = (None if sketch is None

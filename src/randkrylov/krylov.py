@@ -3,10 +3,11 @@ orthogonalization, plus baseline GMRES and LSQR solvers.
 
 Every orthonormal basis here, the factorization's U and V and the column QR
 the flexible solvers keep of the A z_j, grows through one kernel,
-``RowBasis.append``: modified Gram-Schmidt with one reorthogonalization pass
-over the retained window. Each basis is stored as the rows of an
-append-only buffer that doubles when full, so the bases and the
-coefficient matrix (H, or the QR's R) are read as views, not copies.
+``RowBasis.append``: classical Gram-Schmidt with one reorthogonalization
+pass over the retained window (CGS2), two matrix-vector products per pass.
+Each basis is stored as the rows of an append-only buffer that doubles when
+full, so the bases and the coefficient matrix (H, or the QR's R) are read as
+views, not copies.
 
 The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
@@ -65,17 +66,18 @@ class RowBasis:
         self.k += 1
 
     def append(self, q, window=None, floor=0.0):
-        """MGS with one reorthogonalization pass of q against the last
-        ``window`` rows (all of them for None); stores q / |q|, or the zero
-        vector once |q| <= floor. Returns the new column of R, the
-        coefficients [h; |q|] (zeros outside the window)."""
+        """CGS2, classical Gram-Schmidt with one reorthogonalization pass, of
+        q against the last ``window`` rows (all of them for None); stores
+        q / |q|, or the zero vector once |q| <= floor. Returns the new column
+        of R, the coefficients [h; |q|] (zeros outside the window)."""
         k = self.k
+        lo = 0 if window is None else max(0, k - window)
+        Qw = self._rows[lo:k]
         col = np.zeros(k + 1)
         for _ in range(2):
-            for i in range(0 if window is None else max(0, k - window), k):
-                h = self._rows[i] @ q
-                col[i] += h
-                q = q - h * self._rows[i]
+            h = Qw @ q
+            col[lo:k] += h
+            q = q - h @ Qw
         col[k] = np.linalg.norm(q)
         self.push(q / col[k] if col[k] > floor else 0.0)
         self._R[: k + 1, k] = col
@@ -183,9 +185,14 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
 
     prec = prec_t = lambda v: v
     if right_precond is not None:
-        prec = lambda v: scipy.linalg.solve_triangular(right_precond, v)
-        prec_t = lambda v: scipy.linalg.solve_triangular(right_precond, v,
-                                                         trans="T")
+        # R is checked once; each vector still is, so a NaN or inf from the
+        # operator raises here as it did inside solve_triangular
+        R = _finite_rhs(right_precond, "preconditioner")
+        prec = lambda v: scipy.linalg.solve_triangular(
+            R, _finite_rhs(v, "preconditioned vector"), check_finite=False)
+        prec_t = lambda v: scipy.linalg.solve_triangular(
+            R, _finite_rhs(v, "preconditioned vector"), trans="T",
+            check_finite=False)
 
     def matvec(x):
         y = prec(x)

@@ -205,6 +205,7 @@ class Convolution2DOperator(LinearOperator):
         psf = np.zeros((self.nx, self.nx))
         np.add.at(psf, (rows[:, None], cols[None, :]), kernel)
         self._transfer = np.fft.rfft2(psf)
+        self._transfer_conj = self._transfer.conj()
 
     def _filter(self, v, transfer):
         img = v.reshape(self.nx, self.nx)
@@ -215,7 +216,7 @@ class Convolution2DOperator(LinearOperator):
         return self._filter(x, self._transfer)
 
     def _apply_adjoint(self, y):
-        return self._filter(y, self._transfer.conj())
+        return self._filter(y, self._transfer_conj)
 
 
 def _siddon_rays(nx, theta_rad, offsets):

@@ -110,8 +110,11 @@ def _golden_refine(fun, grid, idx, rel=1e-3):
 
 
 def _grid_argmin(fun, sigma_max_sq):
+    """Minimizer of fun over the search grid, refined by golden section. fun
+    takes a scalar lambda or the whole grid at once (one value per point).
+    Also returns whether the minimum is flat or on the grid's boundary."""
     grid = _log_grid(sigma_max_sq)
-    vals = np.array([fun(g) for g in grid])
+    vals = fun(grid)
     idx = int(np.argmin(vals))
     flat = np.all(np.abs(vals - vals[0]) <= 1e-14 * max(1.0, abs(vals[0])))
     boundary = idx in (0, len(grid) - 1)
@@ -142,21 +145,32 @@ def gsvd_small(R1, R2):
     return U, V, Xt, c, s
 
 
-def _wgcv_value(lam, c, s, beta_t, k, omega):
-    gamma = np.where(s > 0, c**2 / (c**2 + lam * s**2), 1.0)
-    num = k * float(np.sum(((1.0 - gamma) * beta_t) ** 2))
-    den = (k - omega * float(np.sum(gamma))) ** 2
-    if den == 0.0:
-        return np.inf
-    return num / den
+def _quotient(num, den):
+    """num / den, inf where den is 0 (elementwise for a grid)."""
+    return np.divide(num, den, out=np.full(np.shape(den), np.inf),
+                     where=den != 0)[()]
+
+
+def _wgcv_value(lam, c, s, beta_t, beta_perp, omega):
+    """Weighted GCV of the projected problem [R1; 0] y ~ [beta; beta_perp],
+    which has k + 1 rows (Chung, Nagy & O'Leary, ETNA 2008): (k + 1) |r|^2 /
+    (k + 1 - omega trace(influence))^2, for a scalar lambda or a grid."""
+    comp = _filters(lam, c, s)[0]
+    rows = c.size + 1
+    num = rows * (np.sum((comp * beta_t) ** 2, axis=-1) + beta_perp**2)
+    return _quotient(num, (rows - omega * np.sum(1.0 - comp, axis=-1)) ** 2)
 
 
 def optimal_select(solution_map, x_true, scale=1.0):
-    """Oracle parameter: argmin over the search grid (plus golden refinement)
-    of the error against the known true solution."""
+    """Oracle parameter by direct evaluation, one lambda at a time, of
+    |solution_map(lam) - x_true|: argmin over the search grid plus golden
+    refinement. ``select_lambda`` evaluates the same error from Gram data."""
     x_true = np.asarray(x_true, dtype=np.float64)
-    fun = lambda lam: float(np.linalg.norm(solution_map(lam) - x_true))
-    lam, _flagged = _grid_argmin(fun, scale)
+
+    def error(lam):
+        return np.linalg.norm(solution_map(lam) - x_true)
+
+    lam, _flagged = _grid_argmin(np.vectorize(error, otypes=[float]), scale)
     return lam
 
 
@@ -202,9 +216,12 @@ def svd_pair(M, b):
 
 def _filters(lam, c, s):
     """Residual filter 1 - gamma = lam s^2 / (c^2 + lam s^2) and solution
-    filter c / (c^2 + lam s^2). At lam = 0 a null direction of A (c = 0)
-    keeps its whole residual and adds nothing to y."""
-    if lam == 0.0:
+    filter c / (c^2 + lam s^2), one row per lambda for a grid. At lam = 0 a
+    null direction of A (c = 0) keeps its whole residual and adds nothing to
+    y."""
+    if np.ndim(lam):
+        lam = lam[:, None]
+    elif lam == 0.0:
         live = c > 0
         return (np.where(live, 0.0, 1.0),
                 np.divide(1.0, c, out=np.zeros_like(c), where=live))
@@ -212,11 +229,13 @@ def _filters(lam, c, s):
     return lam * s**2 / den, c / den
 
 
-def select_lambda(policy, pair, b_norm, solution_map=None, sketch_rows=None):
+def select_lambda(policy, pair, b_norm, gram=None, sketch_rows=None):
     """The policy's lambda, every rule read from the filter factors of one
-    spectral pair: dp and (w)gcv in O(k) per lambda, the optimal oracle in a
-    k-by-k matvec plus ``solution_map`` (coefficients y to the solution that
-    is compared with x_true). ``b_norm`` scales the dp target, and
+    spectral pair, for a scalar lambda or the whole search grid at once: dp
+    and (w)gcv in O(k) per lambda, the optimal oracle in O(k^2). The oracle
+    needs ``gram`` = (G, g) of the map y -> x = Z y from the coefficients to
+    the solution, G = Z^T Z and g = Z^T x_true, and evaluates |x - x_true|^2
+    = y^T G y - 2 g^T y + |x_true|^2. ``b_norm`` scales the dp target, and
     ``sketch_rows`` sets the wgcv weight omega = (k+1)/sketch_rows."""
     if policy.kind == "fixed":
         return policy.lam
@@ -230,24 +249,30 @@ def select_lambda(policy, pair, b_norm, solution_map=None, sketch_rows=None):
 
         target = policy.tau_lambda * policy.nl * b_norm
         return dp_select(residual, target, scale=pair.smax_sq)
-    if policy.kind == "optimal":
-        coef = pair.coef
-        return optimal_select(
-            lambda lam: solution_map(coef @ (_filters(lam, c, s)[1] * beta_t)),
-            policy.x_true, scale=pair.smax_sq)
     k, m = c.size, pair.m
-    if m is None:
+    if policy.kind == "optimal":
+        if gram is None:
+            raise ValueError("the optimal oracle needs the Gram data of its "
+                             "solution map")
+        G, g = gram
+        x_true = np.asarray(policy.x_true, dtype=np.float64)
+        coef_t, xx = pair.coef.T, float(x_true @ x_true)
+
+        def fun(lam):  # |x - x_true|, clipped at 0 against cancellation
+            y = (_filters(lam, c, s)[1] * beta_t) @ coef_t
+            err2 = np.sum((y @ G) * y, axis=-1) - 2.0 * (y @ g) + xx
+            return np.sqrt(np.maximum(err2, 0.0))
+    elif m is None:
         omega = 1.0 if policy.kind == "gcv" else (k + 1) / sketch_rows
-        fun = lambda lam: _wgcv_value(lam, c, s, beta_t, k, omega)
+        fun = lambda lam: _wgcv_value(lam, c, s, beta_t, beta_perp, omega)
     elif policy.kind == "wgcv":
         raise ValueError("wgcv is a projected-problem policy; a full system "
                          "supports fixed, dp, gcv and optimal")
     else:
         def fun(lam):  # (|r|^2 + beta_perp^2) / (m - sum(gamma))^2
             comp = _filters(lam, c, s)[0]
-            tr = float(np.sum(comp)) + (m - k)
-            if tr == 0.0:
-                return np.inf
-            return (float(np.sum((comp * beta_t) ** 2)) + beta_perp**2) / tr**2
+            tr = np.sum(comp, axis=-1) + (m - k)
+            return _quotient(np.sum((comp * beta_t) ** 2, axis=-1)
+                             + beta_perp**2, tr**2)
     lam, _flagged = _grid_argmin(fun, pair.smax_sq)
     return lam

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randkrylov.flex as flex
+import randkrylov.regparam as regparam
 from randkrylov.baselines import fista_solve
 from randkrylov.flex import (
     FlexSolverConfig,
@@ -289,6 +290,28 @@ def test_singular_stacked_pair_retries_at_the_lambda_floor(monkeypatch,
     assert lams == [0.0, 1e-14] * 4
     assert res.column("lam") == [0.0] * 4
     assert np.all(np.isfinite(res.x))
+
+
+def test_projected_gcv_leaves_the_grid_floor_at_small_k(monkeypatch):
+    # the (k+1)-row GCV of [R1; 0] y ~ [beta; beta_perp] has an interior
+    # minimum from k = 1 on; with k rows and no beta_perp it was flat at
+    # k = 1 and sat on the grid floor at k = 2-3
+    real, picks = regparam._grid_argmin, []
+
+    def spy(fun, scale):
+        lam, flagged = real(fun, scale)
+        picks.append((lam, flagged, regparam._log_grid(scale)[0]))
+        return lam, flagged
+
+    monkeypatch.setattr(regparam, "_grid_argmin", spy)
+    inst = add_noise(gen_subset_selection(60, 24, seed=0), 0.05, 1)
+    cfg = FlexSolverConfig(scheme="exact", k_max=3,
+                           lambda_policy=LambdaPolicy(kind="gcv"))
+    res = exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
+    assert len(picks) == 3
+    for k, (lam, flagged, floor) in enumerate(picks, 1):
+        assert not flagged and lam > 1e3 * floor, k
+    assert res.column("lam") == [lam for lam, _, _ in picks]
 
 
 def test_s2p_rejects_gcv_policies():

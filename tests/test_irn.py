@@ -195,7 +195,8 @@ def test_qr_reweighted_pair_matches_svd_pair(shape):
         for policy in (LambdaPolicy(kind="dp", nl=0.05 * m**0.5 / b_norm),
                        LambdaPolicy(kind="gcv"),
                        LambdaPolicy(kind="optimal", x_true=x_true)):
-            lam = _select_lambda(policy, system, w_inv, w_inv.__mul__)
-            lam_ref = select_lambda(policy, ref, b_norm, w_inv.__mul__)
+            lam = _select_lambda(policy, system, w_inv)
+            lam_ref = select_lambda(policy, ref, b_norm,
+                                    (np.diag(w_inv**2), w_inv * x_true))
             assert lam_ref > 0.0
             assert abs(lam - lam_ref) <= 1e-10 * lam_ref, (policy.kind, trial)

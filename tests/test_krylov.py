@@ -60,6 +60,27 @@ def test_lsqr_validation():
         lsqr_solve(op, np.ones(5), x0=np.array([np.nan, 0.0, 0.0]))
 
 
+class _NanAdjoint(DenseOperator):
+    def _apply_adjoint(self, y):
+        out = super()._apply_adjoint(y)
+        out[0] = np.nan
+        return out
+
+
+def test_lsqr_preconditioned_refuses_non_finite_values():
+    # R is checked once per solve and each vector it is applied to, so a NaN
+    # from the operator raises instead of giving a silent NaN x
+    rng = _rng(6)
+    M = rng.standard_normal((12, 4))
+    R = np.triu(rng.standard_normal((4, 4))) + 3.0 * np.eye(4)
+    bad = R.copy()
+    bad[0, 3] = np.inf
+    with pytest.raises(ValueError, match="preconditioner has non-finite"):
+        lsqr_solve(DenseOperator(M), np.ones(12), right_precond=bad)
+    with pytest.raises(ValueError, match="preconditioned vector"):
+        lsqr_solve(_NanAdjoint(M), np.ones(12), right_precond=R)
+
+
 def test_lsqr_stagnates_on_a_consistent_system_at_tol_zero():
     # tol = 0 never stops on the gradient test: phibar falls to rounding
     # level, then 10 iterations pass without progress
@@ -270,16 +291,17 @@ def test_factorization_rejects_bad_input():
 
 
 
-def _list_mgs(q, basis, window):
-    """Reference: MGS with one reorthogonalization pass of q against the
-    last ``window`` vectors of the list ``basis``, coefficients per vector."""
+def _list_cgs2(q, basis, window):
+    """Reference: classical Gram-Schmidt with one reorthogonalization pass of
+    q against the last ``window`` vectors of the list ``basis``, stacked as
+    rows; the coefficients per vector."""
     lo = 0 if window is None else max(0, len(basis) - window)
     coeffs = np.zeros(len(basis))
+    rows = np.array(basis[lo:]).reshape(-1, q.size)
     for _ in range(2):
-        for i in range(lo, len(basis)):
-            h = basis[i] @ q
-            coeffs[i] += h
-            q = q - h * basis[i]
+        h = rows @ q
+        coeffs[lo:] += h
+        q = q - h @ rows
     return q, coeffs
 
 
@@ -290,11 +312,11 @@ def _list_factorization(kind, M, b, ell, weights):
     for w_inv in weights:
         v = us[-1]
         if kind == "golub_kahan":
-            vhat, _ = _list_mgs(M.T @ v, vs, ell)
+            vhat, _ = _list_cgs2(M.T @ v, vs, ell)
             v = vhat / np.linalg.norm(vhat)
             vs.append(v)
         z = w_inv * v
-        q, coeffs = _list_mgs(M @ z, us, ell)
+        q, coeffs = _list_cgs2(M @ z, us, ell)
         hcols.append(np.append(coeffs, np.linalg.norm(q)))
         zs.append(z)
         us.append(q / hcols[-1][-1])
@@ -322,6 +344,31 @@ def test_factorization_is_bitwise_the_list_recurrence(kind, ell):
     for name, got, want in zip("UVZH", (fact.U, fact.V, fact.Z, fact.H), ref):
         assert got.shape == want.shape, name
         assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("window", [None, 3])
+def test_row_basis_cgs2_is_orthogonal_on_an_ill_conditioned_input(window):
+    # cond(M) = 1e8 with a zero column: Q is orthonormal to rounding (within
+    # the window when truncated), Q R = M, and the zero column stores zeros
+    rng = _rng(14)
+    m, n = 300, 40
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    M = U @ np.diag(np.geomspace(1.0, 1e-8, n)) @ V.T
+    M[:, 17] = 0.0
+    qr = RowBasis(m)
+    for j in range(n):
+        qr.append(M[:, j], window)
+    Q, R = qr.Q, qr.R
+    assert not np.any(Q[:, 17]) and not np.any(R[:, 17])
+    live = np.ones(n)
+    live[17] = 0.0
+    gap = Q.T @ Q - np.diag(live)
+    if window is not None:
+        i, j = np.indices(gap.shape)
+        gap[np.abs(i - j) > window] = 0.0
+    assert np.linalg.norm(gap, 2) <= 1e-14
+    assert np.linalg.norm(Q @ R - M, 2) <= 1e-14 * np.linalg.norm(M, 2)
 
 
 def test_row_basis_column_qr_with_a_dependent_column():

@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randkrylov.flex import ProjectedProblem, solve_projected_tikhonov
+import randkrylov.regparam as regparam
+from randkrylov.flex import (
+    ProjectedProblem,
+    _projected_problem,
+    solve_projected_tikhonov,
+)
+from randkrylov.krylov import FlexibleFactorization, RowBasis
+from randkrylov.problems import add_noise, gen_tomo
 from randkrylov.regparam import (
     LambdaPolicy,
+    _filters,
     _grid_argmin,
+    _log_grid,
     _wgcv_value,
     dp_select,
     gsvd_small,
@@ -18,7 +27,7 @@ from randkrylov.regparam import (
     select_lambda,
     svd_pair,
 )
-from randkrylov.weights import WeightSpec
+from randkrylov.weights import WeightSpec, compute_weights
 
 
 def _rng(seed=0):
@@ -79,15 +88,16 @@ def test_gsvd_rank_deficient_raises():
         gsvd_small(np.zeros((3, 3)), np.zeros((3, 3)))
 
 
-def _dense_wgcv_oracle(R1, R2, beta, lam, k, omega):
+def _dense_wgcv_oracle(R1, R2, beta, beta_perp, lam, omega):
     # [DERIVED] direct influence-matrix evaluation of the weighted GCV
-    # function on the projected pair
-    A = R1
+    # function on the (k+1)-row projected problem [R1; 0] y ~ [beta; beta_perp]
+    k = R1.shape[1]
+    A = np.vstack([R1, np.zeros((1, k))])
     K = A.T @ A + lam * (R2.T @ R2)
     H = A @ np.linalg.solve(K, A.T)
-    r = (np.eye(k) - H) @ beta
-    den = k - omega * np.trace(H)
-    return k * float(r @ r) / den**2
+    r = (np.eye(k + 1) - H) @ np.append(beta, beta_perp)
+    den = k + 1 - omega * np.trace(H)
+    return (k + 1) * float(r @ r) / den**2
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0, 30.0])
@@ -97,12 +107,19 @@ def test_wgcv_value_matches_dense_oracle(lam):
     R1 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     R2 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     beta = rng.standard_normal(k)
-    pair = projected_pair(R1, beta, 0.0, R2)
-    c, s, beta_t = pair.c, pair.s, pair.beta_t
-    for omega in (1.0, 0.6):
-        got = _wgcv_value(lam, c, s, beta_t, k, omega)
-        ref = _dense_wgcv_oracle(R1, R2, beta, lam, k, omega)
-        np.testing.assert_allclose(got, ref, rtol=1e-10)
+    for beta_perp in (0.0, 0.7):
+        pair = projected_pair(R1, beta, beta_perp, R2)
+        c, s, beta_t = pair.c, pair.s, pair.beta_t
+        for omega in (1.0, 0.6):
+            got = _wgcv_value(lam, c, s, beta_t, beta_perp, omega)
+            ref = _dense_wgcv_oracle(R1, R2, beta, beta_perp, lam, omega)
+            np.testing.assert_allclose(got, ref, rtol=1e-10)
+        # the whole grid in one call gives the same values
+        grid = np.geomspace(1e-4, 30.0, 7)
+        np.testing.assert_allclose(
+            _wgcv_value(grid, c, s, beta_t, beta_perp, 0.6),
+            [_wgcv_value(g, c, s, beta_t, beta_perp, 0.6) for g in grid],
+            rtol=1e-14)
 
 
 def test_wgcv_default_omega():
@@ -114,8 +131,9 @@ def test_wgcv_default_omega():
     lam_default = select_lambda(LambdaPolicy(kind="wgcv"), pair, 1.0,
                                 sketch_rows=s_rows)
     lam_explicit, _ = _grid_argmin(
-        lambda lam: _wgcv_value(lam, pair.c, pair.s, pair.beta_t, k,
-                                (k + 1) / s_rows), pair.smax_sq)
+        lambda lam: _wgcv_value(lam, pair.c, pair.s, pair.beta_t,
+                                pair.beta_perp, (k + 1) / s_rows),
+        pair.smax_sq)
     assert lam_default == lam_explicit
 
 
@@ -128,9 +146,9 @@ def test_wgcv_select_near_brute_force():
     lam = select_lambda(LambdaPolicy(kind="gcv"), pair, 1.0, sketch_rows=60)
     c, s, beta_t = pair.c, pair.s, pair.beta_t
     grid = np.geomspace(1e-10, 1e6, 4000)
-    vals = [_wgcv_value(g, c, s, beta_t, k, 1.0) for g in grid]
+    vals = [_wgcv_value(g, c, s, beta_t, 0.3, 1.0) for g in grid]
     best = min(vals)
-    got = _wgcv_value(lam, c, s, beta_t, k, 1.0)
+    got = _wgcv_value(lam, c, s, beta_t, 0.3, 1.0)
     assert got <= best * (1.0 + 1e-4)
 
 
@@ -216,7 +234,8 @@ def test_select_lambda_matches_stacked_qr_rules(seed):
                    LambdaPolicy(kind="optimal", x_true=y_true)):
         ref = _stacked_qr_select(policy, R1, beta, beta_perp, R2, b_norm,
                                  y_true)
-        got = select_lambda(policy, pair, b_norm, lambda y: y)
+        got = select_lambda(policy, pair, b_norm, (np.eye(y_true.size),
+                                                   y_true))
         assert ref > 0.0
         assert abs(got - ref) <= 1e-8 * ref, policy.kind
 
@@ -240,7 +259,7 @@ def _dense_svd_select(policy, M, b, x_true):
             tr = float(np.sum(filt)) + (M.shape[0] - sv.size)
             return (float(np.sum((filt * beta) ** 2)) + perp2) / tr**2
 
-        return _grid_argmin(gfun, float(sv[0] ** 2))[0]
+        return _grid_argmin(np.vectorize(gfun), float(sv[0] ** 2))[0]
     # optimal, anchored at sigma_max^2 like every other rule (it was 1.0)
     return optimal_select(lambda lam: Vt.T @ (sv / (sv**2 + lam) * beta),
                           x_true, scale=float(sv[0] ** 2))
@@ -259,7 +278,7 @@ def test_select_lambda_matches_dense_svd_rules(seed):
                    LambdaPolicy(kind="optimal", x_true=x_true)):
         ref = _dense_svd_select(policy, M, b, x_true)
         got = select_lambda(policy, pair, float(np.linalg.norm(b)),
-                            lambda y: y)
+                            (np.eye(x_true.size), x_true))
         assert ref > 0.0
         assert abs(got - ref) <= 1e-10 * ref, policy.kind
 
@@ -283,3 +302,49 @@ def test_dp_residual_does_not_keep_the_pair_alive():
         gc.enable()
     assert 0.0 < lam < 1e12 * float(np.linalg.svd(M, compute_uv=False)[0]**2)
     assert not alive
+
+
+def _tomo_flexible_pairs(k_max=30, every=10):
+    # exp3's tomography problem on a reweighted flexible Golub-Kahan basis
+    # (ell = 4), each step solved at the oracle's lambda; yields every
+    # ``every``-th (Zbar, unsketched projected pair)
+    inst = add_noise(gen_tomo(64, n_angles=18, seed=31), 0.01, 32)
+    A, b, x_true = inst.A, inst.b, inst.x_true
+    policy = LambdaPolicy(kind="optimal", x_true=x_true)
+    fact = FlexibleFactorization("golub_kahan", A, b, ell=4)
+    qr = RowBasis(A.nrows)
+    x = np.zeros(A.ncols)
+    for k in range(1, k_max + 1):
+        w = compute_weights(x, WeightSpec(p=1.0, tau=1e-10))
+        qr.append(fact.expand(1.0 / w))
+        Z = fact.Z
+        pp = _projected_problem(qr, b, w[:, None] * Z)
+        pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
+        lam = select_lambda(policy, pair, 1.0, (Z.T @ Z, Z.T @ x_true))
+        x = Z @ solve_projected_tikhonov(pp, lam)
+        if k % every == 0:
+            yield Z, pair, x_true
+
+
+def test_coefficient_space_oracle_matches_the_direct_error(monkeypatch):
+    # |x - x_true| from (Zbar^T Zbar, Zbar^T x_true) equals the direct norm
+    # at every grid point, and picks the direct optimal_select's lambda
+    # within the golden bracket
+    real, funs = regparam._grid_argmin, []
+
+    def spy(fun, scale):
+        funs.append(fun)
+        return real(fun, scale)
+
+    monkeypatch.setattr(regparam, "_grid_argmin", spy)
+    for Z, pair, x_true in _tomo_flexible_pairs():
+        c, s, beta_t = pair.c, pair.s, pair.beta_t
+        x_of = lambda lam: Z @ (pair.coef @ (_filters(lam, c, s)[1] * beta_t))
+        funs.clear()
+        lam = select_lambda(LambdaPolicy(kind="optimal", x_true=x_true), pair,
+                            1.0, (Z.T @ Z, Z.T @ x_true))
+        grid = _log_grid(pair.smax_sq)
+        direct = [np.linalg.norm(x_of(g) - x_true) for g in grid]
+        np.testing.assert_allclose(funs[0](grid), direct, rtol=1e-12)
+        ref = optimal_select(x_of, x_true, scale=pair.smax_sq)
+        assert abs(np.log(lam / ref)) <= 1e-3, Z.shape[1]

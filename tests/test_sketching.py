@@ -161,22 +161,23 @@ def test_sketch_operator_validation():
 
 
 def _golub_kahan_reference(A, b, depth):
-    """Textbook Golub-Kahan bidiagonalization of (A, b) with full modified
+    """Textbook Golub-Kahan bidiagonalization of (A, b) with full classical
     Gram-Schmidt reorthogonalization (two passes); stops at breakdown."""
     tol = 1e-14 * np.linalg.norm(b)
+
+    def cgs2(q, basis):
+        rows = np.array(basis).reshape(-1, q.size)
+        for _ in range(2):
+            q = q - (rows @ q) @ rows
+        return q
+
     us, vs = [b / np.linalg.norm(b)], []
     for _ in range(depth):
-        v = A.apply_adjoint(us[-1])
-        for _ in range(2):
-            for q in vs:
-                v = v - (q @ v) * q
+        v = cgs2(A.apply_adjoint(us[-1]), vs)
         if np.linalg.norm(v) <= tol:
             break
         vs.append(v / np.linalg.norm(v))
-        u = A.apply(vs[-1])
-        for _ in range(2):
-            for q in us:
-                u = u - (q @ u) * q
+        u = cgs2(A.apply(vs[-1]), us)
         if np.linalg.norm(u) <= tol:
             break
         us.append(u / np.linalg.norm(u))
