@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .bidiag import bidiag_svd
 from .krylov import lsqr_solve
 from .operators import CompositeOperator, DiagonalOperator
 from .regparam import LambdaPolicy, SpectralPair, select_lambda
@@ -129,26 +130,33 @@ def _reduce_system(M, b):
                           float(np.linalg.norm(b)))
 
 
-def _reweighted_pair(system, w_inv):
-    """Spectral pair of the reweighted system A W^{-1}, from the SVD of the
-    small R W^{-1}: A W^{-1} = (Q U) diag(sigma) V^T whenever R W^{-1} =
+def _reweighted_pair(system, w_inv, coef=False):
+    """Spectral pair of the reweighted system A W^{-1}, from the small
+    R W^{-1}: A W^{-1} = (Q U) diag(sigma) V^T whenever R W^{-1} =
     U diag(sigma) V^T, so the pair is (sigma, 1, U^T Q^T b, beta_perp, V),
-    and GCV still counts all m rows."""
-    U, sv, Vt = np.linalg.svd(system.R * w_inv[None, :], full_matrices=False)
-    return SpectralPair(sv, np.ones_like(sv), U.T @ system.qtb,
-                        system.beta_perp, Vt.T,
+    and GCV still counts all m rows. One Householder bidiagonalization of
+    R W^{-1} gives sigma and U^T Q^T b with U never formed; V (the
+    coefficient map, which only the optimal oracle reads) only with
+    ``coef``, else the pair's coef is None."""
+    with np.errstate(invalid="ignore"):  # inf * 0 = nan: bidiag_svd raises
+        M = system.R * w_inv[None, :]
+    sv, beta_t, Vt = bidiag_svd(M, system.qtb, vt=coef)
+    return SpectralPair(sv, np.ones_like(sv), beta_t, system.beta_perp,
+                        None if Vt is None else Vt.T,
                         float(sv[0] ** 2) if sv.size else 1.0, system.m)
 
 
 def _select_lambda(policy, system, w_inv):
     """One lambda update per outer iteration, from the pair of the reweighted
-    system A W^{-1}: an n-by-n SVD, with A = Q R taken once per solve. The
-    oracle's map s -> x = W^{-1} s has Gram data (W^{-2}, W^{-1} x_true)."""
+    system A W^{-1}, with A = Q R taken once per solve: sigma and U^T Q^T b
+    of the k-by-n R W^{-1} from one bidiagonalization (``bidiag_svd``), V^T
+    only for the oracle. The oracle's map s -> x = W^{-1} s has Gram data
+    (W^{-2}, W^{-1} x_true)."""
     if policy.kind == "fixed":
         return policy.lam
-    gram = ((np.diag(w_inv**2), w_inv * policy.x_true)
-            if policy.kind == "optimal" else None)
-    return select_lambda(policy, _reweighted_pair(system, w_inv),
+    optimal = policy.kind == "optimal"
+    gram = (np.diag(w_inv**2), w_inv * policy.x_true) if optimal else None
+    return select_lambda(policy, _reweighted_pair(system, w_inv, optimal),
                          system.b_norm, gram)
 
 

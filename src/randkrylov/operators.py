@@ -272,12 +272,13 @@ class RadonOperator(LinearOperator):
         self._mat = scipy.sparse.csr_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=self.shape)
+        self._mat_t = self._mat.T  # a CSC view, built once, not per adjoint
 
     def _apply(self, x):
         return self._mat @ x
 
     def _apply_adjoint(self, y):
-        return self._mat.T @ y
+        return self._mat_t @ y
 
     def materialize(self):
         return self._mat.toarray()

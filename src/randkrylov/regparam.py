@@ -1,8 +1,9 @@
 """Regularization-parameter selection: discrepancy principle, (weighted) GCV
 and the optimal-parameter oracle, all evaluated by ``select_lambda`` from the
 filter factors of one spectral pair. A pair comes from a small GSVD of a
-projected problem, or, for a full reweighted system A W^{-1}, from the SVD of
-R W^{-1} with A = Q R (``irn``); ``svd_pair``, a dense SVD of the full
+projected problem, or, for a full reweighted system A W^{-1}, from sigma and
+U^T Q^T b of R W^{-1} with A = Q R, by one Householder bidiagonalization with
+U never formed (``irn``, ``bidiag``); ``svd_pair``, a dense SVD of the full
 system, is the test reference for the latter."""
 
 from __future__ import annotations
@@ -180,8 +181,9 @@ class SpectralPair:
 
     (c, s) are the generalized singular values of (A, L), beta_t the
     coefficients of b along the left singular vectors of A, beta_perp the
-    norm of the rest of b, and coef the k-by-k map from filtered coefficients
-    to y. Every rule searches a range anchored at smax_sq = sigma_max(A)^2.
+    norm of the rest of b, and coef the map from filtered coefficients to y
+    (None where only dp and gcv read the pair). Every rule searches a range
+    anchored at smax_sq = sigma_max(A)^2.
     ``m`` is the row count of a full system, whose GCV counts all m rows;
     None marks a projected pair, whose (W)GCV is the projected function.
     """
@@ -190,7 +192,7 @@ class SpectralPair:
     s: np.ndarray
     beta_t: np.ndarray
     beta_perp: float
-    coef: np.ndarray
+    coef: np.ndarray | None
     smax_sq: float
     m: int | None = None
 

@@ -4,6 +4,7 @@ import pytest
 
 from randkrylov.irn import (
     IRNConfig,
+    _ReducedSystem,
     _reduce_system,
     _reweighted_pair,
     _select_lambda,
@@ -200,3 +201,45 @@ def test_qr_reweighted_pair_matches_svd_pair(shape):
                                     (np.diag(w_inv**2), w_inv * x_true))
             assert lam_ref > 0.0
             assert abs(lam - lam_ref) <= 1e-10 * lam_ref, (policy.kind, trial)
+
+
+def test_irn_lambda_rules_need_no_dense_svd(monkeypatch):
+    # dp and gcv read sigma and U^T Q^T b of R W^{-1} from one
+    # bidiagonalization, never from a dense SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    inst = _instance(m=100, n=25, nl=0.05)
+    S = build_leverage_sketch(estimate_leverage_scores(inst.A.matrix), 80,
+                              seed=3)
+    for policy in (LambdaPolicy(kind="dp", nl=0.05), LambdaPolicy(kind="gcv")):
+        cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=3,
+                        lambda_policy=policy)
+        for res in (irn_solve(inst.A, inst.b, cfg, inst.x_true),
+                    irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)):
+            lams = np.array(res.column("lam"))
+            assert lams.size == 3 and np.all(np.isfinite(lams)) \
+                and np.all(lams > 0.0), policy.kind
+
+
+def test_reweighted_pair_refuses_non_finite_weights_and_keeps_beta_perp():
+    rng = _rng(31)
+    M = rng.standard_normal((40, 12))
+    b = rng.standard_normal(40)
+    system = _reduce_system(M, b)
+    w_inv = rng.uniform(0.1, 10.0, 12)
+    assert _reweighted_pair(system, w_inv).beta_perp == system.beta_perp
+    for bad in (np.nan, np.inf):
+        w_bad = w_inv.copy()
+        w_bad[5] = bad
+        for kind in ("dp", "gcv"):
+            with pytest.raises(np.linalg.LinAlgError):
+                _select_lambda(LambdaPolicy(kind=kind, nl=0.05), system,
+                               w_bad)
+        R_bad = system.R.copy()
+        R_bad[2, 3] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _reweighted_pair(_ReducedSystem(R_bad, system.qtb,
+                                            system.beta_perp, system.m,
+                                            system.b_norm), w_inv)

@@ -247,3 +247,13 @@ def test_radon_matrix_equals_per_ray_reference(nx, angles, n_rays):
     for part in ("indptr", "indices", "data"):
         a, b = getattr(got, part), getattr(ref, part)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+
+def test_radon_adjoint_equals_the_transpose_product_bitwise():
+    # the adjoint applies a transpose taken once at construction; it must
+    # give exactly what a fresh transpose of the matrix gives
+    op = RadonOperator(16, np.array([0.0, 30.0, 45.0, 90.0, 150.0]), 23)
+    rng = _rng(12)
+    for _ in range(3):
+        y = rng.standard_normal(op.nrows)
+        assert op.apply_adjoint(y).tobytes() == (op._mat.T @ y).tobytes()
