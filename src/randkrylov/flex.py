@@ -25,17 +25,21 @@ solved:
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
   LSQR, right-preconditioned by the R that sketch-and-solve solves with
   (Blendenpik's preconditioner; no Gram matrix is formed); lambda is chosen
-  on the unsketched pair. LSQR starts from the previous coefficients padded
-  with zeros and stops at the cold start's target, as IRN's inner solves
-  do, so in ``irw`` mode at fixed lambda the MM objective never rises, at
-  any inner tolerance.
+  on the unsketched pair. LSQR reads A Zbar = U H from the factorization
+  (``_StackedProjected``), so its iterations apply no A. It starts from the
+  previous coefficients padded with zeros, from the residual of the true
+  A x, and stops at the cold start's target, as IRN's inner solves do, so
+  in ``irw`` mode at fixed lambda the MM objective never rises, at any
+  inner tolerance.
 
 All three factor the stacked pair in ``_stacked_factor``; a singular one is
 retried once at lambda = 1e-14.
 
 Each iteration is one trace row (``irn._TraceRecorder``), recorded from the
 A x that the next s2p warm start reads; its ``cum_inner`` adds the inner
-LSQR iterations of s2p and 1 per iteration for the other two schemes.
+LSQR iterations of s2p and 1 per iteration for the other two schemes. So
+every scheme applies A once per expansion (A^T too for Golub-Kahan) and
+once per row, and no more.
 """
 
 from __future__ import annotations
@@ -138,39 +142,42 @@ class FlexSolverConfig:
 
 
 class _StackedProjected(LinearOperator):
-    """[A Zbar; sqrt(lam) L] acting on projected coefficients, with
-    the regularization block L = W Zbar (``irw``: w given) or the identity
+    """[U H; sqrt(lam) L] acting on projected coefficients, with U H = A Zbar
+    read from the flexible factorization (so no apply of A), and the
+    regularization block L = W Zbar (``irw``: w given) or the identity
     (w = None), the same matrix that R2 factors."""
 
     kind = "stacked_projected"
 
-    def __init__(self, A, Z, w, lam):
-        k = Z.shape[1]
+    def __init__(self, U, H, Z, w, lam):
+        k = H.shape[1]
         nreg = 0 if lam == 0.0 else (k if w is None else w.size)
-        super().__init__(A.nrows + nreg, k)
-        self.A, self.Z, self.w = A, Z, w
+        super().__init__(U.shape[0] + nreg, k)
+        self.U, self.H, self.Z, self.w = U, H, Z, w
         self.lam = lam
         self.sqlam = np.sqrt(lam)
 
     def _apply(self, y):
-        t = self.Z @ y
-        return self.stack(y, t, self.A.apply(t))
+        x = None if self.w is None or self.lam == 0.0 else self.Z @ y
+        return self.stack(y, x, self.U @ (self.H @ y))
 
-    def stack(self, y, t, At):
-        """The image of y, given t = Zbar y and A t."""
+    def stack(self, y, x, Ax):
+        """The image of y, given x = Zbar y (read only for L = W Zbar) and
+        A x."""
         if self.lam == 0.0:
-            return At
-        reg = y if self.w is None else self.w * t
-        return np.concatenate([At, self.sqlam * reg])
+            return Ax
+        reg = y if self.w is None else self.w * x
+        return np.concatenate([Ax, self.sqlam * reg])
 
     def _apply_adjoint(self, r):
-        top = self.A.apply_adjoint(r[: self.A.nrows])
+        m = self.U.shape[0]
+        top = self.H.T @ (self.U.T @ r[:m])
         if self.lam == 0.0:
-            return self.Z.T @ top
-        reg = r[self.A.nrows:]
+            return top
+        reg = r[m:]
         if self.w is None:
-            return self.Z.T @ top + self.sqlam * reg
-        return self.Z.T @ (top + self.sqlam * (self.w * reg))
+            return top + self.sqlam * reg
+        return top + self.Z.T @ (self.sqlam * (self.w * reg))
 
 
 def _projected_problem(qr, rhs, L):
@@ -267,14 +274,16 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     unsketched_pair = not (s2p and (config.mode == "none"
                                     or policy.kind == "fixed"))
 
-    fact = FlexibleFactorization(config.basis, A, b, ell=config.ell)
-    qr = RowBasis(m) if unsketched_pair else None  # QR of the columns A z_j
-    qr1 = RowBasis(S1.s) if sketched else qr  # of the S1 A z_j
+    k_max = min(config.k_max, m, n)  # the most columns the basis can get
+    fact = FlexibleFactorization(config.basis, A, b, ell=config.ell,
+                                 k_max=k_max)
+    # QR of the columns A z_j, and of the S1 A z_j
+    qr = RowBasis(m, k_max) if unsketched_pair else None
+    qr1 = RowBasis(S1.s, k_max) if sketched else qr
     s1b = apply_sketch(S1, b) if sketched else b
 
     x, Ax = np.zeros(n), np.zeros(m)
     y = np.zeros(0)  # coefficients of x in the basis
-    atb = A.apply_adjoint(b) if s2p else None  # the inner stopping targets
     rec = _TraceRecorder(A, b, weight, x_true)
     eps_hat = float("nan")
     for _ in range(config.k_max):
@@ -312,9 +321,8 @@ def _flex_loop(A, b, config, S1, S2, x_true):
 
         def step(lam):
             if s2p:
-                res = _s2p_projected_solve(A, b, Z, w_reg, lam, pp,
-                                           config.inner_tol, y_prev, x, Ax,
-                                           atb)
+                res = _s2p_projected_solve(fact, w_reg, lam, pp,
+                                           config.inner_tol, y_prev, x, Ax)
                 return res.x, res.n_iter, res.stagnated
             return solve_projected_tikhonov(pp, lam), 1, False
         try:
@@ -338,17 +346,19 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     return rec.result()
 
 
-def _s2p_projected_solve(A, b, Z, w, lam, pp, tol, y0, x0, Ax0, atb):
-    """LSQR on [A Zbar; sqrt(lam) L] y ~ [b; 0] (L as in
-    ``_StackedProjected``), right-preconditioned by the R factor of the
-    sketched pair's stacked QR, and warm-started at y0 from x0 = Zbar y0,
-    Ax0 = A x0 and atb = A^T b, without an apply."""
+def _s2p_projected_solve(fact, w, lam, pp, tol, y0, x0, Ax0):
+    """LSQR on [U H; sqrt(lam) L] y ~ [b; 0] (as in ``_StackedProjected``,
+    from the factorization ``fact``), right-preconditioned by the R factor
+    of the sketched pair's stacked QR, and warm-started at y0 from
+    x0 = Zbar y0 and the true Ax0 = A x0. No step applies A: the stopping
+    target's (U H)^T b is H^T (U^T b)."""
     _, R = _stacked_factor(pp, lam)
-    op = _StackedProjected(A, Z, w, lam)
-    rhs = np.concatenate([b, np.zeros(op.nrows - b.size)])
+    U, H = fact.U, fact.H
+    op = _StackedProjected(U, H, fact.Z, w, lam)
+    rhs = np.concatenate([fact.b, np.zeros(op.nrows - fact.b.size)])
     return lsqr_solve(op, rhs, lam=0.0, right_precond=R, tol=tol,
                       maxit=max(4 * op.ncols, 8), x0=y0,
-                      r0=rhs - op.stack(y0, x0, Ax0), atb=Z.T @ atb)
+                      r0=rhs - op.stack(y0, x0, Ax0), atb=H.T @ (U.T @ fact.b))
 
 
 def _select_s2p_lambda(policy, pp, b_norm, gram):

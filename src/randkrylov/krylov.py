@@ -5,9 +5,9 @@ Every orthonormal basis here, the factorization's U and V and the column QR
 the flexible solvers keep of the A z_j, grows through one kernel,
 ``RowBasis.append``: classical Gram-Schmidt with one reorthogonalization
 pass over the retained window (CGS2), two matrix-vector products per pass.
-Each basis is stored as the rows of an append-only buffer that doubles when
-full, so the bases and the coefficient matrix (H, or the QR's R) are read as
-views, not copies.
+Each basis is stored as the rows of an append-only buffer, sized once from
+the caller's row count when it gives one and doubled when full, so the bases
+and the coefficient matrix (H, or the QR's R) are read as views, not copies.
 
 The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
@@ -33,16 +33,18 @@ def _finite_rhs(b, what="right-hand side"):
 
 
 class RowBasis:
-    """Vectors of length ``dim`` kept as the rows of a buffer that doubles
-    when full. ``Q`` (the vectors as columns) and ``R`` (the upper-triangular
-    coefficients of ``append``) are views; a view taken before the buffer
-    grows keeps the old buffer, whose rows are never rewritten."""
+    """Vectors of length ``dim`` kept as the rows of a buffer of ``rows``
+    rows (``INITIAL_ROWS`` for None) that doubles when full. ``Q`` (the
+    vectors as columns) and ``R`` (the upper-triangular coefficients of
+    ``append``) are views; a view taken before the buffer grows keeps the
+    old buffer, whose rows are never rewritten."""
 
     INITIAL_ROWS = 8
 
-    def __init__(self, dim):
-        self._rows = np.empty((self.INITIAL_ROWS, dim))
-        self._R = np.zeros((self.INITIAL_ROWS, self.INITIAL_ROWS))
+    def __init__(self, dim, rows=None):
+        rows = self.INITIAL_ROWS if rows is None else max(rows, 1)
+        self._rows = np.empty((rows, dim))
+        self._R = np.zeros((rows, rows))
         self.k = 0
 
     @property
@@ -69,7 +71,10 @@ class RowBasis:
         """CGS2, classical Gram-Schmidt with one reorthogonalization pass, of
         q against the last ``window`` rows (all of them for None); stores
         q / |q|, or the zero vector once |q| <= floor. Returns the new column
-        of R, the coefficients [h; |q|] (zeros outside the window)."""
+        of R, the coefficients [h; |q|] (zeros outside the window). A q with
+        NaN or inf entries raises ValueError and stores nothing."""
+        if not np.isfinite(q @ q):
+            raise ValueError("cannot orthogonalize a non-finite vector")
         k = self.k
         lo = 0 if window is None else max(0, k - window)
         Qw = self._rows[lo:k]
@@ -88,10 +93,12 @@ class FlexibleFactorization:
     """Growing state of an ell-truncated flexible Arnoldi or Golub-Kahan
     factorization of (A, b) with per-step diagonal preconditioners: the
     bases U, V and Z and the coefficients H, all views of ``RowBasis``
-    buffers. The raw columns A z_j are returned by ``expand`` and not kept;
-    a caller that needs them keeps its own (e.g. a QR of them)."""
+    buffers sized for ``k_max`` steps when it is given. The raw columns
+    A z_j are returned by ``expand`` and not kept: A Z = U H gives them
+    back from what is kept, at any ell, and after a breakdown to within its
+    floor."""
 
-    def __init__(self, kind, A, b, ell=None):
+    def __init__(self, kind, A, b, ell=None, k_max=None):
         if kind not in ("arnoldi", "golub_kahan"):
             raise ValueError(f"unknown factorization kind {kind!r}")
         self.kind, self.A, self.ell = kind, A, ell  # ell None: full
@@ -100,10 +107,10 @@ class FlexibleFactorization:
         if self.beta1 == 0.0:
             raise ValueError("cannot build a Krylov space from a zero vector")
         self.breakdown = False
-        self._U = RowBasis(self.b.size)
+        self._U = RowBasis(self.b.size, None if k_max is None else k_max + 1)
         self._U.append(self.b)  # R = [beta1 e1, H]
-        self._V = RowBasis(A.ncols)
-        self._Z = RowBasis(A.ncols)
+        self._V = RowBasis(A.ncols, k_max)
+        self._Z = RowBasis(A.ncols, k_max)
 
     @property
     def k(self):
@@ -133,8 +140,9 @@ class FlexibleFactorization:
         if self.breakdown:
             raise RuntimeError("factorization already broke down")
         w_inv = np.asarray(w_inv, dtype=np.float64)
-        if np.any(w_inv <= 0):
-            raise ValueError("preconditioner entries must be positive")
+        if not (np.all(np.isfinite(w_inv)) and np.all(w_inv > 0)):
+            raise ValueError("preconditioner entries must be finite and "
+                             "positive")
         floor = BREAKDOWN_RTOL * self.beta1
         v = self._U.Q[:, -1]
         if self.kind == "golub_kahan":
@@ -146,8 +154,8 @@ class FlexibleFactorization:
 
         z = w_inv * v
         q_raw = self.A.apply(z)
-        self._Z.push(z)
         self.breakdown = self._U.append(q_raw, self.ell, floor)[-1] <= floor
+        self._Z.push(z)
         return q_raw
 
 

@@ -92,9 +92,9 @@ def build_flex_sketches(A, b, k_max, multiplier, seed):
     basis of a Golub-Kahan pilot factorization of (A, b) with unit weights.
     Its depth min(k_max, 20, m - 1, n) keeps the m-by-(depth+1) U and the
     n-by-depth V no wider than tall."""
-    pilot = FlexibleFactorization("golub_kahan", A, b)
-    ones = np.ones(A.ncols)
     depth = min(k_max, 20, A.nrows - 1, A.ncols)
+    pilot = FlexibleFactorization("golub_kahan", A, b, k_max=depth)
+    ones = np.ones(A.ncols)
     while pilot.k < depth and not pilot.breakdown:
         pilot.expand(ones)
     U, V = pilot.U, pilot.V

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,13 +87,60 @@ def test_s2p_preconditioner_whitens_a_pair_with_a_singular_gram(monkeypatch,
     monkeypatch.setattr(flex, "lsqr_solve",
                         lambda *args, right_precond, **kwargs:
                         seen.append(right_precond))
-    A, b, zero = DenseOperator(np.eye(2)), np.ones(2), np.zeros(2)
-    flex._s2p_projected_solve(A, b, np.eye(2), None, lam, pp, 1e-10, zero,
-                              zero, zero, b)
+    fact = FlexibleFactorization("arnoldi", DenseOperator(np.diag([1.0, 2.0])),
+                                 np.ones(2))
+    for _ in range(2):
+        fact.expand(np.ones(2))
+    zero = np.zeros(2)
+    flex._s2p_projected_solve(fact, None, lam, pp, 1e-10, zero, zero, zero)
     stacked = np.vstack([R1, np.sqrt(lam) * np.eye(2)])
     whitened = scipy.linalg.solve_triangular(seen[0], stacked.T,
                                               trans="T").T
     assert np.linalg.cond(whitened) <= 1.0 + 1e-8
+
+
+@pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
+@pytest.mark.parametrize("breakdown", [False, True])
+def test_stacked_projected_reads_A_Zbar_from_U_H(kind, breakdown):
+    # [U H; sqrt(lam) L] is [A Zbar; sqrt(lam) L] with no apply of A, for
+    # ell = 4 and per-step weights. With breakdown, A maps the first c
+    # coordinates to the first three and b lies there: Arnoldi (c = 3) stores
+    # a zero u_4 at k = 3, Golub-Kahan (c = 2) finds v_3 = 0 and keeps k = 2
+    rng = _rng(21)
+    m, n = (30, 30) if kind == "arnoldi" else (40, 30)
+    M = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    c = 3 if kind == "arnoldi" else 2
+    if breakdown:
+        M[:3, c:] = 0.0
+        M[3:, :c] = 0.0
+        b[3:] = 0.0
+    A = _MatrixFreeOnly(M)
+    fact = FlexibleFactorization(kind, A, b, ell=4)
+    while fact.k < 8 and not fact.breakdown:
+        fact.expand(rng.random(n) + 0.2)
+    assert fact.breakdown == breakdown and fact.k == (c if breakdown else 8)
+    if breakdown:  # only Arnoldi's last u is zero
+        assert np.any(fact.U[:, -1]) == (kind == "golub_kahan")
+    A.applies = A.adjoints = 0
+    Z, k = fact.Z, fact.k
+    for w in (None, rng.random(n) + 0.5):
+        for lam in (0.0, 0.3):
+            op = flex._StackedProjected(fact.U, fact.H, Z, w, lam)
+            L = np.eye(k) if w is None else w[:, None] * Z
+            ref = (M @ Z if lam == 0.0
+                   else np.vstack([M @ Z, np.sqrt(lam) * L]))
+            assert op.shape == ref.shape
+            y = rng.standard_normal(k)
+            r = rng.standard_normal(op.nrows)
+            Ay, ATr = op.apply(y), op.apply_adjoint(r)
+            assert (np.linalg.norm(Ay - ref @ y)
+                    <= 1e-12 * np.linalg.norm(ref @ y))
+            assert (np.linalg.norm(ATr - ref.T @ r)
+                    <= 1e-12 * np.linalg.norm(ref.T @ r))
+            assert (abs(Ay @ r - y @ ATr)
+                    <= 1e-12 * np.linalg.norm(Ay) * np.linalg.norm(r))
+    assert (A.applies, A.adjoints) == (0, 0)
 
 
 def test_monotonicity_condition_edges():
@@ -406,9 +455,10 @@ def test_sns_applies_A_as_often_as_exact():
 
 
 def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
-    # per outer: each inner LSQR applies A and A^T once per iteration and
-    # A^T once at its start; the objective applies A once, and its residual
-    # is the next warm start's. Per solve, A^T b sets the stopping targets.
+    # IRN, per outer: each inner LSQR applies A and A^T once per iteration
+    # and A^T once at its start; the objective applies A once, and its
+    # residual is the next warm start's. Per solve, A^T b sets the stopping
+    # targets.
     ws = WeightSpec(p=1.0, tau=1e-4)
     pol = LambdaPolicy(kind="fixed", lam=0.5)
     inst = _tall_instance(m=120, n=30)
@@ -418,17 +468,22 @@ def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
     inner, outer = res.trace[-1].cum_inner, len(res.trace)
     assert (A.applies, A.adjoints) == (inner + outer, inner + outer + 1)
 
-    S1, S2 = build_flex_sketches(A, inst.b, 12, 4, 7)
-    A.applies = A.adjoints = 0
+    # flexible s2p, per outer: the expansion applies A (and A^T for
+    # Golub-Kahan) once and the trace row applies A once; the inner LSQR
+    # reads A Zbar = U H from the factorization and applies neither
     cfg = FlexSolverConfig(basis="golub_kahan", mode="irw",
                            scheme="sketch_to_precondition", k_max=12,
                            weight=ws, lambda_policy=pol, inner_tol=1e-6)
-    res = s2p_flex_solve(A, inst.b, cfg, S1, S2)
-    inner, outer = res.trace[-1].cum_inner, len(res.trace)
-    assert inner > 2 * outer
-    # a Golub-Kahan expansion applies A and A^T once each
-    assert (A.applies, A.adjoints) == (inner + 2 * outer,
-                                       inner + 2 * outer + 1)
+    square = _square_instance(n=40)
+    for basis, inst, adjoints in (("golub_kahan", inst, 1),
+                                  ("arnoldi", square, 0)):
+        A = _MatrixFreeOnly(inst.A.matrix)
+        S1, S2 = build_flex_sketches(A, inst.b, 12, 4, 7)
+        A.applies = A.adjoints = 0
+        res = s2p_flex_solve(A, inst.b, replace(cfg, basis=basis), S1, S2)
+        inner, outer = res.trace[-1].cum_inner, len(res.trace)
+        assert inner > 2 * outer, basis
+        assert (A.applies, A.adjoints) == (2 * outer, adjoints * outer), basis
 
 
 def test_sns_monotonicity_flags_match_sketched_majorant(iterates):

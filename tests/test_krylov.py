@@ -291,6 +291,68 @@ def test_factorization_rejects_bad_input():
 
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factorization_refuses_a_non_finite_preconditioner(bad):
+    # NaN <= 0 and inf <= 0 are both False: a sign test alone let them pass,
+    # and a NaN z then stored a zero u with no breakdown
+    n = 6
+    fact = FlexibleFactorization("golub_kahan", DenseOperator(np.eye(n)),
+                                 np.ones(n))
+    w_inv = np.ones(n)
+    w_inv[2] = bad
+    with pytest.raises(ValueError, match="finite and positive"):
+        fact.expand(w_inv)
+    assert fact.k == 0 and fact.U.shape == (n, 1) and not fact.breakdown
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_row_basis_refuses_a_non_finite_vector(bad):
+    rng = _rng(15)
+    qr = RowBasis(5)
+    qr.append(rng.standard_normal(5))
+    v = rng.standard_normal(5)
+    v[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        qr.append(v)
+    assert qr.k == 1
+    # an operator that returns NaN stops the expansion, Z and U unchanged
+    M = np.eye(5)
+    M[0, 0] = bad
+    fact = FlexibleFactorization("arnoldi", DenseOperator(M), np.ones(5))
+    with pytest.raises(ValueError, match="non-finite"):
+        fact.expand(np.ones(5))
+    assert fact.k == 0 and fact.U.shape == (5, 1) and not fact.breakdown
+
+
+@pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
+def test_bases_sized_from_k_max_do_not_grow(kind):
+    # with a k_max hint every buffer is allocated once, and the factorization
+    # is bitwise the unsized one; past the hint the buffers still double
+    rng = _rng(16)
+    n, steps = 30, 2 * RowBasis.INITIAL_ROWS + 3
+    M = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    weights = [rng.random(n) + 0.2 for _ in range(steps + 2)]
+    sized = FlexibleFactorization(kind, DenseOperator(M), b, ell=4,
+                                  k_max=steps)
+    plain = FlexibleFactorization(kind, DenseOperator(M), b, ell=4)
+    sized.expand(weights[0])
+    first = (sized.U, sized.V, sized.Z, sized.H)
+    for w_inv in weights[1:steps]:
+        sized.expand(w_inv)
+    for early, now in zip(first, (sized.U, sized.V, sized.Z, sized.H)):
+        assert np.shares_memory(early, now)
+    for w_inv in weights[:steps]:
+        plain.expand(w_inv)
+    for got, want in zip((sized.U, sized.V, sized.Z, sized.H),
+                         (plain.U, plain.V, plain.Z, plain.H)):
+        assert got.tobytes() == want.tobytes()
+    for w_inv in weights[steps:]:
+        sized.expand(w_inv)
+    assert sized.k == steps + 2 and not np.shares_memory(first[2], sized.Z)
+    assert RowBasis(4, 0)._rows.shape == (1, 4)
+
+
 def _list_cgs2(q, basis, window):
     """Reference: classical Gram-Schmidt with one reorthogonalization pass of
     q against the last ``window`` vectors of the list ``basis``, stacked as

@@ -169,9 +169,9 @@ def test_s2p_without_a_lambda_rule_builds_no_unsketched_column_qr(
     dims = []
 
     class Recording(RowBasis):
-        def __init__(self, dim):
+        def __init__(self, dim, rows=None):
             dims.append(dim)
-            super().__init__(dim)
+            super().__init__(dim, rows)
     monkeypatch.setattr(flex, "RowBasis", Recording)
     inst = _instance()
     m = inst.A.nrows
