@@ -51,6 +51,7 @@ from .irn import (
     IRNConfig,
     TraceRow,
     _dense_system_matrix,
+    _reduce_system,
     _TraceRecorder,
     irn_s2p_solve,
     irn_solve,
@@ -241,10 +242,10 @@ def load_bundle(path):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-# What the sketched solvers build from each problem, once per problem: the
-# irn-s2p leverage scores of A and the flex sketches of each (b, k_max,
-# multiplier, seed). An entry lives only as long as its A and holds no
-# reference to it, so no run's problem outlives the run.
+# What the solvers build from each problem, once per problem: IRN's QR of a
+# dense [A, b], the irn-s2p leverage scores of A and the flex sketches of
+# each (b, k_max, multiplier, seed). An entry lives only as long as its A
+# and holds no reference to it, so no run's problem outlives the run.
 _problem_lock = threading.Lock()
 _problem_cache = weakref.WeakKeyDictionary()
 
@@ -258,10 +259,19 @@ def _per_problem(A, key, build):
         return cache[key]
 
 
+def _reduced(A, b):
+    """IRN's reduced system of a dense A and b, once per problem; None for a
+    matrix-free A, which IRN reduces only when it materializes A anyway."""
+    if not hasattr(A, "matrix"):
+        return None
+    return _per_problem(A, ("reduced", b.tobytes()),
+                        lambda: _reduce_system(A.matrix, b))
+
+
 def _solver_call(name, cfg, inst):
     """The solve of solver ``name`` as a zero-argument callable. Every key is
-    parsed and validated here (a bad one raises ConfigError); no sketch or
-    leverage score is computed until the callable runs."""
+    parsed and validated here (a bad one raises ConfigError); no sketch,
+    leverage score or QR is computed until the callable runs."""
     sec = _section(cfg, f"solver.{name}")
     try:  # the configs validate themselves with ValueError
         family = _get(sec, "family", str, required=True)
@@ -315,13 +325,13 @@ def _solver_call(name, cfg, inst):
 
     A, b, x_true = inst.A, inst.b, inst.x_true
     if family == "irn":
-        return lambda: irn_solve(A, b, config, x_true)
+        return lambda: irn_solve(A, b, config, x_true, _reduced(A, b))
     if family == "irn_s2p":
         def solve():
             p = _per_problem(A, "leverage", lambda: estimate_leverage_scores(
                 _dense_system_matrix(A)))
             S = build_leverage_sketch(p, mult * A.ncols, seed)
-            return irn_s2p_solve(A, b, config, S, x_true)
+            return irn_s2p_solve(A, b, config, S, x_true, _reduced(A, b))
         return solve
     if family == "flex":
         if config.scheme == "exact":

@@ -4,10 +4,19 @@ variant.
 
 Each outer step rebuilds the diagonal weights at the current iterate and
 solves the standard-form reweighted least-squares subproblem in the scaled
-variable s = W_k x by LSQR warm-started at s0 = W_k x_{k-1}, from the
-previous objective's residual b - A x_{k-1}, to the cold start's target
-tol |(A W_k^{-1} R^{-1})^T b| (A^T b is taken once per solve). At fixed
-lambda the MM objective then never rises, at any inner tolerance.
+variable s = W_k x by LSQR warm-started at s0 = W_k x_{k-1}, to the cold
+start's target tol |(A W_k^{-1} R^{-1})^T b|. At fixed lambda the MM
+objective then never rises, at any inner tolerance.
+
+When the loop holds a dense matrix of A = Q R (a dense A, or one that a
+sketch or a lambda rule materializes), the inner solves run on the n-by-n
+R W_k^{-1} with right-hand side Q^T b, from one QR of [A, b] per problem:
+LSQR's iterates depend only on the normal equations, which are the same,
+and |A W^{-1} s - b|^2 = |R W^{-1} s - Q^T b|^2 + beta_perp^2. A then
+applies only to record the trace. A matrix-free A at fixed lambda with no
+sketch is neither materialized nor reduced: its solves warm-start from the
+previous trace row's residual b - A x_{k-1}, and A^T b is taken once per
+solve.
 
 ``_TraceRecorder`` writes the trace of every solver (these loops, flex,
 FISTA, the CLI's lsqr and gmres); IRN's ``cum_inner`` adds inner iterations.
@@ -21,8 +30,8 @@ import numpy as np
 import scipy.linalg
 
 from .bidiag import bidiag_svd
-from .krylov import lsqr_solve
-from .operators import CompositeOperator, DiagonalOperator
+from .krylov import _finite_rhs, lsqr_solve
+from .operators import CompositeOperator, DenseOperator, DiagonalOperator
 from .regparam import LambdaPolicy, SpectralPair, select_lambda
 from .sketching import apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
@@ -101,16 +110,17 @@ class _TraceRecorder:
 
 
 def _dense_system_matrix(A):
-    """Materialized A (desk scale only): the irn-s2p sketch and the one QR
-    behind the dp, gcv and optimal policies start from it."""
+    """Dense A (desk scale only): a dense operator's own matrix, else
+    materialized. The irn-s2p sketch and the one QR of [A, b], behind the
+    inner solves and the dp, gcv and optimal policies, start from it."""
     return A.matrix if hasattr(A, "matrix") else A.materialize()
 
 
 @dataclass(frozen=True)
 class _ReducedSystem:
-    """What the lambda rules read of A = Q R and b, with Q never formed: the
-    k-by-n R (k = min(m, n)), Q^T b, beta_perp = |b - Q Q^T b|, the row
-    count m and |b|."""
+    """What the inner solves and the lambda rules read of A = Q R and b,
+    with Q never formed: the k-by-n R (k = min(m, n)), Q^T b, beta_perp =
+    |b - Q Q^T b|, the row count m and |b|."""
 
     R: np.ndarray
     qtb: np.ndarray
@@ -121,13 +131,15 @@ class _ReducedSystem:
 
 def _reduce_system(M, b):
     """One Householder QR of the bordered [M, b], whose R factor is
-    [R, Q^T b; 0, +-beta_perp]. Exact for any shape and rank."""
+    [R, Q^T b; 0, +-beta_perp]. Exact for any shape and rank. IRN's inner
+    LSQR runs on (R W^{-1}, Q^T b), and its lambda rules read all of it;
+    R and Q^T b are copied out, so the bordered factor is freed."""
     m, n = M.shape
     k = min(m, n)
     T = np.linalg.qr(np.column_stack([M, b]), mode="r")
     beta_perp = abs(float(T[k, n])) if m > n else 0.0
-    return _ReducedSystem(T[:k, :n], T[:k, n], beta_perp, m,
-                          float(np.linalg.norm(b)))
+    return _ReducedSystem(np.ascontiguousarray(T[:k, :n]), T[:k, n].copy(),
+                          beta_perp, m, float(np.linalg.norm(b)))
 
 
 def _reweighted_pair(system, w_inv, coef=False):
@@ -160,9 +172,11 @@ def _select_lambda(policy, system, w_inv):
                          system.b_norm, gram)
 
 
-def irn_solve(A, b, config, x_true=None):
-    """Majorization-minimization with unpreconditioned LSQR inner solves."""
-    return _irn_loop(A, b, config, x_true, sketch=None)
+def irn_solve(A, b, config, x_true=None, reduced=None):
+    """Majorization-minimization with unpreconditioned LSQR inner solves.
+    ``reduced``, ``_reduce_system`` of a dense A and this b, saves the
+    solve its own QR."""
+    return _irn_loop(A, b, config, x_true, None, reduced)
 
 
 def build_partly_exact_preconditioner(C0, w, lam):
@@ -186,44 +200,49 @@ def build_partly_exact_preconditioner(C0, w, lam):
         ) from exc
 
 
-def irn_s2p_solve(A, b, config, sketch, x_true=None):
+def irn_s2p_solve(A, b, config, sketch, x_true=None, reduced=None):
     """IRN with every inner LSQR right-preconditioned by the Cholesky factor
-    of the sketched Gram matrix; the sketch of A is computed once."""
-    return _irn_loop(A, b, config, x_true, sketch=sketch)
+    of the sketched Gram matrix; the sketch of A is computed once.
+    ``reduced`` as for ``irn_solve``."""
+    return _irn_loop(A, b, config, x_true, sketch, reduced)
 
 
-def _irn_loop(A, b, config, x_true, sketch):
-    b = np.asarray(b, dtype=np.float64)
+def _irn_loop(A, b, config, x_true, sketch, reduced):
+    b = _finite_rhs(b)
     n = A.ncols
     inner_max = config.inner_max if config.inner_max is not None else 2 * n
     policy = config.lambda_policy
     weight = config.weight
 
-    M = system = C0 = None
-    if sketch is not None or policy.kind != "fixed":
-        M = _dense_system_matrix(A)
-    if policy.kind != "fixed":
-        system = _reduce_system(M, b)
-    if sketch is not None:
-        Y0 = apply_sketch(sketch, M)  # S A
-        C0 = Y0.T @ Y0
-    del M  # the loop reads only the reduced system and C0
+    C0 = None
+    if hasattr(A, "matrix") or sketch is not None or policy.kind != "fixed":
+        M = _finite_rhs(_dense_system_matrix(A), "system matrix")
+        if reduced is None:
+            reduced = _reduce_system(M, b)
+        if sketch is not None:
+            Y0 = apply_sketch(sketch, M)  # S A
+            C0 = Y0.T @ Y0
+        del M  # the loop reads only the reduced system and C0
 
-    atb = A.apply_adjoint(b)  # the inner stopping targets
+    # the inner solves' operator and right-hand side: A and b, or R and Q^T b
+    op, rhs = ((A, b) if reduced is None
+               else (DenseOperator(reduced.R), reduced.qtb))
+    atb = op.apply_adjoint(rhs)  # A^T b = R^T Q^T b: the stopping targets
     x, Ax = np.zeros(n), np.zeros(A.nrows)
     rec = _TraceRecorder(A, b, weight, x_true)
     for _ in range(config.outer_max):
         w = compute_weights(x, weight)
         w_inv = 1.0 / w
-        lam = _select_lambda(policy, system, w_inv)
-        op_k = CompositeOperator([A, DiagonalOperator(w_inv)])
+        lam = _select_lambda(policy, reduced, w_inv)
+        op_k = CompositeOperator([op, DiagonalOperator(w_inv)])
 
         R = (None if sketch is None
              else build_partly_exact_preconditioner(C0, w, lam))
         res = lsqr_solve(
-            op_k, b, lam=lam, right_precond=R,
-            tol=config.inner_tol, maxit=inner_max,
-            x0=w * x, r0=b - Ax, atb=w_inv * atb,
+            op_k, rhs, lam=lam, right_precond=R,
+            tol=config.inner_tol, maxit=inner_max, x0=w * x,
+            r0=b - Ax if reduced is None else rhs - op.apply(x),
+            atb=w_inv * atb,
         )
         x = w_inv * res.x
         Ax = rec.row(x, lam, res.n_iter, stagnated=res.stagnated)

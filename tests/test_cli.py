@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import randkrylov.cli as cli
+import randkrylov.irn as irn
 from randkrylov import TraceRow
 from randkrylov.cli import (
     CSV_COLUMNS,
@@ -496,6 +497,51 @@ def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
                      "--out", str(tmp_path / name)]) == 0
         for ext in ("trace.csv", "x.f64"):
             assert (tmp_path / "both" / f"{name}.{ext}").read_bytes() == \
+                (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_irn_reduction_once_per_run(tmp_path, monkeypatch, threads):
+    # irn, irn_s2p and irn_s2p with dp share one QR of the dense [A, b],
+    # taken when the first of them runs
+    calls = []
+    real_reduce = cli._reduce_system
+    real_build, real_call = cli.build_problem, cli._solver_call
+
+    def counted(M, b):
+        calls.append(M.shape)
+        return real_reduce(M, b)
+
+    def build_checked(*args, **kwargs):
+        before = len(calls)
+        inst = real_build(*args, **kwargs)
+        assert len(calls) == before, "reduced while building the problem"
+        return inst
+
+    def call_checked(*args, **kwargs):
+        before = len(calls)
+        solve = real_call(*args, **kwargs)
+        assert len(calls) == before, "reduced while validating the config"
+        return solve
+
+    for module in (cli, irn):
+        monkeypatch.setattr(module, "_reduce_system", counted)
+    monkeypatch.setattr(cli, "build_problem", build_checked)
+    monkeypatch.setattr(cli, "_solver_call", call_checked)
+    solvers = dict(IRN_S2P_SOLVERS, plain=(
+        "solver.plain.family = irn\nsolver.plain.seed = 1\n"
+        "solver.plain.lambda = 0.5\nsolver.plain.outer_max = 4\n"))
+    both = _write(tmp_path, IRN_S2P_PAIR + "".join(solvers.values()),
+                  "all.cfg")
+    assert main(["run", "--config", both, "--out", str(tmp_path / "all"),
+                 "--threads", threads]) == 0
+    assert calls == [(60, 10)]
+    for name, text in solvers.items():
+        alone = _write(tmp_path, IRN_S2P_PAIR + text, f"{name}.cfg")
+        assert main(["run", "--config", alone,
+                     "--out", str(tmp_path / name)]) == 0
+        for ext in ("trace.csv", "x.f64"):
+            assert (tmp_path / "all" / f"{name}.{ext}").read_bytes() == \
                 (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)
 
 

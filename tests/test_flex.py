@@ -390,7 +390,7 @@ class _MatrixFreeOnly(LinearOperator):
         return self.M.T @ y
 
     def materialize(self):
-        raise AssertionError("a flexible solver materialized A")
+        raise AssertionError("a solver materialized A")
 
 
 def test_flex_schemes_never_materialize_A():

@@ -1,7 +1,9 @@
 
 import numpy as np
 import pytest
+from test_flex import _MatrixFreeOnly
 
+import randkrylov.irn as irn
 from randkrylov.irn import (
     IRNConfig,
     _ReducedSystem,
@@ -12,6 +14,7 @@ from randkrylov.irn import (
     irn_s2p_solve,
     irn_solve,
 )
+from randkrylov.operators import DenseOperator
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy, select_lambda, svd_pair
 from randkrylov.sketching import (
@@ -243,3 +246,105 @@ def test_reweighted_pair_refuses_non_finite_weights_and_keeps_beta_perp():
             _reweighted_pair(_ReducedSystem(R_bad, system.qtb,
                                             system.beta_perp, system.m,
                                             system.b_norm), w_inv)
+
+
+def _fixed(lam=0.5, outer_max=6, **kwargs):
+    return IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=outer_max,
+                     lambda_policy=LambdaPolicy(kind="fixed", lam=lam),
+                     **kwargs)
+
+
+class _CountingDense(DenseOperator):
+    """A dense operator, with its matrix, that counts its applies."""
+
+    def __init__(self, M):
+        super().__init__(M)
+        self.applies = self.adjoints = 0
+
+    def _apply(self, x):
+        self.applies += 1
+        return super()._apply(x)
+
+    def _apply_adjoint(self, y):
+        self.adjoints += 1
+        return super()._apply_adjoint(y)
+
+    def materialize(self):
+        raise AssertionError("a dense operator was copied")
+
+
+def test_dense_irn_applies_A_once_per_trace_row():
+    # the inner solves run on the n-by-n R W^{-1} with Q^T b; A applies only
+    # to record each trace row, and its adjoint never
+    inst = _instance(m=120, n=30)
+    S = build_leverage_sketch(estimate_leverage_scores(inst.A.matrix), 90,
+                              seed=3)
+    runs = {"irn": lambda A: irn_solve(A, inst.b, _fixed(), inst.x_true),
+            "irn_s2p": lambda A: irn_s2p_solve(A, inst.b, _fixed(), S,
+                                               inst.x_true)}
+    for name, run in runs.items():
+        A = _CountingDense(inst.A.matrix)
+        res = run(A)
+        assert res.trace[-1].cum_inner > 2 * len(res.trace), name
+        assert (A.applies, A.adjoints) == (len(res.trace), 0), name
+
+
+def test_reduced_inner_solves_match_the_full_operator():
+    # a dense A runs its inner LSQR on (R W^{-1}, Q^T b), a matrix-free one
+    # on (A W^{-1}, b); both have the same normal equations, so the two
+    # solves agree to within what the inner tolerance leaves open: at 1e-12
+    # they end within 3e-11 (x) and 2e-11 (objective) of each other
+    cfg = _fixed(outer_max=8, inner_tol=1e-12)
+    for inst in (_instance(m=120, n=30), _instance(m=90, n=30, seed=4)):
+        dense = irn_solve(inst.A, inst.b, cfg, inst.x_true)
+        free = irn_solve(_MatrixFreeOnly(inst.A.matrix), inst.b, cfg,
+                         inst.x_true)
+        assert len(dense.trace) == len(free.trace) == 8
+        assert np.linalg.norm(dense.x - free.x) \
+            <= 1e-8 * np.linalg.norm(free.x)
+        np.testing.assert_allclose(dense.column("objective_mm"),
+                                   free.column("objective_mm"), rtol=1e-9)
+        inner_d, inner_f = (dense.column("cum_inner"),
+                            free.column("cum_inner"))
+        assert abs(inner_d[-1] - inner_f[-1]) <= 0.05 * inner_f[-1]
+
+
+def test_reduction_passed_in_is_the_one_used(monkeypatch):
+    # a caller's reduction saves the solve its own QR, with the same result
+    inst = _instance(m=120, n=30)
+    reduced = _reduce_system(inst.A.matrix, inst.b)
+    ref = irn_solve(inst.A, inst.b, _fixed(), inst.x_true)
+
+    def no_qr(*args):
+        raise AssertionError("the loop reduced A again")
+
+    monkeypatch.setattr(irn, "_reduce_system", no_qr)
+    res = irn_solve(inst.A, inst.b, _fixed(), inst.x_true, reduced=reduced)
+    np.testing.assert_array_equal(res.x, ref.x)
+
+
+@pytest.mark.parametrize("solver", ["irn", "irn_s2p"])
+@pytest.mark.parametrize("kind", ["fixed", "dp"])
+@pytest.mark.parametrize("bad", ["nan_A", "inf_A", "nan_b"])
+def test_irn_rejects_non_finite_data_before_any_work(monkeypatch, solver,
+                                                     kind, bad):
+    inst = _instance()
+    M, b = inst.A.matrix.copy(), inst.b.copy()
+    if bad == "nan_b":
+        b[7] = np.nan
+    else:
+        M[7, 3] = np.nan if bad == "nan_A" else np.inf
+    S = identity_sketch(M.shape[0])
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started on non-finite data")
+
+    for name in ("_reduce_system", "apply_sketch", "lsqr_solve"):
+        monkeypatch.setattr(irn, name, never)
+    cfg = IRNConfig(outer_max=3, lambda_policy=LambdaPolicy(
+        kind=kind, lam=0.5, nl=0.02))
+    with pytest.raises(ValueError, match="non-finite"):
+        if solver == "irn":
+            irn_solve(DenseOperator(M), b, cfg)
+        else:
+            irn_s2p_solve(DenseOperator(M), b, cfg, S)
