@@ -248,9 +248,9 @@ def test_reweighted_pair_refuses_non_finite_weights_and_keeps_beta_perp():
                                             system.b_norm), w_inv)
 
 
-def _fixed(lam=0.5, outer_max=6, **kwargs):
+def _fixed(outer_max=6, **kwargs):
     return IRNConfig(weight=WeightSpec(p=1.0, tau=1e-4), outer_max=outer_max,
-                     lambda_policy=LambdaPolicy(kind="fixed", lam=lam),
+                     lambda_policy=LambdaPolicy(kind="fixed", lam=0.5),
                      **kwargs)
 
 
