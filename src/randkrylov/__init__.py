@@ -7,7 +7,7 @@ flexible solvers (sketch-and-solve, sketch-to-precondition, exact reference),
 regularization-parameter rules, and a config-driven experiment CLI.
 """
 
-from .baselines import fista_solve
+from .baselines import fista_solve, krylov_baseline_solve
 from .flex import (
     FlexSolverConfig,
     ProjectedProblem,

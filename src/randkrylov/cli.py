@@ -1,4 +1,7 @@
-"""Config-driven experiment runner.
+"""Config-driven experiment runner. No solver is here: this module parses
+and validates the config, dispatches to ``irn``, ``flex`` and ``baselines``,
+caches what the solvers build once per problem, and writes and reads the
+trace CSV of ``_TRACE_SCHEMA``.
 
 Subcommands:
   gen     write a problem bundle directory from the [problem] keys
@@ -29,7 +32,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import functools
 import io
 import json
 import os
@@ -40,7 +42,7 @@ import weakref
 import numpy as np
 
 from . import problems as prob_mod
-from .baselines import fista_solve
+from .baselines import fista_solve, krylov_baseline_solve
 from .flex import (
     FlexSolverConfig,
     exact_flex_solve,
@@ -52,11 +54,9 @@ from .irn import (
     TraceRow,
     _dense_system_matrix,
     _reduce_system,
-    _TraceRecorder,
     irn_s2p_solve,
     irn_solve,
 )
-from .krylov import gmres_solve, lsqr_solve
 from .operators import DenseOperator, IdentityOperator
 from .regparam import LambdaPolicy
 from .sketching import (
@@ -66,11 +66,24 @@ from .sketching import (
 )
 from .weights import WeightSpec
 
-CSV_COLUMNS = [
-    "solver", "outer_iter", "cum_inner_iter", "rel_error", "objective_mm",
-    "objective_literal", "lambda", "eps_hat", "mono_cond_satisfied",
-    "breakdown_flag",
-]
+# The trace CSV, one (column, TraceRow field, cell parser) per column. The
+# first column holds the solver's name, which is no row field.
+_TRACE_SCHEMA = (
+    ("solver", None, None),
+    ("outer_iter", "outer", int),
+    ("cum_inner_iter", "cum_inner", int),
+    ("rel_error", "rel_error", lambda cell: float(cell or "nan")),
+    ("objective_mm", "objective_mm", float),
+    ("objective_literal", "objective_literal", float),
+    ("lambda", "lam", float),
+    ("eps_hat", "eps_hat", lambda cell: float(cell or "nan")),
+    ("mono_cond_satisfied", "mono_satisfied",
+     lambda cell: cell == "1" if cell else None),
+    ("breakdown_flag", "breakdown", lambda cell: cell == "1"),
+)
+CSV_COLUMNS = [column for column, _, _ in _TRACE_SCHEMA]
+_SUMMARY_COLUMNS = ["solver", "best_rel_error", "iters_to_threshold",
+                   "final_objective_mm", "monotonicity_violations"]
 
 
 class ConfigError(Exception):
@@ -349,16 +362,8 @@ def _solver_call(name, cfg, inst):
         return lambda: fista_solve(A, b, policy.lam, n_iter=k_max,
                                    weight=weight, x_true=x_true)
 
-    def solve():
-        rec = _TraceRecorder(A, b, weight, x_true)
-        record = lambda x: rec.row(x, lam)  # one apply of A per row
-        krylov = (functools.partial(lsqr_solve, lam=lam) if family == "lsqr"
-                  else gmres_solve)
-        out = krylov(A, b, tol=tol, maxit=k_max, callback=record)
-        if not rec.trace:  # b = 0: the solver returns x = 0 before a step
-            record(out.x)
-        return rec.result()
-    return solve
+    return lambda: krylov_baseline_solve(A, b, family, lam, tol, k_max,
+                                         weight, x_true)
 
 
 def run_solver(name, cfg, inst):
@@ -384,18 +389,16 @@ def _fmt(v):
     return str(v)
 
 
-def trace_to_csv(name, result):
+def _csv_text(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in result.trace:
-        writer.writerow([
-            name, row.outer, row.cum_inner, _fmt(row.rel_error),
-            _fmt(row.objective_mm), _fmt(row.objective_literal),
-            _fmt(row.lam), _fmt(row.eps_hat), _fmt(row.mono_satisfied),
-            _fmt(row.breakdown),
-        ])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def trace_to_csv(name, result):
+    return _csv_text([CSV_COLUMNS] + [
+        [name if field is None else _fmt(getattr(row, field))
+         for _, field, _ in _TRACE_SCHEMA] for row in result.trace])
 
 
 def _atomic_write(path, text):
@@ -422,13 +425,9 @@ def summarize_traces(rows_by_solver, threshold=None):
         viol = sum(1 for a, c in zip(rows, rows[1:])
                    if c.lam == a.lam
                    and c.objective_mm > a.objective_mm + slack)
-        out.append({
-            "solver": name,
-            "best_rel_error": best,
-            "iters_to_threshold": to_thr,
-            "final_objective_mm": objs[-1] if objs else float("nan"),
-            "monotonicity_violations": viol,
-        })
+        final = objs[-1] if objs else float("nan")
+        out.append(dict(zip(_SUMMARY_COLUMNS,
+                            (name, best, to_thr, final, viol))))
     return out
 
 
@@ -444,35 +443,22 @@ def read_trace(path):
                 f"{sorted(missing)}"
             )
         recs = list(reader)
-    rows = [TraceRow(
-        outer=int(rec["outer_iter"]),
-        cum_inner=int(rec["cum_inner_iter"]),
-        rel_error=float(rec["rel_error"] or "nan"),
-        objective_mm=float(rec["objective_mm"]),
-        objective_literal=float(rec["objective_literal"]),
-        lam=float(rec["lambda"]),
-        eps_hat=float(rec["eps_hat"] or "nan"),
-        mono_satisfied=(None if not rec["mono_cond_satisfied"]
-                        else rec["mono_cond_satisfied"] == "1"),
-        breakdown=rec["breakdown_flag"] == "1",
-    ) for rec in recs]
-    return (recs[0]["solver"] if recs else os.path.basename(path)), rows
+    rows = [TraceRow(**{field: parse(rec[column])
+                        for column, field, parse in _TRACE_SCHEMA if field})
+            for rec in recs]
+    return (recs[0][CSV_COLUMNS[0]] if recs else os.path.basename(path)), rows
 
 
 def _write_summary(outdir, summaries):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["solver", "best_rel_error", "iters_to_threshold",
-              "final_objective_mm", "monotonicity_violations"]
-    writer.writerow(header)
+    _atomic_write(os.path.join(outdir, "summary.csv"), _csv_text(
+        [_SUMMARY_COLUMNS] + [[_fmt(s[col]) for col in _SUMMARY_COLUMNS]
+                             for s in summaries]))
     lines = ["{:<28} {:>14} {:>10} {:>16} {:>6}".format(
         "solver", "best_rel_err", "to_thr", "final_F", "viol")]
     for s in summaries:
-        writer.writerow([_fmt(s[col]) for col in header])
         lines.append("{:<28} {:>14.6g} {:>10} {:>16.8g} {:>6}".format(
             s["solver"], s["best_rel_error"], str(s["iters_to_threshold"]),
             s["final_objective_mm"], s["monotonicity_violations"]))
-    _atomic_write(os.path.join(outdir, "summary.csv"), buf.getvalue())
     text = "\n".join(lines) + "\n"
     _atomic_write(os.path.join(outdir, "summary.txt"), text)
     return text

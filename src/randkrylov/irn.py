@@ -1,6 +1,7 @@
 """Iteratively reweighted norm (majorization-minimization) outer loops, with
 plain LSQR inner solves or the randomized partly-exact-sketch preconditioned
-variant.
+variant, whose factor floors lam at 1e-14 as the flexible schemes' does (a
+lambda rule may pick 0; LSQR and the trace keep the chosen lam).
 
 Each outer step rebuilds the diagonal weights at the current iterate and
 solves the standard-form reweighted least-squares subproblem in the scaled
@@ -18,8 +19,8 @@ sketch is neither materialized nor reduced: its solves warm-start from the
 previous trace row's residual b - A x_{k-1}, and A^T b is taken once per
 solve.
 
-``_TraceRecorder`` writes the trace of every solver (these loops, flex,
-FISTA, the CLI's lsqr and gmres); IRN's ``cum_inner`` adds inner iterations.
+``_TraceRecorder`` writes the trace of every solver (these loops, flex and
+the ``baselines``); IRN's ``cum_inner`` adds inner iterations.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class IRNConfig:
             raise ValueError("inner_max must be at least 1, or None for 2n")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
+        if self.lambda_policy.kind == "wgcv":
+            raise ValueError("wgcv is a projected-problem policy; IRN has none")
 
 
 @dataclass
@@ -237,7 +240,7 @@ def _irn_loop(A, b, config, x_true, sketch, reduced):
         op_k = CompositeOperator([op, DiagonalOperator(w_inv)])
 
         R = (None if sketch is None
-             else build_partly_exact_preconditioner(C0, w, lam))
+             else build_partly_exact_preconditioner(C0, w, max(lam, 1e-14)))
         res = lsqr_solve(
             op_k, rhs, lam=lam, right_precond=R,
             tol=config.inner_tol, maxit=inner_max, x0=w * x,

@@ -178,8 +178,11 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     stops when the normal-equations residual drops below the cold start's
     target, tol |(op R^{-1})^T [b; 0]| with atb = op^T b (each of r0 and atb
     costs an apply unless given), or after ``maxit`` iterations; it flags
-    stagnation when 10 iterations pass without progress. Residual history is
-    for the augmented system; a zero start residual returns x0 at once.
+    stagnation when 10 iterations pass without progress, that is, without
+    the decreases phi^2 of phibar^2 since the last progress point summing to
+    over 1e-15 of all so far. b outside the range of op adds to phibar, to
+    no phi. Residual history is for the augmented system; a zero start
+    residual returns x0 at once.
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -241,7 +244,8 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     xhat = np.zeros(n)
     phibar, rhobar = beta, alpha
     residuals = [beta]
-    best, best_it = beta, 0  # phibar never rises: the last xhat is the best
+    gain = total = 0.0  # phi^2 summed since the last progress point, and all
+    last_it = 0
     stagnated = converged = False
     it = 0
     for it in range(1, maxit + 1):
@@ -264,9 +268,11 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         residuals.append(phibar)
         if callback is not None:
             callback(lift(xhat))
-        if phibar < best - 1e-14 * residuals[0]:
-            best, best_it = phibar, it
-        elif it - best_it >= 10:
+        gain += phi * phi
+        total += phi * phi
+        if gain > 1e-15 * total:
+            gain, last_it = 0.0, it
+        elif it - last_it >= 10:
             stagnated = True
             break
         # |A^T r| = phibar * alpha * |c|

@@ -1,14 +1,14 @@
 import gc
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import randkrylov.cli as cli
 import randkrylov.irn as irn
-from randkrylov import TraceRow
+from randkrylov import SolveResult, TraceRow
 from randkrylov.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -18,6 +18,7 @@ from randkrylov.cli import (
     parse_config,
     read_trace,
     summarize_traces,
+    trace_to_csv,
     write_bundle,
 )
 
@@ -287,21 +288,53 @@ def test_unknown_solver_keys_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_exit_code_3_on_solver_failure(tmp_path):
-    # IRN rejects the projected-problem wgcv rule only once it runs; the
-    # solver that finished first keeps its outputs, and no summary is written
+def test_exit_code_3_on_solver_failure(tmp_path, capsys):
+    # the irn-s2p leverage sketch needs a tall A, which only its solve finds
+    # out; the solver that finished first keeps its outputs, and no summary
+    # is written
     cfg = _write(tmp_path, (
-        "problem.generator = subset_selection\nproblem.m = 40\n"
-        "problem.n = 12\nproblem.seed = 3\n"
+        "problem.generator = subset_selection\nproblem.m = 12\n"
+        "problem.n = 40\nproblem.seed = 3\n"
         "solver.ok.family = irn\nsolver.ok.seed = 1\n"
         "solver.ok.outer_max = 2\n"
-        "solver.a.family = irn\nsolver.a.seed = 1\n"
-        "solver.a.lambda_policy = wgcv\n"
+        "solver.a.family = irn_s2p\nsolver.a.seed = 1\n"
     ), "fail.cfg")
     out = tmp_path / "f"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert "at least as many rows as columns" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == \
         ["ok.trace.csv", "ok.x.f64", "ok.x.json"]
+
+
+def test_irn_wgcv_is_a_config_error(tmp_path, capsys):
+    # IRN's full system has no wgcv rule: the run stops at validation, before
+    # the first solver writes anything
+    cfg = _write(tmp_path, (
+        "problem.generator = subset_selection\nproblem.m = 40\n"
+        "problem.n = 12\nproblem.seed = 3\n"
+        "solver.ok.family = fista\nsolver.ok.seed = 1\n"
+        "solver.a.family = irn\nsolver.a.seed = 1\n"
+        "solver.a.lambda_policy = wgcv\n"
+    ), "wgcv.cfg")
+    out = tmp_path / "w"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "wgcv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["irn", "irn_s2p"])
+def test_irn_dp_at_lambda_zero(family):
+    # at 5 % noise the unregularized residual already exceeds a 1 % dp
+    # target, so dp picks lambda = 0; the s2p factor floors it, while LSQR
+    # and the trace keep 0
+    cfg = {"problem.generator": "subset_selection", "problem.m": "400",
+           "problem.n": "80", "problem.seed": "7", "problem.nl": "0.05",
+           "problem.noise_seed": "11", "solver.t.family": family,
+           "solver.t.seed": "1", "solver.t.lambda_policy": "dp",
+           "solver.t.nl": "0.01", "solver.t.outer_max": "4"}
+    res = cli.run_solver("t", cfg, build_problem(cfg))
+    assert res.column("lam") == [0.0] * 4
+    assert np.all(np.isfinite(res.x))
 
 
 def test_gen_and_bundle_roundtrip(tmp_path):
@@ -341,6 +374,38 @@ def test_report_from_traces(tmp_path, capsys):
     for name in ("summary.csv", "summary.txt"):
         assert (rep / name).read_bytes() == (out / name).read_bytes(), name
     assert main(["report"]) == 2
+
+
+def test_trace_csv_header_is_unchanged():
+    assert CSV_COLUMNS == [
+        "solver", "outer_iter", "cum_inner_iter", "rel_error", "objective_mm",
+        "objective_literal", "lambda", "eps_hat", "mono_cond_satisfied",
+        "breakdown_flag",
+    ]
+    header = trace_to_csv("s", SolveResult(np.zeros(1), [])).splitlines()[0]
+    assert header == ",".join(CSV_COLUMNS)
+
+
+def test_read_trace_returns_every_written_field(tmp_path):
+    nan = float("nan")
+    rows = [
+        TraceRow(1, 3, nan, 2.5, 2.75, 0.0),
+        TraceRow(2, 7, 0.1 / 3, 1.0 / 3, 0.4, 1e-14, eps_hat=0.25,
+                 mono_satisfied=True),
+        TraceRow(3, 8, 1.5, 0.3, 0.35, 2.0, eps_hat=nan,
+                 mono_satisfied=False, breakdown=True),
+    ]
+    path = tmp_path / "rt.trace.csv"
+    path.write_text(trace_to_csv("rt", SolveResult(np.zeros(1), rows)))
+    name, back = read_trace(str(path))
+    assert name == "rt" and len(back) == len(rows)
+    # stagnated is no column (it goes to a sidecar): it reads back False
+    written = [f.name for f in fields(TraceRow) if f.name != "stagnated"]
+    for row, got in zip(rows, back):
+        for field in written:
+            want, have = getattr(row, field), getattr(got, field)
+            assert type(want) is type(have), field
+            assert have == want or (want != want and have != have), field
 
 
 def test_read_trace_rejects_bad_schema(tmp_path):

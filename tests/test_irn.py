@@ -151,10 +151,8 @@ def test_irn_optimal_policy_beats_fixed_guess():
 
 
 def test_irn_rejects_wgcv():
-    inst = _instance()
-    cfg = IRNConfig(lambda_policy=LambdaPolicy(kind="wgcv"))
     with pytest.raises(ValueError):
-        irn_solve(inst.A, inst.b, cfg)
+        IRNConfig(lambda_policy=LambdaPolicy(kind="wgcv"))
 
 
 def test_irn_config_validation():
@@ -307,6 +305,20 @@ def test_reduced_inner_solves_match_the_full_operator():
         inner_d, inner_f = (dense.column("cum_inner"),
                             free.column("cum_inner"))
         assert abs(inner_d[-1] - inner_f[-1]) <= 0.05 * inner_f[-1]
+
+
+def test_reduced_and_full_inner_solves_flag_the_same_stagnation():
+    # the reduced system leaves out beta_perp, which raises LSQR's residual
+    # estimate but not its decreases: both paths flag the same outer
+    # iterations (with a test relative to |b|, each flagged 5 of 8, and not
+    # the same 5)
+    inst = add_noise(gen_subset_selection(200, 40, bern_p=0.3, seed=5),
+                     0.02, 55)
+    cfg = _fixed(outer_max=8, inner_tol=1e-12)
+    dense = irn_solve(inst.A, inst.b, cfg, inst.x_true)
+    free = irn_solve(_MatrixFreeOnly(inst.A.matrix), inst.b, cfg,
+                     inst.x_true)
+    assert dense.column("stagnated") == free.column("stagnated")
 
 
 def test_reduction_passed_in_is_the_one_used(monkeypatch):

@@ -81,6 +81,24 @@ def test_lsqr_preconditioned_refuses_non_finite_values():
         lsqr_solve(_NanAdjoint(M), np.ones(12), right_precond=R)
 
 
+@pytest.mark.parametrize("t", [0.0, 1e2, 1e4, 1e6])
+def test_lsqr_stagnation_ignores_b_outside_the_range(t):
+    # b = M x + t |M x| n_perp, n_perp a unit vector orthogonal to range(M):
+    # the normal equations, and with them LSQR's iterates, do not depend on
+    # t. A stagnation test relative to |b| stopped at t = 1e2 after 148
+    # iterations, 4.5e-3 away from the least-squares solution
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((200, 40)) @ np.diag(np.geomspace(1, 1e-3, 40))
+    Mx = M @ rng.standard_normal(40)
+    Q = np.linalg.qr(M, mode="complete")[0]
+    n_perp = Q[:, 40:] @ rng.standard_normal(160)
+    b = Mx + t * np.linalg.norm(Mx) * n_perp / np.linalg.norm(n_perp)
+    res = lsqr_solve(DenseOperator(M), b, tol=1e-10, maxit=400)
+    assert res.converged and not res.stagnated
+    ref = np.linalg.lstsq(M, b, rcond=None)[0]
+    assert np.linalg.norm(res.x - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
 def test_lsqr_stagnates_on_a_consistent_system_at_tol_zero():
     # tol = 0 never stops on the gradient test: phibar falls to rounding
     # level, then 10 iterations pass without progress
