@@ -433,19 +433,24 @@ def summarize_traces(rows_by_solver, threshold=None):
 
 def read_trace(path):
     """The solver name (the file name when the trace has no rows) and the
-    TraceRows of the trace CSV at ``path``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            missing = set(CSV_COLUMNS) - set(reader.fieldnames or [])
-            raise ConfigError(
-                f"{path}: trace schema mismatch, missing column(s) "
-                f"{sorted(missing)}"
-            )
-        recs = list(reader)
-    rows = [TraceRow(**{field: parse(rec[column])
-                        for column, field, parse in _TRACE_SCHEMA if field})
-            for rec in recs]
+    TraceRows of the trace CSV at ``path``; ConfigError for a file that
+    cannot be read, a schema mismatch, a short row or a malformed cell."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != CSV_COLUMNS:
+                missing = set(CSV_COLUMNS) - set(reader.fieldnames or [])
+                raise ConfigError(
+                    f"{path}: trace schema mismatch, missing column(s) "
+                    f"{sorted(missing)}"
+                )
+            recs = list(reader)
+        rows = [TraceRow(**{field: parse(rec[column])
+                            for column, field, parse in _TRACE_SCHEMA
+                            if field})
+                for rec in recs]
+    except (OSError, csv.Error, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return (recs[0][CSV_COLUMNS[0]] if recs else os.path.basename(path)), rows
 
 

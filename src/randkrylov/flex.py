@@ -4,14 +4,12 @@ sketch-to-precondition, and the exact (dense projected) reference scheme.
 All three run one loop (``_flex_loop``), in the flexible Golub-Kahan /
 Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
 the diagonal weights W at the current iterate, expands the flexible
-factorization by one column with W^{-1} as preconditioner, and updates its
-projected pairs (``_projected_problem``): R1 from a column QR of the A z_j,
-kept unsketched whenever a step reads it (all but s2p at fixed lambda or
-with no regularization) and sketched by S1 by the sketched schemes, and R2
-from a QR of W Zbar (sketched by S2 or not; the identity outside ``irw``
-mode). The column QRs grow through the factorization's own Gram-Schmidt
-kernel (``krylov.RowBasis``, classical Gram-Schmidt with one
-reorthogonalization pass), and Zbar, Q and R are views of its buffers.
+factorization A Zbar = U H, b = beta1 u1 by one column with W^{-1} as
+preconditioner, and updates its projected pairs. Their data fit lives in
+k + 1 rows: |B (H y - beta1 e1)| = |R_B (H y - beta1 e1)| with R_B^T R_B =
+B^T B (``_BasisGram``), for B = U (the fit |A Zbar y - b|) and B = S1 U
+(the sketched fit). R2 is the R of W Zbar (``_weighted_r``) or of
+S2 W Zbar (the identity outside ``irw`` mode). No m-row QR is kept.
 Once the basis is spent (breakdown, or k reaches min(m, n)) every scheme
 keeps it and only re-weights R2. The schemes differ only in how the
 projected Tikhonov problem in the coefficients y of x = Zbar y is then
@@ -23,23 +21,23 @@ solved:
   monotonicity diagnostics, both read exactly from the two pairs at every
   iteration, with no random probe and no apply of A.
 * ``sketch_to_precondition``: the unsketched projected problem is solved by
-  LSQR, right-preconditioned by the R that sketch-and-solve solves with
-  (Blendenpik's preconditioner; no Gram matrix is formed); lambda is chosen
-  on the unsketched pair. LSQR reads A Zbar = U H from the factorization
-  (``_StackedProjected``), so its iterations apply no A. It starts from the
-  previous coefficients padded with zeros, from the residual of the true
-  A x, and stops at the cold start's target, as IRN's inner solves do, so
-  in ``irw`` mode at fixed lambda the MM objective never rises, at any
-  inner tolerance.
+  LSQR on the k-column [R1; sqrt(lam) R2] with right-hand side [beta; 0],
+  right-preconditioned by the R that sketch-and-solve solves with
+  (Blendenpik's preconditioner, from a QR, not from normal equations);
+  lambda is chosen on the unsketched pair. LSQR's iterates depend only on
+  the normal equations, and these are the full problem's, so its
+  iterations apply neither A nor U nor Zbar. It starts from the previous
+  coefficients padded with zeros and stops at the cold start's target, as
+  IRN's inner solves do, so in ``irw`` mode at fixed lambda the MM
+  objective never rises, at any inner tolerance.
 
 All three factor the stacked pair in ``_stacked_factor``; a singular one is
 retried once at lambda = 1e-14.
 
-Each iteration is one trace row (``irn._TraceRecorder``), recorded from the
-A x that the next s2p warm start reads; its ``cum_inner`` adds the inner
-LSQR iterations of s2p and 1 per iteration for the other two schemes. So
-every scheme applies A once per expansion (A^T too for Golub-Kahan) and
-once per row, and no more.
+Each iteration is one trace row (``irn._TraceRecorder``); its
+``cum_inner`` adds the inner LSQR iterations of s2p and 1 per iteration
+for the other two schemes. So every scheme applies A once per expansion
+(A^T too for Golub-Kahan) and once per row, and no more.
 """
 
 from __future__ import annotations
@@ -49,10 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .krylov import (BREAKDOWN_RTOL, FlexibleFactorization, RowBasis,
-                     lsqr_solve)
-from .irn import _TraceRecorder
-from .operators import LinearOperator
+from .krylov import BREAKDOWN_RTOL, FlexibleFactorization, lsqr_solve
+from .irn import _TraceRecorder, _reduce_system
+from .operators import DenseOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
 from .sketching import apply_sketch, apply_sketch_weighted
 from .weights import WeightSpec, compute_weights
@@ -71,15 +68,18 @@ class ProjectedProblem:
     k: int
 
 
-def _stacked_factor(pp, lam):
-    """Q and R of the QR of the stacked pair [R1; sqrt(lam) R2] (R1 alone at
-    lam = 0), the factor that every scheme solves or preconditions with;
-    LinAlgError when R is numerically singular."""
+def _stacked(pp, lam):
+    """The stacked pair [R1; sqrt(lam) R2] (R1 alone at lam = 0)."""
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
-    stacked = (pp.R1 if lam == 0.0
-               else np.vstack([pp.R1, np.sqrt(lam) * pp.R2]))
-    q, r = np.linalg.qr(stacked)
+    return pp.R1 if lam == 0.0 else np.vstack([pp.R1, np.sqrt(lam) * pp.R2])
+
+
+def _stacked_factor(pp, lam):
+    """Q and R of the QR of the stacked pair, the factor that every scheme
+    solves or preconditions with; LinAlgError when R is numerically
+    singular."""
+    q, r = np.linalg.qr(_stacked(pp, lam))
     diag = np.abs(np.diag(r))
     if diag.size and diag.min() <= 1e-14 * max(diag.max(), 1.0):
         raise np.linalg.LinAlgError("singular stacked pair [R1; sqrt(lam) R2]")
@@ -141,53 +141,57 @@ class FlexSolverConfig:
                              "optimal policies only")
 
 
-class _StackedProjected(LinearOperator):
-    """[U H; sqrt(lam) L] acting on projected coefficients, with U H = A Zbar
-    read from the flexible factorization (so no apply of A), and the
-    regularization block L = W Zbar (``irw``: w given) or the identity
-    (w = None), the same matrix that R2 factors."""
+class _BasisGram:
+    """B^T B of a basis B that gains one column per expansion: the
+    factorization's U, read as its view and never copied (S1 None), or
+    S1 U, kept as the rows S1 u_j in U's layout so that an identity sketch
+    gives the same pair bit for bit."""
 
-    kind = "stacked_projected"
+    def __init__(self, fact, size, S1=None):
+        self.fact, self.S1 = fact, S1
+        self._rows = None if S1 is None else np.empty((size, S1.s))
+        self._G = np.zeros((size, size))  # upper triangle
+        self.j = 0
+        self.add()  # u1 = b / beta1
 
-    def __init__(self, U, H, Z, w, lam):
-        k = H.shape[1]
-        nreg = 0 if lam == 0.0 else (k if w is None else w.size)
-        super().__init__(U.shape[0] + nreg, k)
-        self.U, self.H, self.Z, self.w = U, H, Z, w
-        self.lam = lam
-        self.sqlam = np.sqrt(lam)
+    @property
+    def B(self):
+        return (self.fact.U if self.S1 is None else self._rows.T)[:, : self.j]
 
-    def _apply(self, y):
-        x = None if self.w is None or self.lam == 0.0 else self.Z @ y
-        return self.stack(y, x, self.U @ (self.H @ y))
+    def add(self):
+        """Take in the factorization's next u, one GEMV."""
+        j = self.j
+        if self.S1 is not None:
+            self._rows[j] = apply_sketch(self.S1, self.fact.U[:, j])
+        self.j += 1
+        self._G[: j + 1, j] = self.B.T @ self.B[:, j]
 
-    def stack(self, y, x, Ax):
-        """The image of y, given x = Zbar y (read only for L = W Zbar) and
-        A x."""
-        if self.lam == 0.0:
-            return Ax
-        reg = y if self.w is None else self.w * x
-        return np.concatenate([Ax, self.sqlam * reg])
-
-    def _apply_adjoint(self, r):
-        m = self.U.shape[0]
-        top = self.H.T @ (self.U.T @ r[:m])
-        if self.lam == 0.0:
-            return top
-        reg = r[m:]
-        if self.w is None:
-            return top + self.sqlam * reg
-        return top + self.Z.T @ (self.sqlam * (self.w * reg))
+    def pair(self, R2):
+        """The pair of min |B (H y - beta1 e1)|^2 + lam |R2 y|^2: R_B from
+        the Gram's Cholesky factor, or from a QR of B when the Gram is
+        numerically singular (a square Golub-Kahan basis at k = m), then R1,
+        beta and beta_perp from one Householder QR of the bordered
+        R_B [H, beta1 e1]."""
+        j, H = self.j, self.fact.H
+        try:
+            R = scipy.linalg.cholesky(self._G[:j, :j])
+        except np.linalg.LinAlgError:
+            R = np.linalg.qr(self.B, mode="r")
+        fit = _reduce_system(R @ H[:j], self.fact.beta1 * R[:, 0])
+        return ProjectedProblem(fit.R, fit.qtb, fit.beta_perp, R2, H.shape[1])
 
 
-def _projected_problem(qr, rhs, L):
-    """Pair of min |Q R y - rhs|^2 + lam |L y|^2 for the column QR
-    ``qr`` = Q R (a ``RowBasis``) and the regularization block L (None: the
-    identity)."""
-    beta = qr.Q.T @ rhs
-    beta_perp = float(np.linalg.norm(rhs - qr.Q @ beta))
-    R2 = np.eye(qr.k) if L is None else np.linalg.qr(L, mode="r")
-    return ProjectedProblem(qr.R, beta, beta_perp, R2, qr.k)
+_ROW_BLOCK = 512
+
+
+def _weighted_r(w, Z):
+    """R of the Householder QR of W Zbar, over blocks of ``_ROW_BLOCK``
+    rows (R <- qr([R; W_b Zbar_b])), so no n-by-k W Zbar is formed."""
+    R = np.zeros((0, Z.shape[1]))
+    for lo in range(0, Z.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        R = np.linalg.qr(np.vstack([R, w[rows, None] * Z[rows]]), mode="r")
+    return R
 
 
 def _select_projected_lambda(policy, pp, b_norm, sketch_rows, gram):
@@ -262,27 +266,21 @@ def _projected_majorant(pp, y, lam):
 
 
 def _flex_loop(A, b, config, S1, S2, x_true):
-    b = np.asarray(b, dtype=np.float64)
     n, m = A.ncols, A.nrows
     weight = config.weight
     policy = config.lambda_policy
     sketched = S1 is not None
     s2p = config.scheme == "sketch_to_precondition"
-    b_norm = float(np.linalg.norm(b))
-    # the unsketched pair is exact's step, the sketch-and-solve distortion
-    # reference and the s2p lambda rule, which fixed lambda does not need
-    unsketched_pair = not (s2p and (config.mode == "none"
-                                    or policy.kind == "fixed"))
 
     k_max = min(config.k_max, m, n)  # the most columns the basis can get
     fact = FlexibleFactorization(config.basis, A, b, ell=config.ell,
                                  k_max=k_max)
-    # QR of the columns A z_j, and of the S1 A z_j
-    qr = RowBasis(m, k_max) if unsketched_pair else None
-    qr1 = RowBasis(S1.s, k_max) if sketched else qr
-    s1b = apply_sketch(S1, b) if sketched else b
+    b, b_norm = fact.b, fact.beta1
+    # the Grams of U and of S1 U, whose factors give the data-fit pairs
+    fit = _BasisGram(fact, k_max + 1)
+    fit1 = _BasisGram(fact, k_max + 1, S1) if sketched else None
 
-    x, Ax = np.zeros(n), np.zeros(m)
+    x = np.zeros(n)
     y = np.zeros(0)  # coefficients of x in the basis
     rec = _TraceRecorder(A, b, weight, x_true)
     eps_hat = float("nan")
@@ -290,20 +288,18 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         w = compute_weights(x, weight)
 
         if not fact.breakdown and fact.k < min(m, n):
-            col = fact.expand(1.0 / w)
-            if col is not None:
-                if unsketched_pair:
-                    qr.append(col)
+            # None: no new u; a breakdown u is zero and adds nothing to U H
+            if fact.expand(1.0 / w) is not None and not fact.breakdown:
+                fit.add()
                 if sketched:
-                    qr1.append(apply_sketch(S1, col))
+                    fit1.add()
         Z = fact.Z
         w_reg = w if config.mode == "irw" else None  # the L of R2 = qr(L Z)
 
-        pp0 = (_projected_problem(qr, b, None if w_reg is None
-                                  else w_reg[:, None] * Z)
-               if unsketched_pair else None)
-        pp = (_projected_problem(qr1, s1b, None if w_reg is None
-                                 else apply_sketch_weighted(S2, w_reg, Z))
+        pp0 = fit.pair(np.eye(fact.k) if w_reg is None
+                       else _weighted_r(w_reg, Z))
+        pp = (fit1.pair(np.eye(fact.k) if w_reg is None else np.linalg.qr(
+                  apply_sketch_weighted(S2, w_reg, Z), mode="r"))
               if sketched else pp0)
         # the oracle's Gram data of the map y -> x = Zbar y
         gram = ((Z.T @ Z, Z.T @ policy.x_true) if policy.kind == "optimal"
@@ -321,8 +317,8 @@ def _flex_loop(A, b, config, S1, S2, x_true):
 
         def step(lam):
             if s2p:
-                res = _s2p_projected_solve(fact, w_reg, lam, pp,
-                                           config.inner_tol, y_prev, x, Ax)
+                res = _s2p_projected_solve(pp0, pp, lam, config.inner_tol,
+                                           y_prev)
                 return res.x, res.n_iter, res.stagnated
             return solve_projected_tikhonov(pp, lam), 1, False
         try:
@@ -341,24 +337,21 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                     _projected_majorant(pp, y_prev, lam),
                     _projected_majorant(pp, y, lam), eps_hat,
                 )
-        Ax = rec.row(x, lam, inner, eps_hat=eps_hat, mono_satisfied=mono,
-                     breakdown=fact.breakdown, stagnated=stagnated)
+        rec.row(x, lam, inner, eps_hat=eps_hat, mono_satisfied=mono,
+                breakdown=fact.breakdown, stagnated=stagnated)
     return rec.result()
 
 
-def _s2p_projected_solve(fact, w, lam, pp, tol, y0, x0, Ax0):
-    """LSQR on [U H; sqrt(lam) L] y ~ [b; 0] (as in ``_StackedProjected``,
-    from the factorization ``fact``), right-preconditioned by the R factor
-    of the sketched pair's stacked QR, and warm-started at y0 from
-    x0 = Zbar y0 and the true Ax0 = A x0. No step applies A: the stopping
-    target's (U H)^T b is H^T (U^T b)."""
+def _s2p_projected_solve(pp0, pp, lam, tol, y0):
+    """LSQR on [R1; sqrt(lam) R2] y ~ [beta; 0] of the unsketched pair pp0,
+    right-preconditioned by the R factor of the sketched pair pp's stacked
+    QR, and warm-started at y0. It has the normal equations of
+    [A Zbar; sqrt(lam) L] y ~ [b; 0], in k columns."""
     _, R = _stacked_factor(pp, lam)
-    U, H = fact.U, fact.H
-    op = _StackedProjected(U, H, fact.Z, w, lam)
-    rhs = np.concatenate([fact.b, np.zeros(op.nrows - fact.b.size)])
-    return lsqr_solve(op, rhs, lam=0.0, right_precond=R, tol=tol,
-                      maxit=max(4 * op.ncols, 8), x0=y0,
-                      r0=rhs - op.stack(y0, x0, Ax0), atb=H.T @ (U.T @ fact.b))
+    op = DenseOperator(_stacked(pp0, lam))
+    rhs = np.concatenate([pp0.beta, np.zeros(op.nrows - pp0.k)])
+    return lsqr_solve(op, rhs, right_precond=R, tol=tol,
+                      maxit=max(4 * op.ncols, 8), x0=y0)
 
 
 def _select_s2p_lambda(policy, pp, b_norm, gram):

@@ -1,13 +1,13 @@
 """Flexible Arnoldi / Golub-Kahan factorizations with optional truncated
 orthogonalization, plus baseline GMRES and LSQR solvers.
 
-Every orthonormal basis here, the factorization's U and V and the column QR
-the flexible solvers keep of the A z_j, grows through one kernel,
-``RowBasis.append``: classical Gram-Schmidt with one reorthogonalization
-pass over the retained window (CGS2), two matrix-vector products per pass.
-Each basis is stored as the rows of an append-only buffer, sized once from
-the caller's row count when it gives one and doubled when full, so the bases
-and the coefficient matrix (H, or the QR's R) are read as views, not copies.
+Both orthonormal bases here, the factorization's U and V, grow through one
+kernel, ``RowBasis.append``: classical Gram-Schmidt with one
+reorthogonalization pass over the retained window (CGS2), two
+matrix-vector products per pass. Each basis is stored as the rows of an
+append-only buffer, sized once from the caller's row count when it gives
+one and doubled when full, so the bases and the coefficient matrix H are
+read as views, not copies.
 
 The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
@@ -96,7 +96,8 @@ class FlexibleFactorization:
     buffers sized for ``k_max`` steps when it is given. The raw columns
     A z_j are returned by ``expand`` and not kept: A Z = U H gives them
     back from what is kept, at any ell, and after a breakdown to within its
-    floor."""
+    floor. The flexible solvers read their data fit from H and the Gram of
+    U, and keep no column QR of the A z_j."""
 
     def __init__(self, kind, A, b, ell=None, k_max=None):
         if kind not in ("arnoldi", "golub_kahan"):

@@ -376,6 +376,19 @@ def test_report_from_traces(tmp_path, capsys):
     assert main(["report"]) == 2
 
 
+@pytest.mark.parametrize("case", ["missing", "malformed", "short"])
+def test_report_on_a_bad_trace_is_a_config_error(tmp_path, capsys, case):
+    path = tmp_path / "t.trace.csv"
+    good = ["s", "1", "1", "0.5", "1.0", "1.0", "0.5", "", "", "0"]
+    bad = {"malformed": ["s", "one"] + good[2:], "short": good[:3]}
+    if case != "missing":
+        path.write_text("\n".join([",".join(CSV_COLUMNS), ",".join(good),
+                                   ",".join(bad[case])]) + "\n")
+    assert main(["report", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: ")
+    assert not (tmp_path / "o" / "summary.csv").exists()
+
+
 def test_trace_csv_header_is_unchanged():
     assert CSV_COLUMNS == [
         "solver", "outer_iter", "cum_inner_iter", "rel_error", "objective_mm",

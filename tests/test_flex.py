@@ -29,6 +29,8 @@ from randkrylov.operators import (
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy, dp_select, optimal_select
 from randkrylov.sketching import (
+    SketchOperator,
+    apply_sketch,
     build_flex_sketches,
     build_leverage_sketch,
     identity_sketch,
@@ -87,25 +89,43 @@ def test_s2p_preconditioner_whitens_a_pair_with_a_singular_gram(monkeypatch,
     monkeypatch.setattr(flex, "lsqr_solve",
                         lambda *args, right_precond, **kwargs:
                         seen.append(right_precond))
-    fact = FlexibleFactorization("arnoldi", DenseOperator(np.diag([1.0, 2.0])),
-                                 np.ones(2))
-    for _ in range(2):
-        fact.expand(np.ones(2))
-    zero = np.zeros(2)
-    flex._s2p_projected_solve(fact, None, lam, pp, 1e-10, zero, zero, zero)
+    flex._s2p_projected_solve(pp, pp, lam, 1e-10, np.zeros(2))
     stacked = np.vstack([R1, np.sqrt(lam) * np.eye(2)])
     whitened = scipy.linalg.solve_triangular(seen[0], stacked.T,
                                               trans="T").T
     assert np.linalg.cond(whitened) <= 1.0 + 1e-8
 
 
+def _grow(kind, M, b, k, rng, S1=None):
+    """A flexible factorization of (M, b) grown to k columns or breakdown
+    with ell = 4 and per-step weights, behind a counting matrix-free A, and
+    the Grams of U and of S1 U grown as ``_flex_loop`` grows them."""
+    A = _MatrixFreeOnly(M)
+    fact = FlexibleFactorization(kind, A, b, ell=4)
+    fits = [flex._BasisGram(fact, k + 1)]
+    if S1 is not None:
+        fits.append(flex._BasisGram(fact, k + 1, S1))
+    while fact.k < k and not fact.breakdown:
+        if (fact.expand(rng.random(M.shape[1]) + 0.2) is not None
+                and not fact.breakdown):
+            for fit in fits:
+                fit.add()
+    return A, fact, fits
+
+
+def _gram_close(X, Y):
+    return np.linalg.norm(X - Y) <= 1e-12 * max(np.linalg.norm(Y), 1.0)
+
+
 @pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
 @pytest.mark.parametrize("breakdown", [False, True])
 def test_stacked_projected_reads_A_Zbar_from_U_H(kind, breakdown):
-    # [U H; sqrt(lam) L] is [A Zbar; sqrt(lam) L] with no apply of A, for
-    # ell = 4 and per-step weights. With breakdown, A maps the first c
-    # coordinates to the first three and b lies there: Arnoldi (c = 3) stores
-    # a zero u_4 at k = 3, Golub-Kahan (c = 2) finds v_3 = 0 and keeps k = 2
+    # the unsketched pair, stacked as [R1; sqrt(lam) R2], has the normal
+    # equations of [A Zbar; sqrt(lam) L] y ~ [b; 0], read from U H with no
+    # apply of A, for ell = 4 and per-step weights. With breakdown, A maps
+    # the first c coordinates to the first three and b lies there: Arnoldi
+    # (c = 3) stores a zero u_4 at k = 3, Golub-Kahan (c = 2) finds v_3 = 0
+    # and keeps k = 2
     rng = _rng(21)
     m, n = (30, 30) if kind == "arnoldi" else (40, 30)
     M = rng.standard_normal((m, n))
@@ -115,32 +135,75 @@ def test_stacked_projected_reads_A_Zbar_from_U_H(kind, breakdown):
         M[:3, c:] = 0.0
         M[3:, :c] = 0.0
         b[3:] = 0.0
-    A = _MatrixFreeOnly(M)
-    fact = FlexibleFactorization(kind, A, b, ell=4)
-    while fact.k < 8 and not fact.breakdown:
-        fact.expand(rng.random(n) + 0.2)
+    A, fact, [fit] = _grow(kind, M, b, 8, rng)
     assert fact.breakdown == breakdown and fact.k == (c if breakdown else 8)
     if breakdown:  # only Arnoldi's last u is zero
         assert np.any(fact.U[:, -1]) == (kind == "golub_kahan")
     A.applies = A.adjoints = 0
     Z, k = fact.Z, fact.k
+    MZ = M @ Z
     for w in (None, rng.random(n) + 0.5):
-        for lam in (0.0, 0.3):
-            op = flex._StackedProjected(fact.U, fact.H, Z, w, lam)
-            L = np.eye(k) if w is None else w[:, None] * Z
-            ref = (M @ Z if lam == 0.0
-                   else np.vstack([M @ Z, np.sqrt(lam) * L]))
-            assert op.shape == ref.shape
-            y = rng.standard_normal(k)
-            r = rng.standard_normal(op.nrows)
-            Ay, ATr = op.apply(y), op.apply_adjoint(r)
-            assert (np.linalg.norm(Ay - ref @ y)
-                    <= 1e-12 * np.linalg.norm(ref @ y))
-            assert (np.linalg.norm(ATr - ref.T @ r)
-                    <= 1e-12 * np.linalg.norm(ref.T @ r))
-            assert (abs(Ay @ r - y @ ATr)
-                    <= 1e-12 * np.linalg.norm(Ay) * np.linalg.norm(r))
+        pp = fit.pair(np.eye(k) if w is None else flex._weighted_r(w, Z))
+        assert pp.R1.shape == pp.R2.shape == (k, k) and pp.k == k
+        assert _gram_close(pp.R1.T @ pp.R1, MZ.T @ MZ)
+        assert _gram_close(pp.R1.T @ pp.beta, MZ.T @ b)
+        assert abs(pp.beta @ pp.beta + pp.beta_perp**2 - b @ b) <= 1e-12 * (
+            b @ b)
+        L = np.eye(k) if w is None else w[:, None] * Z
+        assert _gram_close(pp.R2.T @ pp.R2, L.T @ L)
     assert (A.applies, A.adjoints) == (0, 0)
+
+
+@pytest.mark.parametrize("kind", ["golub_kahan", "arnoldi"])
+def test_data_fit_pairs_survive_a_singular_gram(monkeypatch, kind):
+    # Golub-Kahan on a square A at k = m: the m + 1 columns of U (and of
+    # S1 U) are dependent, Cholesky fails and R_B comes from a QR of B.
+    # Arnoldi breakdown: the zero u_4 is left out of the Gram, which stays
+    # definite. Either way both pairs are the Householder R of the bordered
+    # [M Zbar, b] and of S1 [M Zbar, b], up to row signs
+    rng = _rng(5)
+    m = 8
+    M = 2.0 * np.eye(m) + rng.standard_normal((m, m)) / np.sqrt(m)
+    b = rng.standard_normal(m)
+    if kind == "arnoldi":
+        M[:3, 3:] = 0.0
+        M[3:, :3] = 0.0
+        b[3:] = 0.0
+    rows = np.concatenate([np.arange(m), rng.integers(0, m, 5)])
+    S1 = SketchOperator(rows.size, m, rows, rng.random(rows.size) + 0.5)
+    cholesky_ok, real = [], scipy.linalg.cholesky
+
+    def spy(G, **kwargs):
+        try:
+            out = real(G, **kwargs)
+        except np.linalg.LinAlgError:
+            cholesky_ok.append(False)
+            raise
+        cholesky_ok.append(True)
+        return out
+    monkeypatch.setattr(scipy.linalg, "cholesky", spy)
+    _, fact, fits = _grow(kind, M, b, m, rng, S1)
+    k = fact.k
+    assert k == (m if kind == "golub_kahan" else 3)
+    assert fact.U.shape[1] == k + 1 and fact.breakdown == (kind == "arnoldi")
+    bordered = np.column_stack([M @ fact.Z, b])
+    for fit, ref in zip(fits, (bordered, apply_sketch(S1, bordered))):
+        pp = fit.pair(np.eye(k))
+        T = np.linalg.qr(ref, mode="r")[:k]  # b lies in range(M Zbar)
+        ours = np.column_stack([pp.R1, pp.beta])
+        signs = lambda R: np.sign(np.diag(R))[:, None]
+        assert pp.beta_perp <= 1e-12 * np.linalg.norm(b)
+        assert (np.linalg.norm(signs(ours) * ours - signs(T) * T)
+                <= 1e-12 * np.linalg.norm(T)), fit.S1
+        assert cholesky_ok[-1] == (kind == "arnoldi")
+    if kind == "arnoldi":  # the loop, too, keeps the zero u out of the Gram
+        cholesky_ok.clear()
+        cfg = FlexSolverConfig(basis="arnoldi", scheme="exact", k_max=6,
+                               lambda_policy=LambdaPolicy(kind="fixed",
+                                                          lam=0.5))
+        res = exact_flex_solve(DenseOperator(M), b, cfg)
+        assert [r.breakdown for r in res.trace] == [False] * 2 + [True] * 4
+        assert len(cholesky_ok) == 6 and all(cholesky_ok)
 
 
 def test_monotonicity_condition_edges():

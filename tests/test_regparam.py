@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 import randkrylov.regparam as regparam
 from randkrylov.flex import (
     ProjectedProblem,
-    _projected_problem,
+    _BasisGram,
+    _weighted_r,
     solve_projected_tikhonov,
 )
-from randkrylov.krylov import FlexibleFactorization, RowBasis
+from randkrylov.krylov import FlexibleFactorization
 from randkrylov.problems import add_noise, gen_tomo
 from randkrylov.regparam import (
     LambdaPolicy,
@@ -312,13 +313,14 @@ def _tomo_flexible_pairs(k_max=30, every=10):
     A, b, x_true = inst.A, inst.b, inst.x_true
     policy = LambdaPolicy(kind="optimal", x_true=x_true)
     fact = FlexibleFactorization("golub_kahan", A, b, ell=4)
-    qr = RowBasis(A.nrows)
+    fit = _BasisGram(fact, k_max + 1)
     x = np.zeros(A.ncols)
     for k in range(1, k_max + 1):
         w = compute_weights(x, WeightSpec(p=1.0, tau=1e-10))
-        qr.append(fact.expand(1.0 / w))
+        assert fact.expand(1.0 / w) is not None and not fact.breakdown
+        fit.add()
         Z = fact.Z
-        pp = _projected_problem(qr, b, w[:, None] * Z)
+        pp = fit.pair(_weighted_r(w, Z))
         pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
         lam = select_lambda(policy, pair, 1.0, (Z.T @ Z, Z.T @ x_true))
         x = Z @ solve_projected_tikhonov(pp, lam)

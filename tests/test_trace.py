@@ -10,6 +10,7 @@ import pytest
 
 import randkrylov.flex as flex
 import randkrylov.irn as irn
+import randkrylov.krylov as krylov
 from randkrylov.baselines import fista_solve
 from randkrylov.cli import run_solver
 from randkrylov.flex import (
@@ -166,24 +167,47 @@ def test_cli_krylov_families_apply_A_once_per_row(family):
 
 def test_s2p_without_a_lambda_rule_builds_no_unsketched_column_qr(
         monkeypatch):
-    dims = []
+    # every scheme builds one m-row basis, the factorization's U, and no
+    # column QR; s2p's inner LSQR runs on the k-column [R1; sqrt(lam) R2]
+    # whatever m is
+    dims, shapes = [], []
 
     class Recording(RowBasis):
         def __init__(self, dim, rows=None):
             dims.append(dim)
             super().__init__(dim, rows)
-    monkeypatch.setattr(flex, "RowBasis", Recording)
-    inst = _instance()
-    m = inst.A.nrows
-    assert build_flex_sketches(inst.A, inst.b, K, 4, 2)[0].s != m
+    monkeypatch.setattr(krylov, "RowBasis", Recording)
+    monkeypatch.setattr(flex, "RowBasis", Recording, raising=False)
+    real = flex.lsqr_solve
 
-    def unsketched_qrs(scheme, policy=FIXED, mode="irw"):
-        dims.clear()
-        _flex(scheme, policy, mode)(inst)
-        return dims.count(m)
+    def recording_lsqr(op, *args, **kwargs):
+        shapes.append(op.shape)
+        return real(op, *args, **kwargs)
+    monkeypatch.setattr(flex, "lsqr_solve", recording_lsqr)
 
-    assert unsketched_qrs("sketch_to_precondition") == 0
-    assert unsketched_qrs("sketch_to_precondition", mode="none") == 0
-    assert unsketched_qrs("sketch_to_precondition", DP) == 1
-    assert unsketched_qrs("exact") == 1
-    assert unsketched_qrs("sketch_and_solve") == 1
+    for m in (60, 120):
+        inst = _instance(m=m)
+        S1, S2 = build_flex_sketches(inst.A, inst.b, K, 4, 2)
+        assert S1.s != m
+
+        def m_row_bases(scheme, policy=FIXED, mode="irw"):
+            dims.clear()
+            shapes.clear()
+            cfg = FlexSolverConfig(mode=mode, scheme=scheme, k_max=K,
+                                   weight=WEIGHT, lambda_policy=policy)
+            if scheme == "exact":
+                exact_flex_solve(inst.A, inst.b, cfg)
+            else:
+                solve = (sns_flex_solve if scheme == "sketch_and_solve"
+                         else s2p_flex_solve)
+                solve(inst.A, inst.b, cfg, S1, S2)
+            return dims.count(m)
+
+        for policy in (FIXED, DP, LambdaPolicy(kind="optimal",
+                                               x_true=inst.x_true)):
+            assert m_row_bases("sketch_to_precondition", policy) == 1
+            assert len(shapes) == K
+            assert all(r <= 2 * k and k <= K for r, k in shapes), shapes
+        assert m_row_bases("sketch_to_precondition", mode="none") == 1
+        assert m_row_bases("exact") == 1
+        assert m_row_bases("sketch_and_solve") == 1
