@@ -53,7 +53,6 @@ from .problems import (
 from .regparam import (
     LambdaPolicy,
     dp_select,
-    gsvd_small,
     optimal_select,
     projected_pair,
     select_lambda,

@@ -1,13 +1,13 @@
 """Singular values of a dense M together with U^T q for one vector q, with the
-left singular vectors U never formed, the way LAPACK's xGELSS does:
-Householder bidiagonalization M = Q_B B P_B^T (dgebrd; Golub & Kahan, 1965),
-Q_B^T applied to q (dormbr), then the bidiagonal QR iteration of Demmel &
-Kahan (SISC 1990, dbdsqr), which applies its left rotations to that one
-vector. On request V^T is formed too, the way xGESDD does: divide and
-conquer on B (dbdsdc) gives B = U_B S V_B^T, U_B^T is applied to Q_B^T q,
-and P_B to V_B^T (dormbr). Applying the QR iteration's rotations to all of
-V^T instead (dbdsqr with ncvt = n) costs three times the whole dense SVD at
-n = 400.
+left singular vectors U never formed, for every lambda rule (``regparam``),
+the way LAPACK's xGELSS does: Householder bidiagonalization M = Q_B B P_B^T
+(dgebrd; Golub & Kahan, 1965), Q_B^T applied to q (dormbr), then the
+bidiagonal QR iteration of Demmel & Kahan (SISC 1990, dbdsqr), which applies
+its left rotations to that one vector. On request V^T is formed too, the way
+xGESDD does: divide and conquer on B (dbdsdc) gives B = U_B S V_B^T, U_B^T is
+applied to Q_B^T q, and P_B to V_B^T (dormbr). Applying the QR iteration's
+rotations to all of V^T instead (dbdsqr with ncvt = n) costs three times the
+whole dense SVD at n = 400.
 
 ``scipy.linalg.lapack`` wraps none of these routines, but
 ``scipy.linalg.cython_lapack`` exports them as C function pointers with LP64

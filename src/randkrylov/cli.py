@@ -290,9 +290,6 @@ def _solver_call(name, cfg, inst):
         family = _get(sec, "family", str, required=True)
         seed = _get(sec, "seed", int, required=True)
         k_max = _get(sec, "k_max", int, 50)
-        mult = _get(sec, "sketch_multiplier", int, 4)
-        if k_max < 1 or mult < 1:
-            raise ConfigError("k_max and sketch_multiplier must be at least 1")
         weight = WeightSpec(p=_get(sec, "p", float, 1.0),
                             tau=_get(sec, "tau", float, 1e-10))
         kind = _get(sec, "lambda_policy", str, "fixed")
@@ -313,15 +310,17 @@ def _solver_call(name, cfg, inst):
             )
         elif family == "flex":
             ell_raw = _get(sec, "ell", str, "4")
+            scheme = _get(sec, "scheme", str, "sketch_and_solve")
             config = FlexSolverConfig(
                 basis=_get(sec, "basis", str, "golub_kahan"),
                 mode=_get(sec, "mode", str, "irw"),
-                scheme=_get(sec, "scheme", str, "sketch_and_solve"),
+                scheme=scheme,
                 ell=None if ell_raw == "full" else int(ell_raw),
                 k_max=k_max,
                 weight=weight,
                 lambda_policy=policy,
-                inner_tol=_get(sec, "inner_tol", float, 1e-10),
+                inner_tol=_get(sec, "inner_tol", float, 1e-10) if (
+                    scheme == "sketch_to_precondition") else 1e-10,
             )
         elif family in ("lsqr", "gmres"):
             if family == "gmres" and "lambda" in sec:
@@ -330,6 +329,11 @@ def _solver_call(name, cfg, inst):
             tol = _get(sec, "tol", float, 1e-12)
         elif family != "fista":
             raise ConfigError(f"unknown solver family {family!r}")
+        sketched = family == "irn_s2p" or (family == "flex"
+                                           and scheme != "exact")
+        mult = _get(sec, "sketch_multiplier", int, 4) if sketched else 1
+        if k_max < 1 or mult < 1:
+            raise ConfigError("k_max and sketch_multiplier must be at least 1")
         unknown = sorted(set(sec) - sec.read)
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(unknown)}")
@@ -518,7 +522,13 @@ def cmd_run(args):
 def cmd_report(args):
     if not args.traces:
         raise ConfigError("report needs at least one trace file")
-    rows_by_solver = dict(map(read_trace, args.traces))
+    rows_by_solver, paths = {}, {}
+    for path in args.traces:
+        name, rows = read_trace(path)
+        if name in rows_by_solver:
+            raise ConfigError(f"solver {name!r} has a trace in both "
+                              f"{paths[name]} and {path}")
+        rows_by_solver[name], paths[name] = rows, path
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     text = _write_summary(outdir, summarize_traces(

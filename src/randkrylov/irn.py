@@ -148,7 +148,7 @@ def _reduce_system(M, b):
 def _reweighted_pair(system, w_inv, coef=False):
     """Spectral pair of the reweighted system A W^{-1}, from the small
     R W^{-1}: A W^{-1} = (Q U) diag(sigma) V^T whenever R W^{-1} =
-    U diag(sigma) V^T, so the pair is (sigma, 1, U^T Q^T b, beta_perp, V),
+    U diag(sigma) V^T, so the pair is (sigma, U^T Q^T b, beta_perp, V),
     and GCV still counts all m rows. One Householder bidiagonalization of
     R W^{-1} gives sigma and U^T Q^T b with U never formed; V (the
     coefficient map, which only the optimal oracle reads) only with
@@ -156,7 +156,7 @@ def _reweighted_pair(system, w_inv, coef=False):
     with np.errstate(invalid="ignore"):  # inf * 0 = nan: bidiag_svd raises
         M = system.R * w_inv[None, :]
     sv, beta_t, Vt = bidiag_svd(M, system.qtb, vt=coef)
-    return SpectralPair(sv, np.ones_like(sv), beta_t, system.beta_perp,
+    return SpectralPair(sv, beta_t, system.beta_perp,
                         None if Vt is None else Vt.T,
                         float(sv[0] ** 2) if sv.size else 1.0, system.m)
 

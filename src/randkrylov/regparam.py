@@ -1,10 +1,9 @@
 """Regularization-parameter selection: discrepancy principle, (weighted) GCV
 and the optimal-parameter oracle, all evaluated by ``select_lambda`` from the
-filter factors of one spectral pair. A pair comes from a small GSVD of a
-projected problem, or, for a full reweighted system A W^{-1}, from sigma and
-U^T Q^T b of R W^{-1} with A = Q R, by one Householder bidiagonalization with
-U never formed (``irn``, ``bidiag``); ``svd_pair``, a dense SVD of the full
-system, is the test reference for the latter."""
+filter factors of one standard-form spectral pair, which one Householder
+bidiagonalization gives with U never formed (``bidiag``): of R1 R2^{-1} for
+a projected pair, of R W^{-1} for IRN's system A W^{-1} = Q R W^{-1}.
+``svd_pair``, a dense SVD of the full system, is the test reference."""
 
 from __future__ import annotations
 
@@ -12,6 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg import solve_triangular
+
+from .bidiag import bidiag_svd
 
 GRID_POINTS = 200
 
@@ -47,14 +49,11 @@ class LambdaPolicy:
             raise ValueError("optimal policy needs x_true")
 
 
-def dp_select(residual_norm, target, scale=1.0, rtol=1e-6):
-    """Root of residual_norm(lam) == target for a non-decreasing residual map.
-
-    Returns 0 when even the unregularized residual already meets or exceeds
-    the target (no root exists). Root-finding is bisection on log(lam) over
-    [1e-12, 1e12] * scale, refined by Brent to ``rtol`` relative accuracy in
-    the residual.
-    """
+def dp_select(residual_norm, target, scale=1.0):
+    """Root of residual_norm(lam) == target for a non-decreasing residual map,
+    by Brent's method on log(lam) over [1e-12, 1e12] * scale; on a map that
+    jumps across the target, the jump. Returns 0 when even the unregularized
+    residual meets or exceeds the target (no root exists)."""
     if target <= 0.0:
         raise ValueError("discrepancy target must be positive")
     if residual_norm(0.0) >= target:
@@ -67,17 +66,7 @@ def dp_select(residual_norm, target, scale=1.0, rtol=1e-6):
     if f(tlo) > 0.0:
         return lo
     troot = scipy.optimize.brentq(f, tlo, thi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    lam = float(np.exp(troot))
-    if abs(residual_norm(lam) - target) > rtol * target:
-        # fall back to plain bisection when the map is barely resolvable
-        for _ in range(100):
-            mid = 0.5 * (tlo + thi)
-            if f(mid) < 0.0:
-                tlo = mid
-            else:
-                thi = mid
-        lam = float(np.exp(0.5 * (tlo + thi)))
-    return lam
+    return float(np.exp(troot))
 
 
 def _log_grid(sigma_max_sq):
@@ -124,39 +113,17 @@ def _grid_argmin(fun, sigma_max_sq):
     return _golden_refine(fun, grid, idx), False
 
 
-def gsvd_small(R1, R2):
-    """Generalized SVD of a small pair: R1 = U C X^T, R2 = V S X^T with
-    C^2 + S^2 = I, computed via the CS decomposition of the QR factorization
-    of the stacked pair."""
-    R1 = np.asarray(R1, dtype=np.float64)
-    R2 = np.asarray(R2, dtype=np.float64)
-    k = R1.shape[1]
-    if R1.shape[1] != R2.shape[1]:
-        raise ValueError("R1 and R2 must have the same number of columns")
-    Q, T = np.linalg.qr(np.vstack([R1, R2]))
-    if np.linalg.matrix_rank(T) < k:
-        raise np.linalg.LinAlgError("stacked pair [R1; R2] is rank deficient")
-    U, c, Wt = np.linalg.svd(Q[: R1.shape[0]])
-    c = np.clip(c[:k], 0.0, 1.0)
-    U = U[:, :k]
-    B = Q[R1.shape[0]:] @ Wt.T[:, :k]
-    s = np.linalg.norm(B, axis=0)
-    V = np.divide(B, s, out=np.zeros_like(B), where=s > 1e-14)
-    Xt = Wt[:k] @ T
-    return U, V, Xt, c, s
-
-
 def _quotient(num, den):
     """num / den, inf where den is 0 (elementwise for a grid)."""
     return np.divide(num, den, out=np.full(np.shape(den), np.inf),
                      where=den != 0)[()]
 
 
-def _wgcv_value(lam, c, s, beta_t, beta_perp, omega):
+def _wgcv_value(lam, c, beta_t, beta_perp, omega):
     """Weighted GCV of the projected problem [R1; 0] y ~ [beta; beta_perp],
     which has k + 1 rows (Chung, Nagy & O'Leary, ETNA 2008): (k + 1) |r|^2 /
     (k + 1 - omega trace(influence))^2, for a scalar lambda or a grid."""
-    comp = _filters(lam, c, s)[0]
+    comp = _filters(lam, c)[0]
     rows = c.size + 1
     num = rows * (np.sum((comp * beta_t) ** 2, axis=-1) + beta_perp**2)
     return _quotient(num, (rows - omega * np.sum(1.0 - comp, axis=-1)) ** 2)
@@ -177,19 +144,17 @@ def optimal_select(solution_map, x_true, scale=1.0):
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """Filter-factor data of one Tikhonov family min |A y - b|^2 + lam |L y|^2.
-
-    (c, s) are the generalized singular values of (A, L), beta_t the
-    coefficients of b along the left singular vectors of A, beta_perp the
-    norm of the rest of b, and coef the map from filtered coefficients to y
-    (None where only dp and gcv read the pair). Every rule searches a range
-    anchored at smax_sq = sigma_max(A)^2.
-    ``m`` is the row count of a full system, whose GCV counts all m rows;
-    None marks a projected pair, whose (W)GCV is the projected function.
+    """Filter-factor data of one standard-form Tikhonov family
+    min |M t - b|^2 + lam |t|^2: c = sigma(M), beta_t = U^T b for the left
+    singular vectors U of M, beta_perp the norm of the rest of b, and coef
+    the map from filtered coefficients to the solution y (None where only dp
+    and gcv read the pair). Every rule searches a range anchored at smax_sq,
+    sigma_max^2 of the data-fit matrix. ``m`` is the row count of a full
+    system, whose GCV counts all m rows; None marks a projected pair, whose
+    (W)GCV is the projected function.
     """
 
     c: np.ndarray
-    s: np.ndarray
     beta_t: np.ndarray
     beta_perp: float
     coef: np.ndarray | None
@@ -198,37 +163,42 @@ class SpectralPair:
 
 
 def projected_pair(R1, beta, beta_perp, R2):
-    """Pair of the projected problem min |R1 y - beta|^2 + lam |R2 y|^2 (plus
-    the constant beta_perp^2), through the small GSVD: y = X^{-T} filtered."""
-    U, _, Xt, c, s = gsvd_small(R1, R2)
+    """Pair of min |R1 y - beta|^2 + lam |R2 y|^2 (plus the constant
+    beta_perp^2) in standard form (Elden, BIT 1982): t = R2 y gives
+    min |M t - beta|^2 + lam |t|^2 with M = R1 R2^{-1}, so one
+    bidiagonalization of M gives sigma, U^T beta and V^T, and y = R2^{-1} V
+    filtered. A singular R2 raises LinAlgError; the grid stays anchored at
+    |R1|^2."""
+    M = solve_triangular(R2, R1.T, trans="T").T
+    sv, beta_t, Vt = bidiag_svd(M, beta, vt=True)
     smax_sq = float(np.linalg.norm(R1, 2) ** 2) if R1.size else 1.0
-    return SpectralPair(c, s, U.T @ beta, float(beta_perp), np.linalg.inv(Xt),
-                        smax_sq)
+    return SpectralPair(sv, beta_t, float(beta_perp),
+                        solve_triangular(R2, Vt.T), smax_sq)
 
 
 def svd_pair(M, b):
     """Pair of the standard-form problem min |M y - b|^2 + lam |y|^2, through
-    a dense SVD of M: c = sigma, s = 1, and the coefficient map is V."""
+    a dense SVD of M: c = sigma, and the coefficient map is V."""
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
     beta_t = U.T @ b
     beta_perp = float(np.linalg.norm(b - U @ beta_t))
-    return SpectralPair(sv, np.ones_like(sv), beta_t, beta_perp, Vt.T,
+    return SpectralPair(sv, beta_t, beta_perp, Vt.T,
                         float(sv[0] ** 2) if sv.size else 1.0, M.shape[0])
 
 
-def _filters(lam, c, s):
-    """Residual filter 1 - gamma = lam s^2 / (c^2 + lam s^2) and solution
-    filter c / (c^2 + lam s^2), one row per lambda for a grid. At lam = 0 a
-    null direction of A (c = 0) keeps its whole residual and adds nothing to
-    y."""
+def _filters(lam, c):
+    """Residual filter 1 - gamma = lam / (c^2 + lam) and solution filter
+    c / (c^2 + lam), one row per lambda for a grid. At lam = 0 a null
+    direction of M (c = 0) keeps its whole residual and adds nothing to
+    the solution."""
     if np.ndim(lam):
         lam = lam[:, None]
     elif lam == 0.0:
         live = c > 0
         return (np.where(live, 0.0, 1.0),
                 np.divide(1.0, c, out=np.zeros_like(c), where=live))
-    den = c**2 + lam * s**2
-    return lam * s**2 / den, c / den
+    den = c**2 + lam
+    return lam / den, c / den
 
 
 def select_lambda(policy, pair, b_norm, gram=None, sketch_rows=None):
@@ -243,10 +213,10 @@ def select_lambda(policy, pair, b_norm, gram=None, sketch_rows=None):
         return policy.lam
     # Closures capture only these O(k) arrays, never the pair: brentq keeps
     # the dp residual in a reference cycle that outlives this call.
-    c, s, beta_t, beta_perp = pair.c, pair.s, pair.beta_t, pair.beta_perp
+    c, beta_t, beta_perp = pair.c, pair.beta_t, pair.beta_perp
     if policy.kind == "dp":
         def residual(lam):
-            comp = _filters(lam, c, s)[0]
+            comp = _filters(lam, c)[0]
             return float(np.sqrt(np.sum((comp * beta_t) ** 2) + beta_perp**2))
 
         target = policy.tau_lambda * policy.nl * b_norm
@@ -261,18 +231,18 @@ def select_lambda(policy, pair, b_norm, gram=None, sketch_rows=None):
         coef_t, xx = pair.coef.T, float(x_true @ x_true)
 
         def fun(lam):  # |x - x_true|, clipped at 0 against cancellation
-            y = (_filters(lam, c, s)[1] * beta_t) @ coef_t
+            y = (_filters(lam, c)[1] * beta_t) @ coef_t
             err2 = np.sum((y @ G) * y, axis=-1) - 2.0 * (y @ g) + xx
             return np.sqrt(np.maximum(err2, 0.0))
     elif m is None:
         omega = 1.0 if policy.kind == "gcv" else (k + 1) / sketch_rows
-        fun = lambda lam: _wgcv_value(lam, c, s, beta_t, beta_perp, omega)
+        fun = lambda lam: _wgcv_value(lam, c, beta_t, beta_perp, omega)
     elif policy.kind == "wgcv":
         raise ValueError("wgcv is a projected-problem policy; a full system "
                          "supports fixed, dp, gcv and optimal")
     else:
         def fun(lam):  # (|r|^2 + beta_perp^2) / (m - sum(gamma))^2
-            comp = _filters(lam, c, s)[0]
+            comp = _filters(lam, c)[0]
             tr = np.sum(comp, axis=-1) + (m - k)
             return _quotient(np.sum((comp * beta_t) ** 2, axis=-1)
                              + beta_perp**2, tr**2)

@@ -461,17 +461,17 @@ def test_criterion_11_parameter_rules():
     R1 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     pair = rk.projected_pair(R1, rng.standard_normal(k), 0.0, np.eye(k))
     explicit, _ = _grid_argmin(
-        lambda lam: _wgcv_value(lam, pair.c, pair.s, pair.beta_t,
+        lambda lam: _wgcv_value(lam, pair.c, pair.beta_t,
                                 pair.beta_perp, (k + 1) / s_rows),
         pair.smax_sq)
     omega_exact = rk.select_lambda(rk.LambdaPolicy(kind="wgcv"), pair, 1.0,
                                    sketch_rows=s_rows) == explicit
-    # GSVD-filter evaluation of the GCV function vs the dense influence
+    # filter-factor evaluation of the GCV function vs the dense influence
     # matrix of the (k+1)-row projected problem [R1; 0] y ~ [beta; beta_perp]
     R2 = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
     beta, beta_perp = rng.standard_normal(k), 0.5
     pair = rk.projected_pair(R1, beta, beta_perp, R2)
-    c, s, beta_t = pair.c, pair.s, pair.beta_t
+    c, beta_t = pair.c, pair.beta_t
     A1 = np.vstack([R1, np.zeros((1, k))])
     g_worst = 0.0
     for lam in (1e-6, 1e-3, 1e-1, 1.0, 10.0, 1e3):
@@ -480,7 +480,7 @@ def test_criterion_11_parameter_rules():
         r = np.append(beta, beta_perp)
         r = r - Hmat @ r
         dense = (k + 1) * float(r @ r) / (k + 1 - np.trace(Hmat)) ** 2
-        got = _wgcv_value(lam, c, s, beta_t, beta_perp, 1.0)
+        got = _wgcv_value(lam, c, beta_t, beta_perp, 1.0)
         g_worst = max(g_worst, abs(got - dense) / dense)
     dt = time.time() - t0
     ok = dp_worst < 1e-6 and omega_exact and g_worst < 1e-10 and dt < 10.0

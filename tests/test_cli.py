@@ -1,5 +1,6 @@
 import gc
 import json
+import shutil
 import weakref
 from dataclasses import fields, replace
 
@@ -144,7 +145,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
             "problem.n = 6\nproblem.seed = 1\n")
     for i, keys in enumerate([
         "family = flex\nk_max = 0", "family = flex\nell = 0",
-        "family = flex\nell = two", "family = flex\ninner_tol = 0",
+        "family = flex\nell = two",
+        "family = flex\nscheme = sketch_to_precondition\ninner_tol = 0",
         "family = irn\nlambda = -1", "family = irn\nnl = -0.1",
         "family = irn\nlambda_policy = dp\nnl = 0",
         "family = irn\ninner_max = 0", "family = irn\ninner_tol = 0",
@@ -277,9 +279,14 @@ def test_unknown_solver_keys_exit_2(tmp_path, capsys):
         ("flex", "lamda = 5.0"), ("irn", "ell = 4"),
         ("flex", "outer_max = 3"), ("fista", "tol = 0"),
         ("lsqr", "inner_tol = 1e-6"),
+        # read only where a sketch is drawn, and by s2p's inner solves
+        ("irn", "sketch_multiplier = 9"), ("fista", "sketch_multiplier = 9"),
+        ("flex\nscheme = exact", "sketch_multiplier = 9"),
+        ("flex\nscheme = exact", "inner_tol = 1e-6"),
+        ("flex\nscheme = sketch_and_solve", "inner_tol = 1e-6"),
     ]):
         solver = "".join(f"solver.t.{kv}\n" for kv in (
-            f"family = {family}", "seed = 1", "k_max = 3", key))
+            *f"family = {family}".split("\n"), "seed = 1", "k_max = 3", key))
         cfg = _write(tmp_path, base + solver, f"unknown{i}.cfg")
         out = tmp_path / f"u{i}"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2, key
@@ -387,6 +394,21 @@ def test_report_on_a_bad_trace_is_a_config_error(tmp_path, capsys, case):
     assert main(["report", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {path}: ")
     assert not (tmp_path / "o" / "summary.csv").exists()
+
+
+def test_report_refuses_two_traces_of_one_solver(tmp_path, capsys):
+    # two trace files of one solver name would fold into one summary row
+    cfg = _write(tmp_path, TINY)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    first = str(tmp_path / "o" / "irn-lsqr.trace.csv")
+    second = str(tmp_path / "i.trace.csv")
+    shutil.copy(first, second)
+    rep = tmp_path / "rep"
+    assert main(["report", first, second, "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert "'irn-lsqr'" in err and first in err and second in err, err
+    assert not rep.exists()
 
 
 def test_trace_csv_header_is_unchanged():

@@ -404,6 +404,38 @@ def test_singular_stacked_pair_retries_at_the_lambda_floor(monkeypatch,
     assert np.all(np.isfinite(res.x))
 
 
+@pytest.mark.parametrize("scheme", ["exact", "sketch_and_solve",
+                                    "sketch_to_precondition"])
+def test_each_flexible_lambda_choice_bidiagonalizes_once(monkeypatch, scheme):
+    # every rule reads the k-by-k standard form R1 R2^{-1} of the pair it
+    # selects on, from one bidiagonalization per choice; fixed takes none
+    inst = _tall_instance()
+    real, shapes = regparam.bidiag_svd, []
+
+    def spy(M, q, vt=False):
+        shapes.append(M.shape)
+        return real(M, q, vt)
+
+    monkeypatch.setattr(regparam, "bidiag_svd", spy)
+    S1, S2 = build_flex_sketches(inst.A, inst.b, 5, 4, 1)
+    for kind, mode in (("fixed", "irw"), ("dp", "irw"), ("optimal", "irw"),
+                       ("dp", "hybrid")):
+        shapes.clear()
+        policy = LambdaPolicy(kind=kind, lam=0.1, nl=0.02,
+                              x_true=inst.x_true)
+        cfg = FlexSolverConfig(mode=mode, scheme=scheme, k_max=5,
+                               lambda_policy=policy)
+        if scheme == "exact":
+            res = exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
+        else:
+            solve = (sns_flex_solve if scheme == "sketch_and_solve"
+                     else s2p_flex_solve)
+            res = solve(inst.A, inst.b, cfg, S1, S2, inst.x_true)
+        assert len(res.trace) == 5
+        expect = [] if kind == "fixed" else [(k, k) for k in range(1, 6)]
+        assert shapes == expect, (kind, mode)
+
+
 def test_projected_gcv_leaves_the_grid_floor_at_small_k(monkeypatch):
     # the (k+1)-row GCV of [R1; 0] y ~ [beta; beta_perp] has an interior
     # minimum from k = 1 on; with k rows and no beta_perp it was flat at

@@ -22,7 +22,6 @@ from randkrylov.regparam import (
     _log_grid,
     _wgcv_value,
     dp_select,
-    gsvd_small,
     optimal_select,
     projected_pair,
     select_lambda,
@@ -72,21 +71,20 @@ def test_dp_zero_branch_and_saturation():
         dp_select(resid, 0.0)
 
 
-def test_gsvd_reconstruction():
-    rng = _rng(1)
-    k = 6
-    R1 = rng.standard_normal((k, k))
-    R2 = rng.standard_normal((k, k))
-    U, V, Xt, c, s = gsvd_small(R1, R2)
-    np.testing.assert_allclose(U @ (c[:, None] * Xt), R1, atol=1e-10)
-    np.testing.assert_allclose(V @ (s[:, None] * Xt), R2, atol=1e-10)
-    np.testing.assert_allclose(c**2 + s**2, np.ones(k), atol=1e-12)
-    np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-12)
+def test_dp_returns_the_jump_of_a_step_map():
+    # a residual map that jumps across the target at lam*: the root is the
+    # jump, to the bracket's resolution
+    for jump in (1e-9, 3.7, 2.5e6):
+        step = lambda lam, jump=jump: 2.0 if lam >= jump else 0.5
+        lam = dp_select(step, 1.0)
+        assert abs(lam - jump) <= 1e-13 * jump, jump
 
 
-def test_gsvd_rank_deficient_raises():
+def test_projected_pair_with_a_singular_r2_raises():
+    R1 = np.triu(_rng(1).standard_normal((3, 3))) + 2 * np.eye(3)
+    R2 = np.diag([1.0, 0.0, 1.0])
     with pytest.raises(np.linalg.LinAlgError):
-        gsvd_small(np.zeros((3, 3)), np.zeros((3, 3)))
+        projected_pair(R1, np.ones(3), 0.0, R2)
 
 
 def _dense_wgcv_oracle(R1, R2, beta, beta_perp, lam, omega):
@@ -110,16 +108,16 @@ def test_wgcv_value_matches_dense_oracle(lam):
     beta = rng.standard_normal(k)
     for beta_perp in (0.0, 0.7):
         pair = projected_pair(R1, beta, beta_perp, R2)
-        c, s, beta_t = pair.c, pair.s, pair.beta_t
+        c, beta_t = pair.c, pair.beta_t
         for omega in (1.0, 0.6):
-            got = _wgcv_value(lam, c, s, beta_t, beta_perp, omega)
+            got = _wgcv_value(lam, c, beta_t, beta_perp, omega)
             ref = _dense_wgcv_oracle(R1, R2, beta, beta_perp, lam, omega)
             np.testing.assert_allclose(got, ref, rtol=1e-10)
         # the whole grid in one call gives the same values
         grid = np.geomspace(1e-4, 30.0, 7)
         np.testing.assert_allclose(
-            _wgcv_value(grid, c, s, beta_t, beta_perp, 0.6),
-            [_wgcv_value(g, c, s, beta_t, beta_perp, 0.6) for g in grid],
+            _wgcv_value(grid, c, beta_t, beta_perp, 0.6),
+            [_wgcv_value(g, c, beta_t, beta_perp, 0.6) for g in grid],
             rtol=1e-14)
 
 
@@ -132,7 +130,7 @@ def test_wgcv_default_omega():
     lam_default = select_lambda(LambdaPolicy(kind="wgcv"), pair, 1.0,
                                 sketch_rows=s_rows)
     lam_explicit, _ = _grid_argmin(
-        lambda lam: _wgcv_value(lam, pair.c, pair.s, pair.beta_t,
+        lambda lam: _wgcv_value(lam, pair.c, pair.beta_t,
                                 pair.beta_perp, (k + 1) / s_rows),
         pair.smax_sq)
     assert lam_default == lam_explicit
@@ -145,11 +143,11 @@ def test_wgcv_select_near_brute_force():
     beta = rng.standard_normal(k)
     pair = projected_pair(R1, beta, 0.3, np.eye(k))
     lam = select_lambda(LambdaPolicy(kind="gcv"), pair, 1.0, sketch_rows=60)
-    c, s, beta_t = pair.c, pair.s, pair.beta_t
+    c, beta_t = pair.c, pair.beta_t
     grid = np.geomspace(1e-10, 1e6, 4000)
-    vals = [_wgcv_value(g, c, s, beta_t, 0.3, 1.0) for g in grid]
+    vals = [_wgcv_value(g, c, beta_t, 0.3, 1.0) for g in grid]
     best = min(vals)
-    got = _wgcv_value(lam, c, s, beta_t, 0.3, 1.0)
+    got = _wgcv_value(lam, c, beta_t, 0.3, 1.0)
     assert got <= best * (1.0 + 1e-4)
 
 
@@ -305,10 +303,10 @@ def test_dp_residual_does_not_keep_the_pair_alive():
     assert not alive
 
 
-def _tomo_flexible_pairs(k_max=30, every=10):
+def _tomo_flexible_steps(k_max=30, every=10):
     # exp3's tomography problem on a reweighted flexible Golub-Kahan basis
     # (ell = 4), each step solved at the oracle's lambda; yields every
-    # ``every``-th (Zbar, unsketched projected pair)
+    # ``every``-th (Zbar, unsketched projected problem, its spectral pair)
     inst = add_noise(gen_tomo(64, n_angles=18, seed=31), 0.01, 32)
     A, b, x_true = inst.A, inst.b, inst.x_true
     policy = LambdaPolicy(kind="optimal", x_true=x_true)
@@ -325,7 +323,25 @@ def _tomo_flexible_pairs(k_max=30, every=10):
         lam = select_lambda(policy, pair, 1.0, (Z.T @ Z, Z.T @ x_true))
         x = Z @ solve_projected_tikhonov(pp, lam)
         if k % every == 0:
-            yield Z, pair, x_true
+            yield Z, pp, pair, x_true
+
+
+def _tomo_flexible_pairs():
+    for Z, _pp, pair, x_true in _tomo_flexible_steps():
+        yield Z, pair, x_true
+
+
+def test_standard_form_coefficients_solve_the_projected_problem():
+    # on exp3's flexible pairs, where cond(R2) reaches 5e5, y = R2^{-1} V
+    # filtered matches the stacked-QR solve at every point of the search grid
+    for Z, pp, pair, _x_true in _tomo_flexible_steps():
+        for lam in _log_grid(pair.smax_sq):
+            y = pair.coef @ (_filters(lam, pair.c)[1] * pair.beta_t)
+            ref = solve_projected_tikhonov(pp, lam)
+            assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref), (
+                Z.shape[1], lam)
+
+
 
 
 def test_coefficient_space_oracle_matches_the_direct_error(monkeypatch):
@@ -340,8 +356,8 @@ def test_coefficient_space_oracle_matches_the_direct_error(monkeypatch):
 
     monkeypatch.setattr(regparam, "_grid_argmin", spy)
     for Z, pair, x_true in _tomo_flexible_pairs():
-        c, s, beta_t = pair.c, pair.s, pair.beta_t
-        x_of = lambda lam: Z @ (pair.coef @ (_filters(lam, c, s)[1] * beta_t))
+        c, beta_t = pair.c, pair.beta_t
+        x_of = lambda lam: Z @ (pair.coef @ (_filters(lam, c)[1] * beta_t))
         funs.clear()
         lam = select_lambda(LambdaPolicy(kind="optimal", x_true=x_true), pair,
                             1.0, (Z.T @ Z, Z.T @ x_true))
