@@ -120,6 +120,11 @@ class _Section(dict):
         self.read.add(key)
         return super().__contains__(key)
 
+    def check_all_read(self, where):
+        unknown = sorted(set(self) - self.read)
+        if unknown:
+            raise ConfigError(f"{where}: unknown key(s) {', '.join(unknown)}")
+
 
 def _section(cfg, prefix):
     plen = len(prefix) + 1
@@ -152,7 +157,9 @@ def build_problem(cfg, seed_override=None):
     sec = _section(cfg, "problem")
     gen = _get(sec, "generator", str, required=True)
     if gen == "bundle":
-        return load_bundle(_get(sec, "bundle", str, required=True))
+        path = _get(sec, "bundle", str, required=True)
+        sec.check_all_read("problem")
+        return load_bundle(path)
     seed = _get(sec, "seed", int, required=True)
     if seed_override is not None:
         seed = seed_override
@@ -191,12 +198,12 @@ def build_problem(cfg, seed_override=None):
         else:
             raise ConfigError(f"unknown problem generator {gen!r}")
         nl = _get(sec, "nl", float, 0.0)
+        noise_seed = _get(sec, "noise_seed", int, seed + 1)
         if nl > 0.0:
-            inst = prob_mod.add_noise(
-                inst, nl, _get(sec, "noise_seed", int, seed + 1)
-            )
+            inst = prob_mod.add_noise(inst, nl, noise_seed)
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
+    sec.check_all_read("problem")
     return inst
 
 
@@ -231,6 +238,8 @@ def load_bundle(path):
                   encoding="utf-8") as fh:
             meta = json.load(fh)
         m, n = int(meta["nrows"]), int(meta["ncols"])
+        if m < 1 or n < 1:
+            raise ConfigError(f"bundle {path} has dimensions {m}x{n}")
         nl, seed, descriptor = meta["nl"], meta["seed"], meta["descriptor"]
         if not os.path.exists(os.path.join(path, "A.f64")):
             raise ConfigError(f"bundle {path} has no materialized operator")
@@ -334,11 +343,11 @@ def _solver_call(name, cfg, inst):
         mult = _get(sec, "sketch_multiplier", int, 4) if sketched else 1
         if k_max < 1 or mult < 1:
             raise ConfigError("k_max and sketch_multiplier must be at least 1")
-        unknown = sorted(set(sec) - sec.read)
-        if unknown:
-            raise ConfigError(f"unknown key(s) {', '.join(unknown)}")
+        if seed < 0:
+            raise ConfigError("seed must be non-negative")
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"solver {name!r}: {exc}") from exc
+    sec.check_all_read(f"solver {name!r}")
 
     A, b, x_true = inst.A, inst.b, inst.x_true
     if family == "irn":
@@ -537,6 +546,13 @@ def cmd_report(args):
     return 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="randkrylov",
@@ -554,7 +570,7 @@ def build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out")
     p_run.add_argument("--seed-override", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=_positive_int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="summarize trace files")

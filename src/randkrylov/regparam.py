@@ -75,34 +75,11 @@ def _log_grid(sigma_max_sq):
     return np.geomspace(1e-12 * anchor, 1e4 * anchor, GRID_POINTS)
 
 
-def _golden_refine(fun, grid, idx, rel=1e-3):
-    """Golden-section refinement around grid index ``idx``; stops when the
-    bracket width falls below ``rel`` relative (in log space)."""
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    if lo == hi:
-        return grid[idx]
-    a, b = np.log(lo), np.log(hi)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(np.exp(c)), fun(np.exp(d))
-    while (b - a) > rel:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(np.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(np.exp(d))
-    return float(np.exp(0.5 * (a + b)))
-
-
 def _grid_argmin(fun, sigma_max_sq):
-    """Minimizer of fun over the search grid, refined by golden section. fun
-    takes a scalar lambda or the whole grid at once (one value per point).
-    Also returns whether the minimum is flat or on the grid's boundary."""
+    """Minimizer of fun over the search grid; an interior minimum is refined
+    on a second grid of as many points spanning its two neighbours. fun takes
+    a whole grid at once (one value per point). Also returns whether the
+    minimum is flat or on the grid's boundary."""
     grid = _log_grid(sigma_max_sq)
     vals = fun(grid)
     idx = int(np.argmin(vals))
@@ -110,7 +87,8 @@ def _grid_argmin(fun, sigma_max_sq):
     boundary = idx in (0, len(grid) - 1)
     if flat or boundary:
         return float(grid[idx]), True
-    return _golden_refine(fun, grid, idx), False
+    fine = np.geomspace(grid[idx - 1], grid[idx + 1], GRID_POINTS)
+    return float(fine[np.argmin(fun(fine))]), False
 
 
 def _quotient(num, den):
@@ -131,8 +109,8 @@ def _wgcv_value(lam, c, beta_t, beta_perp, omega):
 
 def optimal_select(solution_map, x_true, scale=1.0):
     """Oracle parameter by direct evaluation, one lambda at a time, of
-    |solution_map(lam) - x_true|: argmin over the search grid plus golden
-    refinement. ``select_lambda`` evaluates the same error from Gram data."""
+    |solution_map(lam) - x_true|: argmin over the search grid, refined on a
+    second grid. ``select_lambda`` evaluates the same error from Gram data."""
     x_true = np.asarray(x_true, dtype=np.float64)
 
     def error(lam):

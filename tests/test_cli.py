@@ -1,8 +1,11 @@
+import ast
 import gc
 import json
+import runpy
 import shutil
 import weakref
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +55,39 @@ def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _shipped_configs():
+    """(label, text) of every config the repository runs: the CONFIG of each
+    experiment script and each benchmark workload at its default seed."""
+    for script in sorted((ROOT / "scripts").glob("experiment*.py")):
+        tree = ast.parse(script.read_text(encoding="utf-8"))
+        (text,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["CONFIG"]]
+        yield script.name, text
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    for name, w in workloads["WORKLOADS"].items():
+        yield f"workload {name}", w.config(w.default_seed)
+
+
+def test_every_shipped_config_passes_validation(tmp_path):
+    # a shipped config that the runner starts refusing would exit 2 in the
+    # experiment scripts and fail every benchmark run
+    labels = []
+    for i, (label, text) in enumerate(_shipped_configs()):
+        cfg = parse_config(_write(tmp_path, text, f"shipped{i}.cfg"))
+        inst = build_problem(cfg)
+        names = cli._solver_names(cfg)
+        assert names, label
+        for name in names:
+            assert callable(cli._solver_call(name, cfg, inst)), (label, name)
+        labels.append(label)
+    assert len(labels) == 6, labels
 
 
 def test_parse_config(tmp_path):
@@ -198,6 +234,14 @@ def test_exit_code_2_on_config_errors(tmp_path):
         for cmd in ("gen", "run"):
             assert main([cmd, "--config", cfg,
                          "--out", str(tmp_path / f"p{i}{cmd}")]) == 2, problem
+    # a negative seed, which Philox would refuse only when a sketch is drawn
+    for family in ("flex", "irn_s2p", "lsqr"):
+        cfg = _write(tmp_path, base + (
+            f"solver.a.family = {family}\nsolver.a.seed = -1\n"
+        ), f"negseed-{family}.cfg")
+        out = tmp_path / f"n{family}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2, family
+        assert not out.exists()
 
 
 def test_every_solver_is_checked_before_the_first_runs(tmp_path,
@@ -293,6 +337,48 @@ def test_unknown_solver_keys_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "unknown key" in err and key.split(" ")[0] in err, err
         assert not out.exists()
+
+
+def test_unknown_problem_keys_exit_2(tmp_path, capsys):
+    # a problem key that the generator does not read is rejected by name,
+    # bundles included, in gen and in run; so is a malformed noise_seed,
+    # also where nl = 0 draws no noise
+    bundle = tmp_path / "idb"
+    write_bundle(build_problem({"problem.generator": "identity",
+                                "problem.n": "6", "problem.seed": "2"}),
+                 str(bundle))
+    for i, (problem, key) in enumerate([
+        ("starfield\nproblem.nx = 16\nproblem.seed = 1", "m = 5"),
+        ("subset_selection\nproblem.m = 20\nproblem.n = 6\nproblem.seed = 1",
+         "bogus = 3"),
+        ("identity\nproblem.n = 6\nproblem.seed = 1", "n_angles = 4"),
+        (f"bundle\nproblem.bundle = {bundle}", "nl = 0.1"),
+        ("identity\nproblem.n = 6\nproblem.seed = 1", "noise_seed = x"),
+    ]):
+        cfg = _write(tmp_path, (
+            f"problem.generator = {problem}\nproblem.{key}\n"
+            "solver.a.family = irn\nsolver.a.seed = 1\n"
+        ), f"unknown-problem{i}.cfg")
+        for cmd in ("gen", "run"):
+            out = tmp_path / f"q{i}{cmd}"
+            assert main([cmd, "--config", cfg, "--out", str(out)]) == 2, key
+            err = capsys.readouterr().err
+            assert key.split(" ")[0] in err, err
+            assert not out.exists()
+    quiet = build_problem({"problem.generator": "identity", "problem.n": "6",
+                           "problem.seed": "1", "problem.noise_seed": "4"})
+    np.testing.assert_array_equal(quiet.b, quiet.b_exact)
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_run_with_fewer_than_one_thread_exits_2(tmp_path, threads):
+    cfg = _write(tmp_path, TINY)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--out", str(out),
+              "--threads", threads])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_exit_code_3_on_solver_failure(tmp_path, capsys):
@@ -494,6 +580,25 @@ def test_bundle_with_wrong_operator_size_exits_2(tmp_path):
     with pytest.raises(ConfigError, match="30 entries, expected 36"):
         load_bundle(str(bundle))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("dim", ["nrows", "ncols"])
+def test_bundle_with_an_empty_dimension_exits_2(tmp_path, dim):
+    # a consistent bundle of an m x 0 or 0 x n operator: every file holds
+    # the entries its metadata asks for
+    bundle = tmp_path / "idb"
+    cfg = _bundle_config(tmp_path, bundle)
+    meta = json.loads((bundle / "A.meta.json").read_text())
+    meta[dim] = 0
+    (bundle / "A.meta.json").write_text(json.dumps(meta))
+    empty = ["A"] + (["b", "b_exact"] if dim == "nrows" else ["x_true"])
+    for name in empty:
+        (bundle / f"{name}.f64").write_bytes(b"")
+    with pytest.raises(ConfigError, match="dimensions"):
+        load_bundle(str(bundle))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["directory", "meta"])

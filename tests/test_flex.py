@@ -365,7 +365,7 @@ def test_s2p_identity_phase_after_span_exhaustion(iterates):
             assert ref > 0.0, (pol.kind, it)
             if pol.kind == "dp":
                 assert abs(got - ref) <= 1e-8 * ref, it
-            else:  # golden search resolves the flat minimum to 1e-3 only
+            else:  # the second grid resolves the flat minimum to 2e-3 only
                 err = lambda lam: np.linalg.norm(y_of(lam) - inst.x_true)
                 assert err(got) <= err(ref) * (1.0 + 1e-8), it
         if pol.kind == "dp":  # the identity-phase solves meet the discrepancy

@@ -194,6 +194,47 @@ def test_parameters_reject_non_finite_values(value, field):
             make(value)
 
 
+def test_grid_argmin_refines_an_interior_minimum_on_a_second_grid():
+    # one call on the search grid, one on GRID_POINTS points spanning the
+    # minimum's two neighbours, whose argmin is the result
+    calls = []
+
+    def fun(lam):
+        calls.append(lam)
+        return (np.log(lam) - np.log(3.7e-3)) ** 2
+
+    lam, flagged = _grid_argmin(fun, 1.0)
+    assert not flagged
+    assert len(calls) == 2
+    assert all(np.shape(c) == (regparam.GRID_POINTS,) for c in calls)
+    grid, fine = calls
+    idx = int(np.argmin(fun(grid)))
+    assert lam == fine[np.argmin(fun(fine))]
+    assert grid[idx - 1] <= lam <= grid[idx + 1]
+
+
+@pytest.mark.parametrize("fun", [np.ones_like, lambda lam: lam,
+                                 lambda lam: -lam])
+def test_grid_argmin_flags_a_flat_or_boundary_minimum_after_one_call(fun):
+    calls = []
+
+    def spy(lam):
+        calls.append(lam)
+        return fun(lam)
+
+    lam, flagged = _grid_argmin(spy, 2.0)
+    assert flagged and len(calls) == 1
+    assert lam in (calls[0][0], calls[0][-1])
+
+
+@pytest.mark.parametrize("target", [2e-11, 3.3e-4, 0.5, 17.0, 4.1e3])
+def test_grid_argmin_resolves_a_log_quadratic_to_1e_3(target):
+    lam, flagged = _grid_argmin(
+        lambda lam: (np.log(lam) - np.log(target)) ** 2, 1.0)
+    assert not flagged
+    assert abs(lam / target - 1.0) <= 1e-3
+
+
 def _ill_posed_pair(seed, k=8):
     # projected pair with decaying R1, a smoothing R2, a solution meeting the
     # discrete Picard condition, and noise of known norm
@@ -347,7 +388,7 @@ def test_standard_form_coefficients_solve_the_projected_problem():
 def test_coefficient_space_oracle_matches_the_direct_error(monkeypatch):
     # |x - x_true| from (Zbar^T Zbar, Zbar^T x_true) equals the direct norm
     # at every grid point, and picks the direct optimal_select's lambda
-    # within the golden bracket
+    # within 1e-3 in log(lambda)
     real, funs = regparam._grid_argmin, []
 
     def spy(fun, scale):
