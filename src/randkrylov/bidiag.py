@@ -1,13 +1,10 @@
 """Singular values of a dense M together with U^T q for one vector q, with the
-left singular vectors U never formed, for every lambda rule (``regparam``),
-the way LAPACK's xGELSS does: Householder bidiagonalization M = Q_B B P_B^T
-(dgebrd; Golub & Kahan, 1965), Q_B^T applied to q (dormbr), then the
-bidiagonal QR iteration of Demmel & Kahan (SISC 1990, dbdsqr), which applies
-its left rotations to that one vector. On request V^T is formed too, the way
-xGESDD does: divide and conquer on B (dbdsdc) gives B = U_B S V_B^T, U_B^T is
-applied to Q_B^T q, and P_B to V_B^T (dormbr). Applying the QR iteration's
-rotations to all of V^T instead (dbdsqr with ncvt = n) costs three times the
-whole dense SVD at n = 400.
+left singular vectors U never formed, the way LAPACK's xGELSS does:
+Householder bidiagonalization M = Q_B B P_B^T (dgebrd; Golub & Kahan, 1965),
+Q_B^T applied to q (dormbr), then the bidiagonal QR iteration of Demmel &
+Kahan (SISC 1990, dbdsqr), which applies its left rotations to that one
+vector. IRN's dp and gcv rules read this pair of the n-by-n R W^{-1}; a pair
+that needs the singular vectors V takes NumPy's SVD (``regparam``).
 
 ``scipy.linalg.lapack`` wraps none of these routines, but
 ``scipy.linalg.cython_lapack`` exports them as C function pointers with LP64
@@ -34,8 +31,6 @@ _SIGNATURES = {
                                   # work lwork info
     "dbdsqr": "ciiiidddidididi",  # uplo n ncvt nru ncc d e vt ldvt u ldu c
                                   # ldc work info
-    "dbdsdc": "ccidddidididii",   # uplo compq n d e u ldu vt ldvt q iq work
-                                  # iwork info
 }
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -63,12 +58,11 @@ _ROUTINES = {name: _bind(name, codes, cython_lapack.__pyx_capi__[name])
 
 
 def _arg(a):
-    """bytes as char *, an intc array as int *, any other (float64) array as
-    double *, an int by reference."""
+    """bytes as char *, a float64 array as double *, an int by reference."""
     if isinstance(a, bytes):
         return a
     if isinstance(a, np.ndarray):
-        return a.ctypes.data_as(_ARG_TYPES["i" if a.dtype == np.intc else "d"])
+        return a.ctypes.data_as(_ARG_TYPES["d"])
     return ctypes.byref(ctypes.c_int(a))
 
 
@@ -89,11 +83,11 @@ def _with_workspace(name, *args):
     _lapack(name, *args, work, work.size)
 
 
-def bidiag_svd(M, q, vt=False):
+def bidiag_svd(M, q):
     """sigma (descending) and U^T q of the thin SVD M = U diag(sigma) V^T of
-    a p-by-n M, k = min(p, n) of each; with ``vt``, also the k-by-n V^T
-    (else None). For a tall M, the part of q outside range(M) is dropped, as
-    in U^T q. A non-finite M or q, or a LAPACK failure, raises LinAlgError.
+    a p-by-n M, k = min(p, n) of each. For a tall M, the part of q outside
+    range(M) is dropped, as in U^T q. A non-finite M or q, or a LAPACK
+    failure, raises LinAlgError.
     """
     a = np.array(M, dtype=np.float64, order="F")  # dgebrd overwrites it
     c = np.array(q, dtype=np.float64)
@@ -110,14 +104,6 @@ def bidiag_svd(M, q, vt=False):
     _with_workspace("dormbr", b"Q", b"L", b"T", p, 1, n, a, lda, tauq, c, lda)
     uplo = b"U" if p >= n else b"L"  # B is lower bidiagonal for a wide M
     unused = np.empty(1)
-    if not vt:
-        _lapack("dbdsqr", uplo, k, 0, 0, 1, d, e, unused, 1, unused, 1, c,
-                lda, np.empty(4 * k + 1))
-        return d, c[:k], None
-    ldk = max(k, 1)
-    u, v = np.empty((k, k), order="F"), np.zeros((k, n), order="F")
-    _lapack("dbdsdc", uplo, b"I", k, d, e, u, ldk, v, ldk, unused,
-            np.empty(1, dtype=np.intc), np.empty(3 * k * k + 4 * k + 1),
-            np.empty(8 * k + 1, dtype=np.intc))
-    _with_workspace("dormbr", b"P", b"R", b"T", k, n, p, a, lda, taup, v, ldk)
-    return d, u.T @ c[:k], v
+    _lapack("dbdsqr", uplo, k, 0, 0, 1, d, e, unused, 1, unused, 1, c, lda,
+            np.empty(4 * k + 1))
+    return d, c[:k]

@@ -159,6 +159,8 @@ def build_problem(cfg, seed_override=None):
     if gen == "bundle":
         path = _get(sec, "bundle", str, required=True)
         sec.check_all_read("problem")
+        if seed_override is not None:
+            raise ConfigError("--seed-override has no effect on a bundle")
         return load_bundle(path)
     seed = _get(sec, "seed", int, required=True)
     if seed_override is not None:
@@ -197,10 +199,8 @@ def build_problem(cfg, seed_override=None):
             )
         else:
             raise ConfigError(f"unknown problem generator {gen!r}")
-        nl = _get(sec, "nl", float, 0.0)
-        noise_seed = _get(sec, "noise_seed", int, seed + 1)
-        if nl > 0.0:
-            inst = prob_mod.add_noise(inst, nl, noise_seed)
+        inst = prob_mod.add_noise(inst, _get(sec, "nl", float, 0.0),
+                                  _get(sec, "noise_seed", int, seed + 1))
     except ValueError as exc:
         raise ConfigError(f"problem: {exc}") from exc
     sec.check_all_read("problem")
@@ -231,8 +231,8 @@ def write_bundle(inst, outdir):
 
 def load_bundle(path):
     """The instance ``write_bundle`` wrote to ``path``. A missing or
-    unreadable file, an array of the wrong size or a non-finite entry raises
-    ConfigError."""
+    unreadable file, an array of the wrong size, a non-finite entry or a
+    noise level that is not a finite number >= 0 raises ConfigError."""
     try:
         with open(os.path.join(path, "A.meta.json"), "r",
                   encoding="utf-8") as fh:
@@ -241,6 +241,8 @@ def load_bundle(path):
         if m < 1 or n < 1:
             raise ConfigError(f"bundle {path} has dimensions {m}x{n}")
         nl, seed, descriptor = meta["nl"], meta["seed"], meta["descriptor"]
+        if not (type(nl) in (int, float) and 0.0 <= nl < np.inf):
+            raise ConfigError(f"bundle {path} has noise level {nl!r}")
         if not os.path.exists(os.path.join(path, "A.f64")):
             raise ConfigError(f"bundle {path} has no materialized operator")
         data = {name: np.fromfile(os.path.join(path, f"{name}.f64"),

@@ -33,7 +33,7 @@ import scipy.linalg
 from .bidiag import bidiag_svd
 from .krylov import _finite_rhs, lsqr_solve
 from .operators import CompositeOperator, DenseOperator, DiagonalOperator
-from .regparam import LambdaPolicy, SpectralPair, select_lambda
+from .regparam import LambdaPolicy, SpectralPair, select_lambda, svd_factors
 from .sketching import apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
 
@@ -149,24 +149,22 @@ def _reweighted_pair(system, w_inv, coef=False):
     """Spectral pair of the reweighted system A W^{-1}, from the small
     R W^{-1}: A W^{-1} = (Q U) diag(sigma) V^T whenever R W^{-1} =
     U diag(sigma) V^T, so the pair is (sigma, U^T Q^T b, beta_perp, V),
-    and GCV still counts all m rows. One Householder bidiagonalization of
-    R W^{-1} gives sigma and U^T Q^T b with U never formed; V (the
-    coefficient map, which only the optimal oracle reads) only with
-    ``coef``, else the pair's coef is None."""
-    with np.errstate(invalid="ignore"):  # inf * 0 = nan: bidiag_svd raises
+    and GCV still counts all m rows. V, which only the optimal oracle reads,
+    comes from NumPy's SVD with ``coef``; else one bidiagonalization gives
+    sigma and U^T Q^T b with U never formed, and the pair's coef is None."""
+    with np.errstate(invalid="ignore"):  # inf * 0 = nan: both SVDs raise
         M = system.R * w_inv[None, :]
-    sv, beta_t, Vt = bidiag_svd(M, system.qtb, vt=coef)
-    return SpectralPair(sv, beta_t, system.beta_perp,
-                        None if Vt is None else Vt.T,
+    sv, beta_t, V = (svd_factors(M, system.qtb) if coef
+                     else (*bidiag_svd(M, system.qtb), None))
+    return SpectralPair(sv, beta_t, system.beta_perp, V,
                         float(sv[0] ** 2) if sv.size else 1.0, system.m)
 
 
 def _select_lambda(policy, system, w_inv):
     """One lambda update per outer iteration, from the pair of the reweighted
-    system A W^{-1}, with A = Q R taken once per solve: sigma and U^T Q^T b
-    of the k-by-n R W^{-1} from one bidiagonalization (``bidiag_svd``), V^T
-    only for the oracle. The oracle's map s -> x = W^{-1} s has Gram data
-    (W^{-2}, W^{-1} x_true)."""
+    system A W^{-1} (``_reweighted_pair``), with A = Q R taken once per
+    solve. The oracle's map s -> x = W^{-1} s has Gram data (W^{-2},
+    W^{-1} x_true)."""
     if policy.kind == "fixed":
         return policy.lam
     optimal = policy.kind == "optimal"

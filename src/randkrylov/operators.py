@@ -167,6 +167,8 @@ class CompositeOperator(LinearOperator):
 
 def gaussian_kernel(sigma):
     """Normalized 2-D Gaussian kernel truncated at 4 sigma (odd size)."""
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ValueError("blur width must be finite and positive")
     radius = max(1, int(np.ceil(4.0 * sigma)))
     ax = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-0.5 * (ax / sigma) ** 2)

@@ -70,6 +70,8 @@ def gen_starfield_deblur(nx, density=0.072, sigma_blur=2.0, seed=0):
     """Sparse star field blurred by a periodic truncated-Gaussian kernel."""
     if nx < 16:
         raise ValueError("image side must be at least 16")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("star density must lie in [0, 1]")
     rng = _rng(seed)
     n = nx * nx
     n_stars = int(np.ceil(density * n))
@@ -120,8 +122,8 @@ def gen_tomo(nx, n_angles=18, n_rays=None, seed=0):
 
 def add_noise(inst, nl, seed):
     """Gaussian noise scaled to exactly the requested relative level."""
-    if nl < 0.0:
-        raise ValueError("noise level must be non-negative")
+    if not (np.isfinite(nl) and nl >= 0.0):
+        raise ValueError("noise level must be finite and non-negative")
     if nl == 0.0:
         return replace(inst, b=inst.b_exact.copy(), nl=0.0)
     norm_b = np.linalg.norm(inst.b_exact)

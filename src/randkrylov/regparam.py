@@ -1,9 +1,10 @@
 """Regularization-parameter selection: discrepancy principle, (weighted) GCV
 and the optimal-parameter oracle, all evaluated by ``select_lambda`` from the
-filter factors of one standard-form spectral pair, which one Householder
-bidiagonalization gives with U never formed (``bidiag``): of R1 R2^{-1} for
-a projected pair, of R W^{-1} for IRN's system A W^{-1} = Q R W^{-1}.
-``svd_pair``, a dense SVD of the full system, is the test reference."""
+filter factors of one standard-form spectral pair, from NumPy's SVD
+(``svd_factors``): of R1 R2^{-1} for a projected pair, of R W^{-1} for IRN's
+system A W^{-1} = Q R W^{-1}, whose dp and gcv take sigma and U^T b alone
+from ``bidiag``. ``svd_pair``, a dense SVD of the full system, is the test
+reference."""
 
 from __future__ import annotations
 
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 from scipy.linalg import solve_triangular
-
-from .bidiag import bidiag_svd
 
 GRID_POINTS = 200
 
@@ -140,18 +139,28 @@ class SpectralPair:
     m: int | None = None
 
 
+def svd_factors(M, b):
+    """sigma, U^T b and V of the thin SVD M = U diag(sigma) V^T, from
+    NumPy's SVD. A non-finite M or b raises LinAlgError: the SVD would
+    return NaNs without raising."""
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("M and b must be finite")
+    U, sv, Vt = np.linalg.svd(M, full_matrices=False)
+    return sv, U.T @ b, Vt.T
+
+
 def projected_pair(R1, beta, beta_perp, R2):
     """Pair of min |R1 y - beta|^2 + lam |R2 y|^2 (plus the constant
     beta_perp^2) in standard form (Elden, BIT 1982): t = R2 y gives
-    min |M t - beta|^2 + lam |t|^2 with M = R1 R2^{-1}, so one
-    bidiagonalization of M gives sigma, U^T beta and V^T, and y = R2^{-1} V
-    filtered. A singular R2 raises LinAlgError; the grid stays anchored at
-    |R1|^2."""
-    M = solve_triangular(R2, R1.T, trans="T").T
-    sv, beta_t, Vt = bidiag_svd(M, beta, vt=True)
+    min |M t - beta|^2 + lam |t|^2 with M = R1 R2^{-1}, so the SVD of M
+    gives sigma, U^T beta and V, and y = R2^{-1} V filtered. A singular R2,
+    or a non-finite R1 or beta (svd_factors refuses the non-finite M or
+    beta), raises LinAlgError; the grid stays anchored at |R1|^2."""
+    M = solve_triangular(R2, R1.T, trans="T", check_finite=False).T
+    sv, beta_t, V = svd_factors(M, beta)
     smax_sq = float(np.linalg.norm(R1, 2) ** 2) if R1.size else 1.0
     return SpectralPair(sv, beta_t, float(beta_perp),
-                        solve_triangular(R2, Vt.T), smax_sq)
+                        solve_triangular(R2, V), smax_sq)
 
 
 def svd_pair(M, b):

@@ -1,5 +1,5 @@
-"""``bidiag_svd``: sigma and U^T q (and V^T on request) of a dense matrix,
-against numpy's dense SVD, plus its input and binding checks."""
+"""``bidiag_svd``: sigma and U^T q of a dense matrix, against numpy's dense
+SVD, plus its input and binding checks."""
 
 import ctypes
 import sys
@@ -44,12 +44,11 @@ def _clusters(sigma, rtol=1e-10):
 
 @pytest.mark.parametrize("shape", ["tall", "square", "wide", "rank_deficient",
                                    "clustered"])
-@pytest.mark.parametrize("vt", [False, True])
-def test_bidiag_svd_matches_dense_svd(shape, vt):
+def test_bidiag_svd_matches_dense_svd(shape):
     M = _matrix(shape)
     q = _rng(5).standard_normal(M.shape[0])
     U, sv, _ = np.linalg.svd(M, full_matrices=False)
-    sigma, beta_t, Vt = bidiag_svd(M, q, vt=vt)
+    sigma, beta_t = bidiag_svd(M, q)
     k = min(M.shape)
     assert sigma.shape == beta_t.shape == (k,)
     assert np.all(np.diff(sigma) <= 0.0) and sigma[-1] >= 0.0
@@ -61,26 +60,14 @@ def test_bidiag_svd_matches_dense_svd(shape, vt):
     for g in groups:  # within a cluster only the sum of squares is defined
         assert abs(np.linalg.norm(beta_t[g]) - np.linalg.norm(ref_t[g])) \
             <= 1e-12 * q_norm
-    if not vt:
-        assert Vt is None
-        return
-    assert Vt.shape == (k, M.shape[1])
-    assert np.max(np.abs(Vt @ Vt.T - np.eye(k))) <= 1e-12
-    np.testing.assert_allclose(np.linalg.norm(M @ Vt.T, axis=0), sigma,
-                               rtol=0.0, atol=1e-12 * sv[0])
-    assert np.linalg.norm((M @ Vt.T) @ Vt - M) <= 1e-12 * np.linalg.norm(M)
 
 
-def test_bidiag_svd_paths_agree_and_leave_inputs_alone():
+def test_bidiag_svd_leaves_inputs_alone():
     M = _matrix("tall")
     q = _rng(6).standard_normal(M.shape[0])
     M0, q0 = M.copy(), q.copy()
-    sigma, beta_t, _ = bidiag_svd(M, q)
-    sigma_v, beta_v, _ = bidiag_svd(M, q, vt=True)
+    bidiag_svd(M, q)
     assert np.array_equal(M, M0) and np.array_equal(q, q0)
-    assert np.max(np.abs(sigma - sigma_v)) <= 1e-13 * sigma[0]
-    assert np.max(np.abs(np.abs(beta_t) - np.abs(beta_v))) \
-        <= 1e-12 * np.linalg.norm(q)
 
 
 @pytest.mark.parametrize("where", ["M", "q"])
@@ -124,14 +111,13 @@ def test_bidiag_svd_is_thread_safe():
     # once; every buffer is per call, so each must get the serial answer
     M = _rng(8).standard_normal((200, 200))
     q = _rng(9).standard_normal(200)
-    serial = (bidiag_svd(M, q), bidiag_svd(M, q, vt=True))
+    serial = bidiag_svd(M, q)
     results, errors = [[], []], []
 
     def work(slot):
         try:
             for _ in range(4):
-                results[slot].append((bidiag_svd(M, q),
-                                      bidiag_svd(M, q, vt=True)))
+                results[slot].append(bidiag_svd(M, q))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -150,7 +136,5 @@ def test_bidiag_svd_is_thread_safe():
     for runs in results:
         assert len(runs) == 4
         for run in runs:
-            for got, ref in zip(run, serial):
-                assert np.array_equal(got[0], ref[0])
-                assert np.array_equal(got[1], ref[1])
-            assert run[0][2] is None and np.array_equal(run[1][2], serial[1][2])
+            assert np.array_equal(run[0], serial[0])
+            assert np.array_equal(run[1], serial[1])

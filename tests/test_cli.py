@@ -536,6 +536,33 @@ def test_read_trace_rejects_bad_schema(tmp_path):
         read_trace(str(bad))
 
 
+_BAD_PROBLEM_FLOATS = [
+    *((key, value) for key in ("nl", "rho", "bern_p", "density", "sigma_blur")
+      for value in ("nan", "inf")),
+    ("nl", "-0.05"), ("rho", "1.0"), ("rho", "-0.1"), ("bern_p", "0"),
+    ("bern_p", "1.5"), ("density", "-0.1"), ("density", "1.5"),
+    ("sigma_blur", "-2"), ("sigma_blur", "0"),
+]
+
+
+@pytest.mark.parametrize("key, value", _BAD_PROBLEM_FLOATS)
+def test_bad_float_problem_values_exit_2(tmp_path, capsys, key, value):
+    # every float key under problem. refuses NaN, inf and an out-of-range
+    # value in gen and in run, before anything is written
+    problem = ("subset_selection\nproblem.m = 20\nproblem.n = 6"
+               if key in ("rho", "bern_p") else "starfield\nproblem.nx = 16")
+    cfg = _write(tmp_path, (
+        f"problem.generator = {problem}\nproblem.seed = 1\n"
+        f"problem.{key} = {value}\n"
+        "solver.a.family = irn\nsolver.a.seed = 1\nsolver.a.outer_max = 1\n"
+    ))
+    for cmd in ("gen", "run"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 2, cmd
+        assert "config error: problem:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bundle_roundtrip_helpers(tmp_path):
     inst = build_problem({
         "problem.generator": "identity", "problem.n": "6",
@@ -599,6 +626,31 @@ def test_bundle_with_an_empty_dimension_exits_2(tmp_path, dim):
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("nl", ["0.01", -0.1, float("nan"), True, None])
+def test_bundle_with_a_bad_noise_level_exits_2(tmp_path, nl):
+    bundle = tmp_path / "idb"
+    cfg = _bundle_config(tmp_path, bundle)
+    meta = json.loads((bundle / "A.meta.json").read_text())
+    meta["nl"] = nl
+    (bundle / "A.meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="noise level"):
+        load_bundle(str(bundle))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_seed_override_on_a_bundle_exits_2(tmp_path, capsys):
+    # a bundle holds its drawn data: an override would be silently ignored
+    cfg = _bundle_config(tmp_path, tmp_path / "idb")
+    for cmd in ("gen", "run"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", cfg, "--out", str(out),
+                     "--seed-override", "99"]) == 2, cmd
+        assert "--seed-override" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["directory", "meta"])

@@ -408,15 +408,15 @@ def test_singular_stacked_pair_retries_at_the_lambda_floor(monkeypatch,
                                     "sketch_to_precondition"])
 def test_each_flexible_lambda_choice_bidiagonalizes_once(monkeypatch, scheme):
     # every rule reads the k-by-k standard form R1 R2^{-1} of the pair it
-    # selects on, from one bidiagonalization per choice; fixed takes none
+    # selects on, from one SVD per choice; fixed takes none
     inst = _tall_instance()
-    real, shapes = regparam.bidiag_svd, []
+    real, shapes = regparam.svd_factors, []
 
-    def spy(M, q, vt=False):
+    def spy(M, b):
         shapes.append(M.shape)
-        return real(M, q, vt)
+        return real(M, b)
 
-    monkeypatch.setattr(regparam, "bidiag_svd", spy)
+    monkeypatch.setattr(regparam, "svd_factors", spy)
     S1, S2 = build_flex_sketches(inst.A, inst.b, 5, 4, 1)
     for kind, mode in (("fixed", "irw"), ("dp", "irw"), ("optimal", "irw"),
                        ("dp", "hybrid")):

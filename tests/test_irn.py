@@ -234,10 +234,11 @@ def test_reweighted_pair_refuses_non_finite_weights_and_keeps_beta_perp():
     for bad in (np.nan, np.inf):
         w_bad = w_inv.copy()
         w_bad[5] = bad
-        for kind in ("dp", "gcv"):
+        for policy in (LambdaPolicy(kind="dp", nl=0.05),
+                       LambdaPolicy(kind="gcv"),
+                       LambdaPolicy(kind="optimal", x_true=np.ones(12))):
             with pytest.raises(np.linalg.LinAlgError):
-                _select_lambda(LambdaPolicy(kind=kind, nl=0.05), system,
-                               w_bad)
+                _select_lambda(policy, system, w_bad)
         R_bad = system.R.copy()
         R_bad[2, 3] = bad
         with pytest.raises(np.linalg.LinAlgError):

@@ -87,6 +87,19 @@ def test_projected_pair_with_a_singular_r2_raises():
         projected_pair(R1, np.ones(3), 0.0, R2)
 
 
+@pytest.mark.parametrize("where", ["R1", "beta"])
+def test_projected_pair_refuses_a_non_finite_entry(where):
+    # NumPy's SVD of a matrix with an inf entry returns NaNs without raising
+    R1 = np.triu(_rng(1).standard_normal((3, 3))) + 2 * np.eye(3)
+    beta = np.ones(3)
+    if where == "R1":
+        R1[0, 2] = np.inf
+    else:
+        beta[1] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        projected_pair(R1, beta, 0.0, np.eye(3))
+
+
 def _dense_wgcv_oracle(R1, R2, beta, beta_perp, lam, omega):
     # [DERIVED] direct influence-matrix evaluation of the weighted GCV
     # function on the (k+1)-row projected problem [R1; 0] y ~ [beta; beta_perp]
