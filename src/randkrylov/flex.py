@@ -8,8 +8,9 @@ factorization A Zbar = U H, b = beta1 u1 by one column with W^{-1} as
 preconditioner, and updates its projected pairs. Their data fit lives in
 k + 1 rows: |B (H y - beta1 e1)| = |R_B (H y - beta1 e1)| with R_B^T R_B =
 B^T B (``_BasisGram``), for B = U (the fit |A Zbar y - b|) and B = S1 U
-(the sketched fit). R2 is the R of W Zbar (``_weighted_r``) or of
-S2 W Zbar (the identity outside ``irw`` mode). No m-row QR is kept.
+(the sketched fit). R2 is an R of W Zbar, from its Gram
+(``_weighted_r``), or the R of S2 W Zbar (the identity outside ``irw``
+mode). No m-row QR is kept.
 Once the basis is spent (breakdown, or k reaches min(m, n)) every scheme
 keeps it and only re-weights R2. The schemes differ only in how the
 projected Tikhonov problem in the coefficients y of x = Zbar y is then
@@ -36,8 +37,10 @@ retried once at lambda = 1e-14.
 
 Each iteration is one trace row (``irn._TraceRecorder``); its
 ``cum_inner`` adds the inner LSQR iterations of s2p and 1 per iteration
-for the other two schemes. So every scheme applies A once per expansion
-(A^T too for Golub-Kahan) and once per row, and no more.
+for the other two schemes. A row reads A x = A Zbar y = U H y from the
+factorization, except the last, which applies A so that every final
+objective is exact. So every scheme applies A once per expansion (A^T too
+for Golub-Kahan) and once more per run, and no more.
 """
 
 from __future__ import annotations
@@ -182,14 +185,32 @@ class _BasisGram:
 
 
 _ROW_BLOCK = 512
+# the largest diagonal ratio of a Cholesky R2 that ``_weighted_r`` keeps
+_GRAM_COND_LIMIT = 1e6
 
 
 def _weighted_r(w, Z):
-    """R of the Householder QR of W Zbar, over blocks of ``_ROW_BLOCK``
-    rows (R <- qr([R; W_b Zbar_b])), so no n-by-k W Zbar is formed."""
+    """An R with R^T R = (W Zbar)^T (W Zbar), from blocks of ``_ROW_BLOCK``
+    rows, so no n-by-k W Zbar is formed: the Cholesky factor of the Gram
+    sum_b (W_b Zbar_b)^T (W_b Zbar_b). The squaring loses accuracy as
+    cond(W Zbar)^2, so when Cholesky fails or the factor's diagonal ratio,
+    a lower bound on cond(W Zbar), passes ``_GRAM_COND_LIMIT``, it is the R
+    of the blocked Householder QR (R <- qr([R; W_b Zbar_b])) instead."""
+    blocks = [slice(lo, lo + _ROW_BLOCK)
+              for lo in range(0, Z.shape[0], _ROW_BLOCK)]
+    G = np.zeros((Z.shape[1],) * 2)
+    for rows in blocks:
+        B = w[rows, None] * Z[rows]
+        G += B.T @ B
+    try:
+        R = scipy.linalg.cholesky(G)
+        diag = np.abs(np.diag(R))
+        if not diag.size or diag.max() <= _GRAM_COND_LIMIT * diag.min():
+            return R
+    except np.linalg.LinAlgError:
+        pass
     R = np.zeros((0, Z.shape[1]))
-    for lo in range(0, Z.shape[0], _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
+    for rows in blocks:
         R = np.linalg.qr(np.vstack([R, w[rows, None] * Z[rows]]), mode="r")
     return R
 
@@ -284,7 +305,7 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     y = np.zeros(0)  # coefficients of x in the basis
     rec = _TraceRecorder(A, b, weight, x_true)
     eps_hat = float("nan")
-    for _ in range(config.k_max):
+    for it in range(config.k_max):
         w = compute_weights(x, weight)
 
         if not fact.breakdown and fact.k < min(m, n):
@@ -328,6 +349,8 @@ def _flex_loop(A, b, config, S1, S2, x_true):
             # the floor and retry; the trace keeps the chosen lam
             y, inner, stagnated = step(max(lam, 1e-14))
         x = Z @ y
+        # A x = A Zbar y = U H y; the last row applies A instead
+        Ax = None if it == config.k_max - 1 else fact.U @ (fact.H @ y)
 
         mono = None
         if sketched and not s2p:
@@ -337,7 +360,7 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                     _projected_majorant(pp, y_prev, lam),
                     _projected_majorant(pp, y, lam), eps_hat,
                 )
-        rec.row(x, lam, inner, eps_hat=eps_hat, mono_satisfied=mono,
+        rec.row(x, lam, inner, Ax=Ax, eps_hat=eps_hat, mono_satisfied=mono,
                 breakdown=fact.breakdown, stagnated=stagnated)
     return rec.result()
 

@@ -13,11 +13,13 @@ When the loop holds a dense matrix of A = Q R (a dense A, or one that a
 sketch or a lambda rule materializes), the inner solves run on the n-by-n
 R W_k^{-1} with right-hand side Q^T b, from one QR of [A, b] per problem:
 LSQR's iterates depend only on the normal equations, which are the same,
-and |A W^{-1} s - b|^2 = |R W^{-1} s - Q^T b|^2 + beta_perp^2. A then
-applies only to record the trace. A matrix-free A at fixed lambda with no
-sketch is neither materialized nor reduced: its solves warm-start from the
-previous trace row's residual b - A x_{k-1}, and A^T b is taken once per
-solve.
+and |A W^{-1} s - b|^2 = |R W^{-1} s - Q^T b|^2 + beta_perp^2. Each trace
+row reads its data fit from that identity, and the reduced residual is the
+next warm start's, so A applies once per solve, at the last row, which
+keeps every final objective exact. A matrix-free A at fixed lambda with no
+sketch is neither materialized nor reduced: each trace row applies A once,
+its solves warm-start from that row's residual b - A x_{k-1}, and A^T b is
+taken once per solve.
 
 ``_TraceRecorder`` writes the trace of every solver (these loops, flex and
 the ``baselines``); IRN's ``cum_inner`` adds inner iterations.
@@ -83,9 +85,10 @@ class SolveResult:
 class _TraceRecorder:
     """The latest x and the trace of one solve. ``row`` records x: it keeps
     a copy (a caller may update its x in place), evaluates both objectives
-    at it from the caller's A x (one apply of A when there is none), numbers
-    the row, adds ``inner`` to the cumulative inner count and passes the
-    diagnostic flags through. It returns A x, for the next warm start."""
+    at it from the caller's data fit |A x - b|^2 or A x (one apply of A when
+    it passes neither), numbers the row, adds ``inner`` to the cumulative
+    inner count and passes the diagnostic flags through. It returns A x
+    (None when only the fit was given), for the next warm start."""
 
     def __init__(self, A, b, weight, x_true):
         self.A, self.b, self.weight = A, b, weight
@@ -94,10 +97,11 @@ class _TraceRecorder:
         self.x, self.trace = None, []
         self.cum_inner = 0
 
-    def row(self, x, lam, inner=1, Ax=None, **flags):
-        Ax = self.A.apply(x) if Ax is None else Ax
+    def row(self, x, lam, inner=1, Ax=None, fit=None, **flags):
+        if Ax is None and fit is None:
+            Ax = self.A.apply(x)
         obj_mm, obj_lit = objective_values(self.A, self.b, x, self.weight,
-                                           lam, Ax=Ax)
+                                           lam, Ax=Ax, fit=fit)
         self.cum_inner += inner
         self.x = x.copy()
         rel_error = (float("nan") if self.x_true is None else float(
@@ -229,9 +233,9 @@ def _irn_loop(A, b, config, x_true, sketch, reduced):
     op, rhs = ((A, b) if reduced is None
                else (DenseOperator(reduced.R), reduced.qtb))
     atb = op.apply_adjoint(rhs)  # A^T b = R^T Q^T b: the stopping targets
-    x, Ax = np.zeros(n), np.zeros(A.nrows)
+    x, r = np.zeros(n), rhs  # r = rhs - op x, each inner solve's start
     rec = _TraceRecorder(A, b, weight, x_true)
-    for _ in range(config.outer_max):
+    for outer in range(1, config.outer_max + 1):
         w = compute_weights(x, weight)
         w_inv = 1.0 / w
         lam = _select_lambda(policy, reduced, w_inv)
@@ -241,10 +245,15 @@ def _irn_loop(A, b, config, x_true, sketch, reduced):
              else build_partly_exact_preconditioner(C0, w, max(lam, 1e-14)))
         res = lsqr_solve(
             op_k, rhs, lam=lam, right_precond=R,
-            tol=config.inner_tol, maxit=inner_max, x0=w * x,
-            r0=b - Ax if reduced is None else rhs - op.apply(x),
+            tol=config.inner_tol, maxit=inner_max, x0=w * x, r0=r,
             atb=w_inv * atb,
         )
         x = w_inv * res.x
-        Ax = rec.row(x, lam, res.n_iter, stagnated=res.stagnated)
+        if reduced is None:  # the row applies A, for the next warm start
+            r = b - rec.row(x, lam, res.n_iter, stagnated=res.stagnated)
+            continue
+        r = rhs - op.apply(x)  # the last row applies A, the others read
+        fit = float(r @ r) + reduced.beta_perp**2  # the reduced fit
+        rec.row(x, lam, res.n_iter, stagnated=res.stagnated,
+                fit=fit if outer < config.outer_max else None)
     return rec.result()

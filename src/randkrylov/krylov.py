@@ -110,7 +110,8 @@ class FlexibleFactorization:
         self.breakdown = False
         self._U = RowBasis(self.b.size, None if k_max is None else k_max + 1)
         self._U.append(self.b)  # R = [beta1 e1, H]
-        self._V = RowBasis(A.ncols, k_max)
+        # Arnoldi's V is U: only Golub-Kahan stores a V
+        self._V = RowBasis(A.ncols, k_max) if kind == "golub_kahan" else None
         self._Z = RowBasis(A.ncols, k_max)
 
     @property

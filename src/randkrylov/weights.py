@@ -74,13 +74,15 @@ def objective_value(A, b, x, spec):
     return _penalized(float(r @ r), x, spec)
 
 
-def objective_values(A, b, x, weight, lam, Ax=None):
-    """(mm_consistent, paper_literal) objectives at x from one residual, so
-    one apply of A, or none when the caller passes Ax; each equals its
+def objective_values(A, b, x, weight, lam, Ax=None, fit=None):
+    """(mm_consistent, paper_literal) objectives at x from one data fit
+    |Ax-b|^2: the caller's ``fit``, else the residual of the caller's Ax,
+    else of one apply of A. From Ax or the apply, each equals its
     objective_value bit for bit."""
     x = np.asarray(x, dtype=np.float64)
-    r = (A.apply(x) if Ax is None else Ax) - b
-    fit = float(r @ r)
+    if fit is None:
+        r = (A.apply(x) if Ax is None else Ax) - b
+        fit = float(r @ r)
     return tuple(_penalized(fit, x, ObjectiveSpec(weight, lam, variant))
                  for variant in ("mm_consistent", "paper_literal"))
 

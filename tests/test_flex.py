@@ -39,6 +39,7 @@ from randkrylov.sketching import (
 from randkrylov.weights import (
     WeightSpec,
     compute_weights,
+    objective_values,
     sketched_majorant_value,
 )
 
@@ -154,6 +155,41 @@ def test_stacked_projected_reads_A_Zbar_from_U_H(kind, breakdown):
     assert (A.applies, A.adjoints) == (0, 0)
 
 
+def _blocked_householder_r(w, Z):
+    R = np.zeros((0, Z.shape[1]))
+    for lo in range(0, Z.shape[0], 512):
+        rows = slice(lo, lo + 512)
+        R = np.linalg.qr(np.vstack([R, w[rows, None] * Z[rows]]), mode="r")
+    return R
+
+
+def test_weighted_r_comes_from_the_gram_unless_ill_conditioned(monkeypatch):
+    # R2 of W Zbar over three 512-row blocks: the Cholesky factor of the
+    # blocked Gram, with no QR, is the blocked Householder R up to row signs.
+    # At cond(W Zbar) = 1e8, built as the ill-conditioned input of
+    # test_row_basis_cgs2_is_orthogonal_on_an_ill_conditioned_input, the
+    # squaring would lose every digit, and R2 is the Householder R itself
+    rng = _rng(14)
+    n, k = 1300, 40
+    w = rng.random(n) + 0.5
+    Z = rng.standard_normal((n, k))
+    U = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    Z_ill = U @ np.diag(np.geomspace(1.0, 1e-8, k)) @ V.T / w[:, None]
+    ref, ref_ill = (_blocked_householder_r(w, Z),
+                    _blocked_householder_r(w, Z_ill))
+    qrs, real_qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kwargs: qrs.append(1) or real_qr(
+                            *args, **kwargs))
+    R = flex._weighted_r(w, Z)
+    assert not qrs
+    signs = np.sign(np.diag(ref))[:, None]
+    assert np.linalg.norm(R - signs * ref) <= 1e-12 * np.linalg.norm(ref)
+    assert flex._weighted_r(w, Z_ill).tobytes() == ref_ill.tobytes()
+    assert len(qrs) == 3
+
+
 @pytest.mark.parametrize("kind", ["golub_kahan", "arnoldi"])
 def test_data_fit_pairs_survive_a_singular_gram(monkeypatch, kind):
     # Golub-Kahan on a square A at k = m: the m + 1 columns of U (and of
@@ -171,9 +207,21 @@ def test_data_fit_pairs_survive_a_singular_gram(monkeypatch, kind):
         b[3:] = 0.0
     rows = np.concatenate([np.arange(m), rng.integers(0, m, 5)])
     S1 = SketchOperator(rows.size, m, rows, rng.random(rows.size) + 0.5)
-    cholesky_ok, real = [], scipy.linalg.cholesky
+    # the spy sees only the factorizations of a basis Gram (U's or S1 U's),
+    # not those of R2's Gram
+    cholesky_ok, real, in_pair = [], scipy.linalg.cholesky, []
+    real_pair = flex._BasisGram.pair
+
+    def pair(self, R2):
+        in_pair.append(True)
+        try:
+            return real_pair(self, R2)
+        finally:
+            in_pair.pop()
 
     def spy(G, **kwargs):
+        if not in_pair:
+            return real(G, **kwargs)
         try:
             out = real(G, **kwargs)
         except np.linalg.LinAlgError:
@@ -182,6 +230,7 @@ def test_data_fit_pairs_survive_a_singular_gram(monkeypatch, kind):
         cholesky_ok.append(True)
         return out
     monkeypatch.setattr(scipy.linalg, "cholesky", spy)
+    monkeypatch.setattr(flex._BasisGram, "pair", pair)
     _, fact, fits = _grow(kind, M, b, m, rng, S1)
     k = fact.k
     assert k == (m if kind == "golub_kahan" else 3)
@@ -526,7 +575,8 @@ def test_sns_records_monotonicity_diagnostics():
 
 def test_sns_applies_A_as_often_as_exact():
     # the sketched majorants come from the projected pair, so sketch-and-solve
-    # pays what exact pays: one expansion and one objective per step
+    # pays what exact pays: one expansion per step, and one objective per
+    # run, at the last row; the other rows read A x = U H y
     ws = WeightSpec(p=1.0, tau=1e-4)
     pol = LambdaPolicy(kind="fixed", lam=0.5)
     for basis, inst in (("golub_kahan", _tall_instance(m=120, n=30)),
@@ -546,7 +596,7 @@ def test_sns_applies_A_as_often_as_exact():
             counts[scheme] = (A.applies, A.adjoints)
         assert any(r.mono_satisfied is not None for r in res.trace), basis
         assert counts["sketch_and_solve"] == counts["exact"], basis
-        assert counts["exact"][0] == 2 * 12, basis
+        assert counts["exact"][0] == 12 + 1, basis
 
 
 def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
@@ -564,8 +614,8 @@ def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
     assert (A.applies, A.adjoints) == (inner + outer, inner + outer + 1)
 
     # flexible s2p, per outer: the expansion applies A (and A^T for
-    # Golub-Kahan) once and the trace row applies A once; the inner LSQR
-    # reads A Zbar = U H from the factorization and applies neither
+    # Golub-Kahan) once; the trace rows and the inner LSQR read
+    # A Zbar = U H from the factorization, and only the last row applies A
     cfg = FlexSolverConfig(basis="golub_kahan", mode="irw",
                            scheme="sketch_to_precondition", k_max=12,
                            weight=ws, lambda_policy=pol, inner_tol=1e-6)
@@ -578,7 +628,49 @@ def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
         res = s2p_flex_solve(A, inst.b, replace(cfg, basis=basis), S1, S2)
         inner, outer = res.trace[-1].cum_inner, len(res.trace)
         assert inner > 2 * outer, basis
-        assert (A.applies, A.adjoints) == (2 * outer, adjoints * outer), basis
+        assert (A.applies, A.adjoints) == (outer + 1, adjoints * outer), basis
+
+
+@pytest.mark.parametrize("basis", ["arnoldi", "golub_kahan"])
+@pytest.mark.parametrize("case", ["plain", "breakdown", "spent"])
+def test_trace_rows_match_a_true_apply(basis, case, iterates):
+    # every row but the last reads A x = U H y from the factorization; its
+    # objectives match a true apply at its iterate to 1e-12, and the last
+    # row's, which applies A, bit for bit. The breakdown is that of
+    # test_stacked_projected_reads_A_Zbar_from_U_H; a spent basis reaches
+    # k = min(m, n) = 8 and keeps it for the last 4 rows
+    rng = _rng(31)
+    m, n = (30, 30) if basis == "arnoldi" else (40, 30)
+    if case == "spent":
+        m, n = (8, 8) if basis == "arnoldi" else (12, 8)
+    M = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    if case == "breakdown":
+        c = 3 if basis == "arnoldi" else 2
+        M[:3, c:] = 0.0
+        M[3:, :c] = 0.0
+        b[3:] = 0.0
+    A = DenseOperator(M)
+    S1, S2 = build_flex_sketches(A, b, 12, 4, 7)
+    ws = WeightSpec(p=1.0, tau=1e-4)
+    for scheme in ("exact", "sketch_and_solve", "sketch_to_precondition"):
+        cfg = FlexSolverConfig(basis=basis, scheme=scheme, k_max=12,
+                               weight=ws, inner_tol=1e-8,
+                               lambda_policy=LambdaPolicy(kind="fixed",
+                                                          lam=0.5))
+        res = (exact_flex_solve(A, b, cfg) if scheme == "exact" else
+               (sns_flex_solve if scheme == "sketch_and_solve"
+                else s2p_flex_solve)(A, b, cfg, S1, S2))
+        rows = res.trace
+        assert len(rows) == len(iterates[-1]) == 12
+        assert rows[-1].breakdown == (case == "breakdown"), scheme
+        for row, x in zip(rows, iterates[-1]):
+            mm, lit = objective_values(A, b, x, ws, row.lam)
+            if row is rows[-1]:
+                assert (row.objective_mm, row.objective_literal) == (mm, lit)
+            else:
+                assert abs(row.objective_mm - mm) <= 1e-12 * mm, (scheme, row)
+                assert abs(row.objective_literal - lit) <= 1e-12 * lit, scheme
 
 
 def test_sns_monotonicity_flags_match_sketched_majorant(iterates):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -8,7 +10,7 @@ from randkrylov.krylov import (
     gmres_solve,
     lsqr_solve,
 )
-from randkrylov.operators import DenseOperator
+from randkrylov.operators import DenseOperator, IdentityOperator
 
 
 def _rng(seed=0):
@@ -449,6 +451,22 @@ def test_row_basis_cgs2_is_orthogonal_on_an_ill_conditioned_input(window):
         gap[np.abs(i - j) > window] = 0.0
     assert np.linalg.norm(gap, 2) <= 1e-14
     assert np.linalg.norm(Q @ R - M, 2) <= 1e-14 * np.linalg.norm(M, 2)
+
+
+def test_only_golub_kahan_allocates_a_v_buffer():
+    # Arnoldi's V is U, so it allocates the n-row buffers of U and Z only:
+    # 2 k_max + 1 rows of n floats, not 3 k_max + 1
+    n, k_max = 20_000, 20
+    A, b = IdentityOperator(n), np.ones(n)
+    rows = {}
+    for kind in ("arnoldi", "golub_kahan"):
+        tracemalloc.start()
+        fact = FlexibleFactorization(kind, A, b, k_max=k_max)
+        rows[kind] = tracemalloc.get_traced_memory()[0] / (8 * n)
+        tracemalloc.stop()
+        del fact
+    assert 2 * k_max + 1 <= rows["arnoldi"] < 2 * k_max + 2
+    assert 3 * k_max + 1 <= rows["golub_kahan"] < 3 * k_max + 2
 
 
 def test_row_basis_column_qr_with_a_dependent_column():
