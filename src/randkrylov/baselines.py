@@ -1,6 +1,8 @@
 """Baselines, each with one trace row per iteration: proximal gradient
-(FISTA) for the l1-regularized min |Ax-b|^2 + 2*lam*|x|_1, and plain LSQR
-(Tikhonov lam) or GMRES (square A), whose rows each apply A once more."""
+(FISTA) for the l1-regularized min |Ax-b|^2 + 2*lam*|x|_1, whose rows read
+the A x its step computes, and plain LSQR (Tikhonov lam) or GMRES (square
+A), whose rows read the A x their solver carries; those two apply A once
+more per run, at the last row."""
 
 from __future__ import annotations
 
@@ -43,15 +45,22 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
 def krylov_baseline_solve(A, b, method, lam=0.0, tol=1e-12, maxit=50,
                           weight=None, x_true=None):
     """``method`` "lsqr" or "gmres" (lam = 0 only) from x = 0; for b = 0 the
-    trace is the one row of x = 0."""
+    trace is the one row of x = 0. Each row is recorded at the next callback,
+    from the A x the solver carried, and the last from the returned x with
+    one apply of A, so every final objective is exact."""
     if method not in ("lsqr", "gmres") or (method == "gmres" and lam != 0.0):
         raise ValueError(f"no {method!r} baseline with lambda = {lam}")
     rec = _TraceRecorder(A, b, weight or WeightSpec(), x_true)
-    record = lambda x: rec.row(x, lam)
+    held = []  # the latest iterate and its A x, recorded one callback late
+
+    def record(x, Ax):
+        if held:
+            rec.row(held[0], lam, Ax=held[1])
+        held[:] = x.copy(), Ax  # LSQR may update its x in place
+
     if method == "lsqr":
         out = lsqr_solve(A, b, lam=lam, tol=tol, maxit=maxit, callback=record)
     else:
         out = gmres_solve(A, b, tol=tol, maxit=maxit, callback=record)
-    if not rec.trace:
-        record(out.x)
+    rec.row(out.x, lam)  # the last callback's x, or x = 0 when there was none
     return rec.result()

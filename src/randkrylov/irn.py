@@ -17,9 +17,11 @@ and |A W^{-1} s - b|^2 = |R W^{-1} s - Q^T b|^2 + beta_perp^2. Each trace
 row reads its data fit from that identity, and the reduced residual is the
 next warm start's, so A applies once per solve, at the last row, which
 keeps every final objective exact. A matrix-free A at fixed lambda with no
-sketch is neither materialized nor reduced: each trace row applies A once,
-its solves warm-start from that row's residual b - A x_{k-1}, and A^T b is
-taken once per solve.
+sketch is neither materialized nor reduced: each inner LSQR carries A x
+through its recurrence, each trace row but the last reads it, the next
+solve warm-starts from the residual b - A x_{k-1} it gives, and A^T b is
+taken once per solve; A applies once beyond the inner iterations, at the
+last row.
 
 ``_TraceRecorder`` writes the trace of every solver (these loops, flex and
 the ``baselines``); IRN's ``cum_inner`` adds inner iterations.
@@ -87,8 +89,7 @@ class _TraceRecorder:
     a copy (a caller may update its x in place), evaluates both objectives
     at it from the caller's data fit |A x - b|^2 or A x (one apply of A when
     it passes neither), numbers the row, adds ``inner`` to the cumulative
-    inner count and passes the diagnostic flags through. It returns A x
-    (None when only the fit was given), for the next warm start."""
+    inner count and passes the diagnostic flags through."""
 
     def __init__(self, A, b, weight, x_true):
         self.A, self.b, self.weight = A, b, weight
@@ -110,7 +111,6 @@ class _TraceRecorder:
             outer=len(self.trace) + 1, cum_inner=self.cum_inner,
             rel_error=rel_error, objective_mm=obj_mm,
             objective_literal=obj_lit, lam=lam, **flags))
-        return Ax
 
     def result(self):
         return SolveResult(self.x, self.trace)
@@ -249,11 +249,14 @@ def _irn_loop(A, b, config, x_true, sketch, reduced):
             atb=w_inv * atb,
         )
         x = w_inv * res.x
-        if reduced is None:  # the row applies A, for the next warm start
-            r = b - rec.row(x, lam, res.n_iter, stagnated=res.stagnated)
+        last = outer == config.outer_max
+        if reduced is None:  # LSQR carried A x; the last row applies A
+            r = b - res.Ax
+            rec.row(x, lam, res.n_iter, stagnated=res.stagnated,
+                    Ax=None if last else res.Ax)
             continue
         r = rhs - op.apply(x)  # the last row applies A, the others read
         fit = float(r @ r) + reduced.beta_perp**2  # the reduced fit
         rec.row(x, lam, res.n_iter, stagnated=res.stagnated,
-                fit=fit if outer < config.outer_max else None)
+                fit=None if last else fit)
     return rec.result()

@@ -163,7 +163,12 @@ class FlexibleFactorization:
 
 @dataclass
 class IterativeResult:
+    """The returned x; ``Ax``, the op x its solver carried to it (LSQR's top
+    m rows only, whatever lam; GMRES's U H y); the residual history; the
+    stopping flags."""
+
     x: np.ndarray
+    Ax: np.ndarray
     residuals: np.ndarray
     n_iter: int
     stagnated: bool = False
@@ -176,7 +181,11 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     preconditioner, the upper-triangular R applied as R^{-1} and R^{-T}.
 
     A nonzero x0 warm-starts it: LSQR solves for the correction from the
-    residual [r0; -sqrt(lam) x0], r0 = b - op x0, and returns x0 plus it. It
+    residual [r0; -sqrt(lam) x0], r0 = b - op x0, and returns x0 plus it.
+    A x rides along: each iteration's op R^{-1} v_k updates A R^{-1} w_k and
+    so A x, with b - r0 standing for op x0, and no extra apply. It is
+    passed as ``callback(x, Ax)`` after every iteration and returned as the
+    result's ``Ax``; x may be LSQR's own array, updated in place. It
     stops when the normal-equations residual drops below the cold start's
     target, tol |(op R^{-1})^T [b; 0]| with atb = op^T b (each of r0 and atb
     costs an apply unless given), or after ``maxit`` iterations; it flags
@@ -207,13 +216,6 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
             R, _finite_rhs(v, "preconditioned vector"), trans="T",
             check_finite=False)
 
-    def matvec(x):
-        y = prec(x)
-        top = op.apply(y)
-        if lam == 0.0:
-            return top
-        return np.concatenate([top, sqlam * y])
-
     def rmatvec(r):
         top = r[:m]
         out = op.apply_adjoint(top)
@@ -231,6 +233,8 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     reg0 = -sqlam * x0 if warm else np.zeros(n)
     bb = np.concatenate([r0, reg0]) if lam > 0.0 else r0
     lift = (lambda v: x0 + prec(v)) if warm else prec
+    Ax0 = b - r0  # op x0: zeros when cold
+    lift_Ax = (lambda Av: Ax0 + Av) if warm else (lambda Av: Av)
 
     # Paige-Saunders recurrences.
     beta = np.linalg.norm(bb)
@@ -240,10 +244,13 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     # |(op R^-1)^T [b; 0]|: the first step's when cold
     grad0 = alpha * beta if atb is None else np.linalg.norm(prec_t(atb))
     if alpha == 0.0:
-        return IterativeResult(x0.copy(), np.array([beta]), 0, converged=True)
+        return IterativeResult(x0.copy(), Ax0, np.array([beta]), 0,
+                               converged=True)
     v /= alpha
     w = v.copy()
     xhat = np.zeros(n)
+    Aw, Axhat = np.zeros(m), np.zeros(m)  # A R^{-1} w and A R^{-1} xhat
+    ratio = 0.0  # theta / rho of the last w update
     phibar, rhobar = beta, alpha
     residuals = [beta]
     gain = total = 0.0  # phi^2 summed since the last progress point, and all
@@ -251,7 +258,11 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     stagnated = converged = False
     it = 0
     for it in range(1, maxit + 1):
-        u = matvec(v) - alpha * u
+        y = prec(v)
+        top = op.apply(y)
+        Aw = top - ratio * Aw
+        u = (top if lam == 0.0
+             else np.concatenate([top, sqlam * y])) - alpha * u
         beta = np.linalg.norm(u)
         if beta > 0.0:
             u /= beta
@@ -266,10 +277,12 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         phi = c * phibar
         phibar = s * phibar
         xhat += (phi / rho) * w
-        w = v - (theta / rho) * w
+        Axhat = Axhat + (phi / rho) * Aw  # new each time: callers keep it
+        ratio = theta / rho
+        w = v - ratio * w
         residuals.append(phibar)
         if callback is not None:
-            callback(lift(xhat))
+            callback(lift(xhat), lift_Ax(Axhat))
         gain += phi * phi
         total += phi * phi
         if gain > 1e-15 * total:
@@ -284,13 +297,16 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         if alpha == 0.0 or beta == 0.0:
             converged = True
             break
-    return IterativeResult(lift(xhat), np.asarray(residuals), it, stagnated,
-                           converged)
+    return IterativeResult(lift(xhat), lift_Ax(Axhat),
+                           np.asarray(residuals), it, stagnated, converged)
 
 
 def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):
     """Plain (unrestarted) GMRES for a square operator, on a fully
-    orthogonalized Arnoldi factorization with unit weights."""
+    orthogonalized Arnoldi factorization with unit weights. Each iterate x
+    = Z y comes with A x = U H y, read from the factorization (it holds
+    after a breakdown too), as ``callback(x, Ax)`` and the result's ``Ax``.
+    """
     if op.nrows != op.ncols:
         raise ValueError("GMRES needs a square operator")
     b = _finite_rhs(b)
@@ -299,23 +315,26 @@ def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):
         maxit = n
     beta = np.linalg.norm(b)
     if beta == 0.0:
-        return IterativeResult(np.zeros(n), np.array([0.0]), 0, converged=True)
+        return IterativeResult(np.zeros(n), np.zeros(n), np.array([0.0]), 0,
+                               converged=True)
     fact = FlexibleFactorization("arnoldi", op, b)
     ones = np.ones(n)
     residuals = [beta]
-    x = np.zeros(n)
+    x = Ax = np.zeros(n)
     for k in range(1, maxit + 1):
         fact.expand(ones)
         H = fact.H
         e1 = np.zeros(k + 1)
         e1[0] = beta
         y = np.linalg.lstsq(H, e1, rcond=None)[0]
-        rnorm = np.linalg.norm(H @ y - e1)
+        Hy = H @ y
+        rnorm = np.linalg.norm(Hy - e1)
         residuals.append(rnorm)
-        x = fact.Z @ y
+        x, Ax = fact.Z @ y, fact.U @ Hy
         if callback is not None:
-            callback(x)
+            callback(x, Ax)
         # converged, or happy breakdown: exact solution in the current space
         if rnorm <= tol * beta or fact.breakdown:
-            return IterativeResult(x, np.asarray(residuals), k, converged=True)
-    return IterativeResult(x, np.asarray(residuals), maxit)
+            return IterativeResult(x, Ax, np.asarray(residuals), k,
+                                   converged=True)
+    return IterativeResult(x, Ax, np.asarray(residuals), maxit)

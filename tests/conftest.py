@@ -21,12 +21,11 @@ def iterates(monkeypatch):
     real_row = irn._TraceRecorder.row
 
     def row(self, *args, **kwargs):
-        Ax = real_row(self, *args, **kwargs)
+        real_row(self, *args, **kwargs)
         if self not in by_recorder:
             by_recorder[self] = []
             solves.append(by_recorder[self])
         by_recorder[self].append(self.x)
-        return Ax
 
     monkeypatch.setattr(irn._TraceRecorder, "row", row)
     return solves

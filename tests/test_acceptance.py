@@ -419,7 +419,7 @@ def test_criterion_10_experiment_3_desk():
     xt = inst.x_true
     errs = []
     rk.lsqr_solve(inst.A, inst.b, tol=0.0, maxit=100,
-                  callback=lambda x: errs.append(
+                  callback=lambda x, Ax: errs.append(
                       np.linalg.norm(x - xt) / np.linalg.norm(xt)))
     lsqr_min = min(errs)
 

@@ -300,7 +300,7 @@ def test_exact_fgmres_unweighted_equals_gmres(iterates):
     exact_flex_solve(inst.A, inst.b, cfg, inst.x_true)
     xs = []
     gmres_solve(inst.A, inst.b, tol=0.0, maxit=10,
-                callback=lambda x: xs.append(x.copy()))
+                callback=lambda x, Ax: xs.append(x.copy()))
     [xfs] = iterates
     for xf, xg in zip(xfs, xs):
         np.testing.assert_allclose(xf, xg, rtol=1e-9, atol=1e-10)
@@ -321,7 +321,7 @@ def test_exact_flsqr_unweighted_equals_lsqr(iterates):
     exact_flex_solve(A, b, cfg)
     xs = []
     lsqr_solve(A, b, tol=0.0, maxit=8,
-               callback=lambda x: xs.append(x.copy()))
+               callback=lambda x, Ax: xs.append(x.copy()))
     [xfs] = iterates
     for xf, xl in zip(xfs, xs):
         np.testing.assert_allclose(xf, xl, rtol=1e-6, atol=1e-8)
@@ -601,9 +601,9 @@ def test_sns_applies_A_as_often_as_exact():
 
 def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
     # IRN, per outer: each inner LSQR applies A and A^T once per iteration
-    # and A^T once at its start; the objective applies A once, and its
-    # residual is the next warm start's. Per solve, A^T b sets the stopping
-    # targets.
+    # and A^T once at its start, and carries A x, which the trace row reads
+    # and whose residual is the next warm start's; only the last row applies
+    # A. Per solve, A^T b sets the stopping targets.
     ws = WeightSpec(p=1.0, tau=1e-4)
     pol = LambdaPolicy(kind="fixed", lam=0.5)
     inst = _tall_instance(m=120, n=30)
@@ -611,7 +611,7 @@ def test_warm_starts_apply_A_once_beyond_the_inner_iterations():
     res = irn_solve(A, inst.b, IRNConfig(weight=ws, outer_max=6,
                                          inner_tol=1e-6, lambda_policy=pol))
     inner, outer = res.trace[-1].cum_inner, len(res.trace)
-    assert (A.applies, A.adjoints) == (inner + outer, inner + outer + 1)
+    assert (A.applies, A.adjoints) == (inner + 1, inner + outer + 1)
 
     # flexible s2p, per outer: the expansion applies A (and A^T for
     # Golub-Kahan) once; the trace rows and the inner LSQR read

@@ -11,6 +11,7 @@ from randkrylov.krylov import (
     lsqr_solve,
 )
 from randkrylov.operators import DenseOperator, IdentityOperator
+from randkrylov.problems import add_noise, gen_tomo
 
 
 def _rng(seed=0):
@@ -109,7 +110,7 @@ def test_lsqr_stagnates_on_a_consistent_system_at_tol_zero():
     x_true = rng.standard_normal(5)
     iterates = []
     res = lsqr_solve(DenseOperator(M), M @ x_true, tol=0.0, maxit=200,
-                     callback=iterates.append)
+                     callback=lambda x, Ax: iterates.append(x))
     assert res.stagnated and not res.converged
     assert res.n_iter == len(iterates) < 200
     assert np.all(np.diff(res.residuals) <= 0.0)
@@ -130,6 +131,60 @@ def test_lsqr_zero_rhs_returns_the_start():
     res = lsqr_solve(op, op.apply(x0), x0=x0)
     assert res.n_iter == 0 and res.converged
     assert np.array_equal(res.x, x0)
+
+
+def _carried_A_x_gaps(op, b, **kwargs):
+    """The relative gap between LSQR's carried A x and a true apply, at
+    every callback and then at the result."""
+    gaps = []
+
+    def gap(x, Ax):
+        true = op.apply(x)
+        gaps.append(np.linalg.norm(Ax - true) / max(np.linalg.norm(true),
+                                                     1e-300))
+    res = lsqr_solve(op, b, callback=gap, **kwargs)
+    assert len(gaps) == res.n_iter
+    gap(res.x, res.Ax)
+    return res, gaps
+
+
+def test_lsqr_carries_A_x():
+    # A x rides on LSQR's recurrence with no apply of its own; it is the
+    # top m-row block also when lam > 0 or a right preconditioner is given
+    rng = _rng(7)
+    M = rng.standard_normal((40, 15))
+    op, b = DenseOperator(M), rng.standard_normal(40)
+    x0 = rng.standard_normal(15)
+    # from a third of the rows: a preconditioner, not the exact factor
+    R = np.linalg.cholesky(M[:20].T @ M[:20] + 0.3 * np.eye(15)).T
+    runs = {
+        "cold": dict(tol=0.0, maxit=30),
+        "warm": dict(tol=0.0, maxit=30, x0=x0, r0=b - M @ x0),
+        "lam": dict(lam=0.3, tol=0.0, maxit=30),
+        "precond": dict(lam=0.3, right_precond=R, tol=1e-14, maxit=30),
+    }
+    for name, kwargs in runs.items():
+        res, gaps = _carried_A_x_gaps(op, b, **kwargs)
+        assert res.n_iter >= 2, name
+        assert max(gaps) <= 1e-13, (name, max(gaps))
+
+    # a stagnating run (test_lsqr_stagnates_on_a_consistent_system_at_tol_zero)
+    M8 = _rng(5).standard_normal((8, 5))
+    res, gaps = _carried_A_x_gaps(DenseOperator(M8),
+                                  M8 @ _rng(5).standard_normal(5), tol=0.0,
+                                  maxit=200)
+    assert res.stagnated and max(gaps) <= 1e-13
+
+    # the alpha = 0 return: A x0, b - r0 when warm and zeros when cold
+    for kwargs in (dict(), dict(x0=x0)):
+        rhs = M @ x0 if kwargs else np.zeros(40)
+        res, gaps = _carried_A_x_gaps(op, rhs, **kwargs)
+        assert res.n_iter == 0 and gaps == [0.0]
+
+    # 1,000 steps on the tomography problem of criterion 10
+    inst = add_noise(gen_tomo(64, n_angles=18, seed=31), 0.01, 32)
+    res, gaps = _carried_A_x_gaps(inst.A, inst.b, tol=0.0, maxit=1000)
+    assert res.n_iter == 1000 and max(gaps) <= 1e-13, max(gaps)
 
 
 class _CountingDense(DenseOperator):
@@ -228,6 +283,23 @@ def test_gmres_residuals_nonincreasing():
     res = gmres_solve(DenseOperator(M), rng.standard_normal(15), maxit=15)
     diffs = np.diff(res.residuals)
     assert np.all(diffs <= 1e-10 * res.residuals[0])
+
+
+def test_gmres_reads_A_x_from_U_H():
+    # A x = U H y at every iterate, also at a breakdown: the identity breaks
+    # down at the first step
+    rng = _rng(13)
+    b = rng.standard_normal(15)
+    for op in (DenseOperator(rng.standard_normal((15, 15))),
+               IdentityOperator(15)):
+        pairs = []
+        res = gmres_solve(op, b, tol=0.0, maxit=10,
+                          callback=lambda x, Ax: pairs.append((x, Ax)))
+        assert len(pairs) == res.n_iter and res.Ax is pairs[-1][1]
+        for x, Ax in pairs:
+            true = op.apply(x)
+            assert np.linalg.norm(Ax - true) <= 1e-13 * np.linalg.norm(true)
+    assert res.n_iter == 1 and res.converged
 
 
 @pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])

@@ -30,6 +30,7 @@ from randkrylov.sketching import (
     estimate_leverage_scores,
 )
 from randkrylov.weights import WeightSpec, objective_values
+from test_flex import _MatrixFreeOnly
 
 WEIGHT = WeightSpec(p=1.0, tau=1e-4)
 K = 6
@@ -52,11 +53,14 @@ def _instance(m=60, n=24):
     return add_noise(inst, 0.02, 53)
 
 
-def _irn(sketched, policy):
+def _irn(sketched, policy, matrix_free=False):
     cfg = IRNConfig(weight=WEIGHT, outer_max=K, inner_tol=1e-6,
                     lambda_policy=policy)
 
     def run(inst):
+        if matrix_free:
+            return irn_solve(_MatrixFreeOnly(inst.A.matrix), inst.b, cfg,
+                             inst.x_true)
         if not sketched:
             return irn_solve(inst.A, inst.b, cfg, inst.x_true)
         S = build_leverage_sketch(estimate_leverage_scores(inst.A.matrix),
@@ -90,9 +94,12 @@ def _cli(family, **keys):
 
 # family: (runner, square problem, cum_inner counts inner LSQR iterations)
 # IRN on a dense A and the flexible schemes read each row's data fit from
-# their factorizations, and apply A only at the last row
+# their factorizations, matrix-free IRN and the lsqr and gmres baselines the
+# A x their Krylov solver carries, and all apply A only at the last row;
+# fista's rows read the A x its step applies
 FAMILIES = {
     "irn": (_irn(False, FIXED), False, True),
+    "irn-matrix-free": (_irn(False, FIXED, matrix_free=True), False, True),
     "irn_s2p": (_irn(True, DP), False, True),
     "flex-exact": (_flex("exact"), False, False),
     "flex-sns": (_flex("sketch_and_solve"), False, False),
@@ -132,10 +139,9 @@ def test_trace_rows_describe_the_returned_iterates(family, inner_iters,
     assert res.x is xs[-1]
     assert res.column("outer") == list(range(1, K + 1))
     x_true_norm = np.linalg.norm(inst.x_true)
-    applies_per_row = family in ("fista", "cli-lsqr", "cli-gmres")
     for row, x in zip(rows, xs):
         mm, lit = objective_values(inst.A, inst.b, x, WEIGHT, row.lam)
-        if applies_per_row or row is rows[-1]:
+        if family == "fista" or row is rows[-1]:
             assert row.objective_mm == mm and row.objective_literal == lit
         else:
             assert abs(row.objective_mm - mm) <= 1e-12 * mm, row.outer
@@ -157,7 +163,7 @@ def test_zero_x_true_has_no_relative_error(family):
 
 
 @pytest.mark.parametrize("family", ["lsqr", "gmres"])
-def test_cli_krylov_families_apply_A_once_per_row(family):
+def test_cli_krylov_families_apply_A_once_per_run(family):
     inst = _instance(24, 24)
     A = _CountingDense(inst.A.matrix)
     inst = dataclasses.replace(inst, A=A)
@@ -169,7 +175,7 @@ def test_cli_krylov_families_apply_A_once_per_row(family):
     keys = {"lambda": 0.5} if family == "lsqr" else {}
     res = run_solver("t", _cli_config(family, **keys), inst)
     assert len(res.trace) == K
-    assert A.applies == own + K
+    assert A.applies == own + 1
 
 
 def test_s2p_without_a_lambda_rule_builds_no_unsketched_column_qr(
