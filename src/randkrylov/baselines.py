@@ -1,8 +1,9 @@
 """Baselines, each with one trace row per iteration: proximal gradient
 (FISTA) for the l1-regularized min |Ax-b|^2 + 2*lam*|x|_1, whose rows read
-the A x its step computes, and plain LSQR (Tikhonov lam) or GMRES (square
-A), whose rows read the A x their solver carries; those two apply A once
-more per run, at the last row."""
+the A x its step applies or, on the reduced system of a dense A, its data
+fit, and plain LSQR (Tikhonov lam) or GMRES (square A), whose rows read the
+A x their solver carries. The last row of every run but matrix-free
+FISTA's applies A, once beyond the applies of the iterations."""
 
 from __future__ import annotations
 
@@ -10,35 +11,52 @@ import numpy as np
 
 from .irn import _TraceRecorder
 from .krylov import _finite_rhs, gmres_solve, lsqr_solve
+from .operators import DenseOperator
 from .weights import WeightSpec
 
 
-def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None):
-    """FISTA with fixed step 1/|A|_2^2. Each iteration applies A and A^T
-    once: A v is combined from A x_k and A x_{k-1}."""
+def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None,
+                reduced=None):
+    """FISTA with fixed step 1/|A|_2^2. Each iteration applies the operator
+    and its adjoint once: A v is combined from A x_k and A x_{k-1}.
+    ``reduced``, ``irn._reduce_system`` of a dense A and this b, puts R and
+    Q^T b in place of A and b, with the same gradient R^T (R v - Q^T b) and
+    norm |R| = |A|: rows read |R x - Q^T b|^2 + beta_perp^2, and only the
+    last applies A, which keeps the final objectives exact."""
+    if n_iter < 1:
+        raise ValueError("need at least one iteration")
+    if not lam >= 0.0:
+        raise ValueError("lambda must be non-negative")
     b = _finite_rhs(b)
-    L = A.norm_estimate() ** 2
+    # the iteration's operator and right-hand side: A and b, or R and Q^T b
+    op, rhs, beta_perp = ((A, b, 0.0) if reduced is None else
+                          (DenseOperator(reduced.R), reduced.qtb,
+                           reduced.beta_perp))
+    L = op.norm_estimate() ** 2
     if L == 0.0:
         raise ValueError("zero operator")
     step = 1.0 / (2.0 * L)
     thresh = 2.0 * lam * step
 
-    x = np.zeros(A.ncols)
-    Ax = np.zeros(A.nrows)  # A x, carried so each iteration applies A once
+    x = np.zeros(op.ncols)
+    Ax = np.zeros(op.nrows)  # op x, carried so each iteration applies op once
     v, Av = x, Ax
     t = 1.0
     rec = _TraceRecorder(A, b, weight or WeightSpec(), x_true)
-    for _ in range(n_iter):
-        grad = 2.0 * A.apply_adjoint(Av - b)
+    for it in range(1, n_iter + 1):
+        grad = 2.0 * op.apply_adjoint(Av - rhs)
         u = v - step * grad
         x_new = np.sign(u) * np.maximum(np.abs(u) - thresh, 0.0)
-        Ax_new = A.apply(x_new)
+        Ax_new = op.apply(x_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         v = x_new + beta * (x_new - x)
-        Av = Ax_new + beta * (Ax_new - Ax)  # A v from two exact applies
+        Av = Ax_new + beta * (Ax_new - Ax)  # op v from two exact applies
         x, Ax, t = x_new, Ax_new, t_new
-        rec.row(x, lam, Ax=Ax)
+        r = Ax - rhs
+        fit = float(r @ r) + beta_perp**2  # |A x - b|^2
+        final_on_R = reduced is not None and it == n_iter  # applies A
+        rec.row(x, lam, fit=None if final_on_R else fit)
     return rec.result()
 
 

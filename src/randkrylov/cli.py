@@ -266,10 +266,11 @@ def load_bundle(path):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-# What the solvers build from each problem, once per problem: IRN's QR of a
-# dense [A, b], the irn-s2p leverage scores of A and the flex sketches of
-# each (b, k_max, multiplier, seed). An entry lives only as long as its A
-# and holds no reference to it, so no run's problem outlives the run.
+# What the solvers build from each problem, once per problem: the QR of a
+# dense [A, b] (read by IRN, FISTA and the irn-s2p leverage scores), those
+# leverage scores of A and the flex sketches of each (b, k_max, multiplier,
+# seed). An entry lives only as long as its A and holds no reference to it,
+# so no run's problem outlives the run.
 _problem_lock = threading.Lock()
 _problem_cache = weakref.WeakKeyDictionary()
 
@@ -284,8 +285,10 @@ def _per_problem(A, key, build):
 
 
 def _reduced(A, b):
-    """IRN's reduced system of a dense A and b, once per problem; None for a
-    matrix-free A, which IRN reduces only when it materializes A anyway."""
+    """The reduced system of a dense A and b, once per problem: IRN's inner
+    solves and lambda rules, FISTA's iteration and the R of the irn-s2p
+    leverage scores read it. None for a matrix-free A, which FISTA never
+    reduces and IRN only when it materializes A anyway."""
     if not hasattr(A, "matrix"):
         return None
     return _per_problem(A, ("reduced", b.tobytes()),
@@ -356,10 +359,12 @@ def _solver_call(name, cfg, inst):
         return lambda: irn_solve(A, b, config, x_true, _reduced(A, b))
     if family == "irn_s2p":
         def solve():
+            reduced = _reduced(A, b)
+            R = None if reduced is None else reduced.R
             p = _per_problem(A, "leverage", lambda: estimate_leverage_scores(
-                _dense_system_matrix(A)))
+                _dense_system_matrix(A), R))
             S = build_leverage_sketch(p, mult * A.ncols, seed)
-            return irn_s2p_solve(A, b, config, S, x_true, _reduced(A, b))
+            return irn_s2p_solve(A, b, config, S, x_true, reduced)
         return solve
     if family == "flex":
         if config.scheme == "exact":
@@ -375,7 +380,8 @@ def _solver_call(name, cfg, inst):
         return solve
     if family == "fista":
         return lambda: fista_solve(A, b, policy.lam, n_iter=k_max,
-                                   weight=weight, x_true=x_true)
+                                   weight=weight, x_true=x_true,
+                                   reduced=_reduced(A, b))
 
     return lambda: krylov_baseline_solve(A, b, family, lam, tol, k_max,
                                          weight, x_true)

@@ -48,13 +48,35 @@ def identity_sketch(m):
     )
 
 
-def estimate_leverage_scores(M):
+# Below this estimate of R's reciprocal condition number (LAPACK dtrcon, in
+# the 1-norm) the scores come from a pivoted QR of M, not from M R^{-1},
+# whose rounding grows like cond(R) * eps.
+_RCOND_MIN = 1e-8
+_ROW_BLOCK = 512
+
+
+def estimate_leverage_scores(M, R=None):
     """Leverage scores of the rows of M: squared row norms of its orthonormal
-    range basis. Sums to rank(M); each score lies in [0, 1]."""
+    range basis. Sums to rank(M); each score lies in [0, 1]. Given the
+    k-by-k R of a QR of M (such as the R of ``irn._reduce_system``), they
+    are the squared row norms of M R^{-1}, from triangular solves over
+    512-row blocks, so no m-row basis is formed; a rank-deficient or
+    ill-conditioned R (reciprocal condition estimate below ``_RCOND_MIN``),
+    or none, leaves them to a pivoted QR of M."""
     M = np.asarray(M, dtype=np.float64)
     m, k = M.shape
     if k > m:
         raise ValueError(f"need at least as many rows as columns, got {m}x{k}")
+    if R is not None:
+        if R.shape != (k, k):
+            raise ValueError(f"expected a {k}x{k} R, got {R.shape}")
+        if k and scipy.linalg.lapack.dtrcon(R)[0] >= _RCOND_MIN:
+            scores = np.empty(m)
+            for i in range(0, m, _ROW_BLOCK):  # block i of M R^{-1}, as Y^T
+                Y = scipy.linalg.solve_triangular(R, M[i:i + _ROW_BLOCK].T,
+                                                  trans="T")
+                scores[i:i + _ROW_BLOCK] = np.einsum("ij,ij->j", Y, Y)
+            return scores
     q, r, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(m, k) * np.finfo(np.float64).eps * (diag[0] if diag.size else 0.0)

@@ -10,6 +10,7 @@ import pytest
 import randkrylov as rk
 from randkrylov.cli import main
 from randkrylov.flex import check_monotonicity_condition
+from randkrylov.irn import _reduce_system
 from randkrylov.regparam import _grid_argmin, _wgcv_value
 from randkrylov.sketching import build_flex_sketches
 from randkrylov.weights import ObjectiveSpec, objective_value
@@ -308,7 +309,8 @@ def test_criterion_07_preconditioner_quality():
     for seed in range(10):
         rng = _rng(seed)
         M = rng.standard_normal((2000, 50))
-        p = rk.estimate_leverage_scores(M)
+        # the scores from the R of M's QR, as irn-s2p takes them
+        p = rk.estimate_leverage_scores(M, np.linalg.qr(M, mode="r"))
         S = rk.build_leverage_sketch(p, 200, seed=seed)
         Y = rk.apply_sketch(S, M)
         R = rk.build_partly_exact_preconditioner(Y.T @ Y, np.ones(50), lam)
@@ -341,9 +343,11 @@ def test_criterion_08_experiment_1_desk():
                        inner_max=800,
                        lambda_policy=rk.LambdaPolicy(kind="fixed", lam=40.0))
     plain = rk.irn_solve(inst.A, inst.b, cfg, inst.x_true)
-    p = rk.estimate_leverage_scores(inst.A.matrix)
+    # the sketch from the R of the one QR of [A, b], as the CLI builds it
+    reduced = _reduce_system(inst.A.matrix, inst.b)
+    p = rk.estimate_leverage_scores(inst.A.matrix, reduced.R)
     S = rk.build_leverage_sketch(p, 1600, 13)
-    prec = rk.irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true)
+    prec = rk.irn_s2p_solve(inst.A, inst.b, cfg, S, inst.x_true, reduced)
 
     F_target = plain.trace[-1].objective_mm * (1.0 + 1e-6)
     total_plain = plain.trace[-1].cum_inner
@@ -357,7 +361,7 @@ def test_criterion_08_experiment_1_desk():
     cfg_dp = rk.IRNConfig(weight=ws, outer_max=15, inner_tol=1e-8,
                           inner_max=800,
                           lambda_policy=rk.LambdaPolicy(kind="dp", nl=0.05))
-    dp = rk.irn_s2p_solve(inst.A, inst.b, cfg_dp, S, inst.x_true)
+    dp = rk.irn_s2p_solve(inst.A, inst.b, cfg_dp, S, inst.x_true, reduced)
     lams = dp.column("lam")[-5:]
     drift = max(abs(b - a) / abs(a) for a, b in zip(lams, lams[1:]))
     dt = time.time() - t0

@@ -1,8 +1,10 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from randkrylov.baselines import fista_solve
+from randkrylov.irn import _reduce_system
 from randkrylov.operators import DenseOperator, IdentityOperator
 from randkrylov.weights import WeightSpec, objective_values
 
@@ -67,6 +69,46 @@ def test_fista_matches_the_two_apply_iteration(iterates):
         mm, lit = objective_values(DenseOperator(M), b, x, ws, lam)
         assert abs(row.objective_mm - mm) <= 1e-12 * mm
         assert abs(row.objective_literal - lit) <= 1e-12 * lit
+
+
+def test_fista_on_R_follows_the_iteration_on_A(iterates):
+    # R and Q^T b of the reduced system give the same gradient and step;
+    # every row reads |R x - Q^T b|^2 + beta_perp^2 but the last, which
+    # applies A
+    M, b = _problem()
+    lam, ws = 0.3, WeightSpec(p=1.0, tau=1e-10)
+    on_A = fista_solve(DenseOperator(M), b, lam, n_iter=60, weight=ws)
+    on_R = fista_solve(DenseOperator(M), b, lam, n_iter=60, weight=ws,
+                       reduced=_reduce_system(M, b))
+    xs_A, xs_R = iterates
+    assert len(xs_R) == len(on_R.trace) == 60
+    for x_A, x in zip(xs_A, xs_R):
+        np.testing.assert_allclose(x, x_A, rtol=1e-12, atol=1e-14)
+    for row, x in zip(on_R.trace, xs_R):
+        mm, lit = objective_values(DenseOperator(M), b, x, ws, lam)
+        if row is on_R.trace[-1]:
+            assert row.objective_mm == mm and row.objective_literal == lit
+        else:
+            assert abs(row.objective_mm - mm) <= 1e-12 * mm
+            assert abs(row.objective_literal - lit) <= 1e-12 * lit
+
+
+def test_fista_on_R_applies_A_once_per_run():
+    M, b = _problem()
+    A = _CountingDense(M)
+    res = fista_solve(A, b, 0.3, n_iter=25, reduced=_reduce_system(M, b))
+    assert len(res.trace) == 25
+    assert (A.applies, A.adjoints) == (1, 0)
+
+
+def test_fista_rejects_no_iterations_and_negative_lambda():
+    M, b = _problem()
+    A = _CountingDense(M)
+    with pytest.raises(ValueError, match="iteration"):
+        fista_solve(A, b, 0.3, n_iter=0)
+    with pytest.raises(ValueError, match="lambda"):
+        fista_solve(A, b, -0.3, n_iter=25)
+    assert (A.applies, A.adjoints) == (0, 0)
 
 
 def test_a_solve_keeps_a_bounded_number_of_iterates():

@@ -728,12 +728,13 @@ IRN_S2P_SOLVERS = {
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
                                                threads):
-    calls = []
+    calls, r_shapes = [], []
     real_scores, real_build = cli.estimate_leverage_scores, cli.build_problem
 
-    def counted_scores(M):
+    def counted_scores(M, R=None):
         calls.append(M.shape)
-        return real_scores(M)
+        r_shapes.append(None if R is None else R.shape)
+        return real_scores(M, R)
 
     def build_checked(*args, **kwargs):
         before = len(calls)
@@ -748,6 +749,7 @@ def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
     assert main(["run", "--config", both, "--out", str(tmp_path / "both"),
                  "--threads", threads]) == 0
     assert calls == [(60, 10)]
+    assert r_shapes == [(10, 10)]  # the R of the run's one QR of [A, b]
     for name, text in IRN_S2P_SOLVERS.items():
         alone = _write(tmp_path, IRN_S2P_PAIR + text, f"{name}.cfg")
         assert main(["run", "--config", alone,

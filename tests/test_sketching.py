@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randkrylov.irn import _reduce_system
 from randkrylov.operators import IdentityOperator
 from randkrylov.problems import (
     add_noise,
@@ -57,6 +59,47 @@ def test_leverage_scores_rank_deficient():
     M = np.ones((10, 4))  # rank 1
     p = estimate_leverage_scores(M)
     assert abs(p.sum() - 1.0) < 1e-10
+
+
+def _spy_pivoted_qr(monkeypatch):
+    """The pivoting flag of each SciPy QR taken since the spy was installed."""
+    calls = []
+    real = scipy.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("pivoting"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "qr", counted)
+    return calls
+
+
+def test_leverage_scores_from_R_match_the_pivoted_qr(monkeypatch):
+    # over more rows than one 512-row block, and on the R of a QR of [M, b]
+    rng = _rng(10)
+    M = rng.standard_normal((1100, 30)) * np.exp(rng.standard_normal(30))
+    b = rng.standard_normal(1100)
+    pivoted = estimate_leverage_scores(M)
+    calls = _spy_pivoted_qr(monkeypatch)
+    for R in (np.linalg.qr(M, mode="r"),
+              _reduce_system(M, b).R):
+        p = estimate_leverage_scores(M, R)
+        np.testing.assert_allclose(p, pivoted, rtol=1e-12, atol=1e-15)
+    assert calls == []
+
+
+def test_leverage_scores_from_a_rank_deficient_R_fall_back(monkeypatch):
+    # a repeated column: R has a zero (rounding-sized) pivot, so the scores
+    # come from the pivoted QR, bit for bit, and sum to the rank
+    M = _rng(11).standard_normal((80, 6))
+    M[:, 4] = M[:, 1]
+    pivoted = estimate_leverage_scores(M)
+    calls = _spy_pivoted_qr(monkeypatch)
+    p = estimate_leverage_scores(M, np.linalg.qr(M, mode="r"))
+    assert calls == [True]
+    assert np.array_equal(p, pivoted)
+    assert abs(p.sum() - 5.0) < 1e-10
+    with pytest.raises(ValueError):
+        estimate_leverage_scores(M, np.eye(5))  # not the 6x6 R of M
 
 
 def test_leverage_scores_rejects_wide_and_zero():

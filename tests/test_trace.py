@@ -96,7 +96,8 @@ def _cli(family, **keys):
 # IRN on a dense A and the flexible schemes read each row's data fit from
 # their factorizations, matrix-free IRN and the lsqr and gmres baselines the
 # A x their Krylov solver carries, and all apply A only at the last row;
-# fista's rows read the A x its step applies
+# fista's rows read the A x its step applies, or on the CLI's dense A the
+# data fit of the reduced system
 FAMILIES = {
     "irn": (_irn(False, FIXED), False, True),
     "irn-matrix-free": (_irn(False, FIXED, matrix_free=True), False, True),
@@ -108,6 +109,7 @@ FAMILIES = {
     "fista": (lambda inst: fista_solve(inst.A, inst.b, 0.5, n_iter=K,
                                        weight=WEIGHT, x_true=inst.x_true),
               False, False),
+    "cli-fista": (_cli("fista", **{"lambda": 0.5}), False, False),
     "cli-lsqr": (_cli("lsqr", **{"lambda": 0.5}), False, False),
     "cli-gmres": (_cli("gmres"), True, False),
 }
@@ -153,7 +155,7 @@ def test_trace_rows_describe_the_returned_iterates(family, inner_iters,
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("family", ["cli-lsqr", "fista", "irn"])
+@pytest.mark.parametrize("family", ["cli-fista", "cli-lsqr", "fista", "irn"])
 def test_zero_x_true_has_no_relative_error(family):
     inst = gen_subset_selection(20, 6, seed=1)  # draws x_true = 0, so b = 0
     assert not inst.x_true.any()
@@ -176,6 +178,19 @@ def test_cli_krylov_families_apply_A_once_per_run(family):
     res = run_solver("t", _cli_config(family, **keys), inst)
     assert len(res.trace) == K
     assert A.applies == own + 1
+
+
+def test_cli_fista_on_a_matrix_free_A_neither_materializes_nor_reduces():
+    # _MatrixFreeOnly refuses materialize(); FISTA iterates on A itself,
+    # one apply and one adjoint per iteration beyond the norm estimate
+    inst = _instance()
+    A, probe = _MatrixFreeOnly(inst.A.matrix), _MatrixFreeOnly(inst.A.matrix)
+    probe.norm_estimate()
+    res = run_solver("t", _cli_config("fista", **{"lambda": 0.5}),
+                     dataclasses.replace(inst, A=A))
+    assert (A.applies, A.adjoints) == (probe.applies + K, probe.adjoints + K)
+    on_A = fista_solve(inst.A, inst.b, 0.5, n_iter=K, weight=WEIGHT)
+    assert np.array_equal(res.x, on_A.x)
 
 
 def test_s2p_without_a_lambda_rule_builds_no_unsketched_column_qr(
