@@ -1,9 +1,7 @@
 """Baselines, each with one trace row per iteration: proximal gradient
-(FISTA) for the l1-regularized min |Ax-b|^2 + 2*lam*|x|_1, whose rows read
-the A x its step applies or, on the reduced system of a dense A, its data
-fit, and plain LSQR (Tikhonov lam) or GMRES (square A), whose rows read the
-A x their solver carries. The last row of every run but matrix-free
-FISTA's applies A, once beyond the applies of the iterations."""
+(FISTA) for the l1-regularized min |Ax-b|^2 + 2*lam*|x|_1, and plain LSQR
+(Tikhonov lam) or GMRES (square A). Each row reads the data fit or the A x
+that its iteration already forms."""
 
 from __future__ import annotations
 
@@ -21,8 +19,7 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None,
     and its adjoint once: A v is combined from A x_k and A x_{k-1}.
     ``reduced``, ``irn._reduce_system`` of a dense A and this b, puts R and
     Q^T b in place of A and b, with the same gradient R^T (R v - Q^T b) and
-    norm |R| = |A|: rows read |R x - Q^T b|^2 + beta_perp^2, and only the
-    last applies A, which keeps the final objectives exact."""
+    norm |R| = |A|: rows read |R x - Q^T b|^2 + beta_perp^2."""
     if n_iter < 1:
         raise ValueError("need at least one iteration")
     if not lam >= 0.0:
@@ -43,7 +40,7 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None,
     v, Av = x, Ax
     t = 1.0
     rec = _TraceRecorder(A, b, weight or WeightSpec(), x_true)
-    for it in range(1, n_iter + 1):
+    for _ in range(n_iter):
         grad = 2.0 * op.apply_adjoint(Av - rhs)
         u = v - step * grad
         x_new = np.sign(u) * np.maximum(np.abs(u) - thresh, 0.0)
@@ -55,30 +52,28 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None,
         x, Ax, t = x_new, Ax_new, t_new
         r = Ax - rhs
         fit = float(r @ r) + beta_perp**2  # |A x - b|^2
-        final_on_R = reduced is not None and it == n_iter  # applies A
-        rec.row(x, lam, fit=None if final_on_R else fit)
-    return rec.result()
+        rec.row(x, lam, fit)
+    # on A itself the last fit came from an apply of A
+    return rec.result(fit if reduced is None else None)
 
 
 def krylov_baseline_solve(A, b, method, lam=0.0, tol=1e-12, maxit=50,
                           weight=None, x_true=None):
     """``method`` "lsqr" or "gmres" (lam = 0 only) from x = 0; for b = 0 the
-    trace is the one row of x = 0. Each row is recorded at the next callback,
-    from the A x the solver carried, and the last from the returned x with
-    one apply of A, so every final objective is exact."""
+    trace is the one row of x = 0. Each row is recorded at its callback,
+    from the A x the solver carried."""
     if method not in ("lsqr", "gmres") or (method == "gmres" and lam != 0.0):
         raise ValueError(f"no {method!r} baseline with lambda = {lam}")
     rec = _TraceRecorder(A, b, weight or WeightSpec(), x_true)
-    held = []  # the latest iterate and its A x, recorded one callback late
 
     def record(x, Ax):
-        if held:
-            rec.row(held[0], lam, Ax=held[1])
-        held[:] = x.copy(), Ax  # LSQR may update its x in place
+        r = Ax - b
+        rec.row(x, lam, float(r @ r))
 
     if method == "lsqr":
         out = lsqr_solve(A, b, lam=lam, tol=tol, maxit=maxit, callback=record)
     else:
         out = gmres_solve(A, b, tol=tol, maxit=maxit, callback=record)
-    rec.row(out.x, lam)  # the last callback's x, or x = 0 when there was none
+    if not rec.trace:  # no callback: the solver returned x = 0 at once
+        record(out.x, out.Ax)
     return rec.result()

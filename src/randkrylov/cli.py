@@ -57,6 +57,7 @@ from .irn import (
     irn_s2p_solve,
     irn_solve,
 )
+from .krylov import _check_tol
 from .operators import DenseOperator, IdentityOperator
 from .regparam import LambdaPolicy
 from .sketching import (
@@ -340,7 +341,7 @@ def _solver_call(name, cfg, inst):
             if family == "gmres" and "lambda" in sec:
                 raise ConfigError("family 'gmres' takes no lambda")
             lam = _get(sec, "lambda", float, 0.0)
-            tol = _get(sec, "tol", float, 1e-12)
+            tol = _check_tol(_get(sec, "tol", float, 1e-12))
         elif family != "fista":
             raise ConfigError(f"unknown solver family {family!r}")
         sketched = family == "irn_s2p" or (family == "flex"

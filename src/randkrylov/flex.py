@@ -33,14 +33,13 @@ solved:
   objective never rises, at any inner tolerance.
 
 All three factor the stacked pair in ``_stacked_factor``; a singular one is
-retried once at lambda = 1e-14.
+retried once at ``irn._LAMBDA_FLOOR``.
 
 Each iteration is one trace row (``irn._TraceRecorder``); its
 ``cum_inner`` adds the inner LSQR iterations of s2p and 1 per iteration
 for the other two schemes. A row reads A x = A Zbar y = U H y from the
-factorization, except the last, which applies A so that every final
-objective is exact. So every scheme applies A once per expansion (A^T too
-for Golub-Kahan) and once more per run, and no more.
+factorization, so every scheme applies A once per expansion (A^T too for
+Golub-Kahan), and the recorder once more per run.
 """
 
 from __future__ import annotations
@@ -51,10 +50,10 @@ import numpy as np
 import scipy.linalg
 
 from .krylov import BREAKDOWN_RTOL, FlexibleFactorization, lsqr_solve
-from .irn import _TraceRecorder, _reduce_system
+from .irn import _LAMBDA_FLOOR, _TraceRecorder, _reduce_system
 from .operators import DenseOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
-from .sketching import apply_sketch, apply_sketch_weighted
+from .sketching import _ROW_BLOCK, apply_sketch, apply_sketch_weighted
 from .weights import WeightSpec, compute_weights
 
 
@@ -184,7 +183,6 @@ class _BasisGram:
         return ProjectedProblem(fit.R, fit.qtb, fit.beta_perp, R2, H.shape[1])
 
 
-_ROW_BLOCK = 512
 # the largest diagonal ratio of a Cholesky R2 that ``_weighted_r`` keeps
 _GRAM_COND_LIMIT = 1e6
 
@@ -301,11 +299,10 @@ def _flex_loop(A, b, config, S1, S2, x_true):
     fit = _BasisGram(fact, k_max + 1)
     fit1 = _BasisGram(fact, k_max + 1, S1) if sketched else None
 
-    x = np.zeros(n)
-    y = np.zeros(0)  # coefficients of x in the basis
+    x, y = np.zeros(n), np.zeros(0)  # y: the coefficients of x in the basis
     rec = _TraceRecorder(A, b, weight, x_true)
     eps_hat = float("nan")
-    for it in range(config.k_max):
+    for _ in range(config.k_max):
         w = compute_weights(x, weight)
 
         if not fact.breakdown and fact.k < min(m, n):
@@ -347,10 +344,9 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         except np.linalg.LinAlgError:
             # a singular stacked pair (rank-deficient R2 with lam ~ 0): apply
             # the floor and retry; the trace keeps the chosen lam
-            y, inner, stagnated = step(max(lam, 1e-14))
+            y, inner, stagnated = step(max(lam, _LAMBDA_FLOOR))
         x = Z @ y
-        # A x = A Zbar y = U H y; the last row applies A instead
-        Ax = None if it == config.k_max - 1 else fact.U @ (fact.H @ y)
+        r = fact.U @ (fact.H @ y) - b  # A x - b = A Zbar y - b = U H y - b
 
         mono = None
         if sketched and not s2p:
@@ -360,8 +356,9 @@ def _flex_loop(A, b, config, S1, S2, x_true):
                     _projected_majorant(pp, y_prev, lam),
                     _projected_majorant(pp, y, lam), eps_hat,
                 )
-        rec.row(x, lam, inner, Ax=Ax, eps_hat=eps_hat, mono_satisfied=mono,
-                breakdown=fact.breakdown, stagnated=stagnated)
+        rec.row(x, lam, float(r @ r), inner, eps_hat=eps_hat,
+                mono_satisfied=mono, breakdown=fact.breakdown,
+                stagnated=stagnated)
     return rec.result()
 
 

@@ -1,7 +1,6 @@
 """Iteratively reweighted norm (majorization-minimization) outer loops, with
 plain LSQR inner solves or the randomized partly-exact-sketch preconditioned
-variant, whose factor floors lam at 1e-14 as the flexible schemes' does (a
-lambda rule may pick 0; LSQR and the trace keep the chosen lam).
+variant.
 
 Each outer step rebuilds the diagonal weights at the current iterate and
 solves the standard-form reweighted least-squares subproblem in the scaled
@@ -13,15 +12,11 @@ When the loop holds a dense matrix of A = Q R (a dense A, or one that a
 sketch or a lambda rule materializes), the inner solves run on the n-by-n
 R W_k^{-1} with right-hand side Q^T b, from one QR of [A, b] per problem:
 LSQR's iterates depend only on the normal equations, which are the same,
-and |A W^{-1} s - b|^2 = |R W^{-1} s - Q^T b|^2 + beta_perp^2. Each trace
-row reads its data fit from that identity, and the reduced residual is the
-next warm start's, so A applies once per solve, at the last row, which
-keeps every final objective exact. A matrix-free A at fixed lambda with no
-sketch is neither materialized nor reduced: each inner LSQR carries A x
-through its recurrence, each trace row but the last reads it, the next
-solve warm-starts from the residual b - A x_{k-1} it gives, and A^T b is
-taken once per solve; A applies once beyond the inner iterations, at the
-last row.
+and |A W^{-1} s - b|^2 = |R W^{-1} s - Q^T b|^2 + beta_perp^2: the trace
+row reads its data fit, and the next solve its warm start, from the reduced
+residual. A matrix-free A at fixed lambda with no sketch is neither
+materialized nor reduced: each inner LSQR carries A x, from which the row
+and the next warm start read b - A x; A^T b is taken once per solve.
 
 ``_TraceRecorder`` writes the trace of every solver (these loops, flex and
 the ``baselines``); IRN's ``cum_inner`` adds inner iterations.
@@ -85,24 +80,25 @@ class SolveResult:
 
 
 class _TraceRecorder:
-    """The latest x and the trace of one solve. ``row`` records x: it keeps
-    a copy (a caller may update its x in place), evaluates both objectives
-    at it from the caller's data fit |A x - b|^2 or A x (one apply of A when
-    it passes neither), numbers the row, adds ``inner`` to the cumulative
-    inner count and passes the diagnostic flags through."""
+    """The latest x and the trace of one solve, and the only code that
+    applies A for a trace row. ``row`` records x from the caller's data fit
+    |A x - b|^2 and applies nothing: it keeps a copy of x (a caller may
+    update its x in place), evaluates both objectives, numbers the row,
+    adds ``inner`` to the cumulative inner count and passes the flags
+    through. A fit read from a factorization or a carried A x is exact to
+    rounding only, so ``result`` re-evaluates the last row's objectives
+    from one apply of A at the final x, or from the caller's ``fit`` when
+    that came from an apply: every final objective is exact."""
 
     def __init__(self, A, b, weight, x_true):
         self.A, self.b, self.weight = A, b, weight
         # x_true = 0, like None (np.any(None) is False): no relative error
         self.x_true = x_true if np.any(x_true) else None
-        self.x, self.trace = None, []
-        self.cum_inner = 0
+        self.x, self.trace, self.cum_inner = None, [], 0
 
-    def row(self, x, lam, inner=1, Ax=None, fit=None, **flags):
-        if Ax is None and fit is None:
-            Ax = self.A.apply(x)
+    def row(self, x, lam, fit, inner=1, **flags):
         obj_mm, obj_lit = objective_values(self.A, self.b, x, self.weight,
-                                           lam, Ax=Ax, fit=fit)
+                                           lam, fit)
         self.cum_inner += inner
         self.x = x.copy()
         rel_error = (float("nan") if self.x_true is None else float(
@@ -112,7 +108,10 @@ class _TraceRecorder:
             rel_error=rel_error, objective_mm=obj_mm,
             objective_literal=obj_lit, lam=lam, **flags))
 
-    def result(self):
+    def result(self, fit=None):
+        final = self.trace[-1]
+        final.objective_mm, final.objective_literal = objective_values(
+            self.A, self.b, self.x, self.weight, final.lam, fit)
         return SolveResult(self.x, self.trace)
 
 
@@ -184,6 +183,10 @@ def irn_solve(A, b, config, x_true=None, reduced=None):
     return _irn_loop(A, b, config, x_true, None, reduced)
 
 
+# the least lambda of a factor (s2p's, flex's retry): a lambda rule may pick 0
+_LAMBDA_FLOOR = 1e-14
+
+
 def build_partly_exact_preconditioner(C0, w, lam):
     """Upper-triangular R with R^T R = W^{-1} C0 W^{-1} + lam I.
 
@@ -230,33 +233,28 @@ def _irn_loop(A, b, config, x_true, sketch, reduced):
         del M  # the loop reads only the reduced system and C0
 
     # the inner solves' operator and right-hand side: A and b, or R and Q^T b
-    op, rhs = ((A, b) if reduced is None
-               else (DenseOperator(reduced.R), reduced.qtb))
+    op, rhs, beta_perp = ((A, b, 0.0) if reduced is None else
+                          (DenseOperator(reduced.R), reduced.qtb,
+                           reduced.beta_perp))
     atb = op.apply_adjoint(rhs)  # A^T b = R^T Q^T b: the stopping targets
     x, r = np.zeros(n), rhs  # r = rhs - op x, each inner solve's start
     rec = _TraceRecorder(A, b, weight, x_true)
-    for outer in range(1, config.outer_max + 1):
+    for _ in range(config.outer_max):
         w = compute_weights(x, weight)
         w_inv = 1.0 / w
         lam = _select_lambda(policy, reduced, w_inv)
         op_k = CompositeOperator([op, DiagonalOperator(w_inv)])
 
-        R = (None if sketch is None
-             else build_partly_exact_preconditioner(C0, w, max(lam, 1e-14)))
+        R = (None if sketch is None else build_partly_exact_preconditioner(
+            C0, w, max(lam, _LAMBDA_FLOOR)))
         res = lsqr_solve(
             op_k, rhs, lam=lam, right_precond=R,
             tol=config.inner_tol, maxit=inner_max, x0=w * x, r0=r,
             atb=w_inv * atb,
         )
         x = w_inv * res.x
-        last = outer == config.outer_max
-        if reduced is None:  # LSQR carried A x; the last row applies A
-            r = b - res.Ax
-            rec.row(x, lam, res.n_iter, stagnated=res.stagnated,
-                    Ax=None if last else res.Ax)
-            continue
-        r = rhs - op.apply(x)  # the last row applies A, the others read
-        fit = float(r @ r) + reduced.beta_perp**2  # the reduced fit
-        rec.row(x, lam, res.n_iter, stagnated=res.stagnated,
-                fit=None if last else fit)
+        # LSQR carried A x; R x, on the reduced system, costs one apply of R
+        r = rhs - (res.Ax if reduced is None else op.apply(x))
+        rec.row(x, lam, float(r @ r) + beta_perp**2, res.n_iter,
+                stagnated=res.stagnated)
     return rec.result()

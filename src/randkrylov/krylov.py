@@ -32,6 +32,14 @@ def _finite_rhs(b, what="right-hand side"):
     return b
 
 
+def _check_tol(tol):
+    """tol when finite and non-negative (0: no residual stop); else
+    ValueError."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+    return tol
+
+
 class RowBasis:
     """Vectors of length ``dim`` kept as the rows of a buffer of ``rows``
     rows (``INITIAL_ROWS`` for None) that doubles when full. ``Q`` (the
@@ -197,6 +205,7 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
+    _check_tol(tol)
     m, n = op.nrows, op.ncols
     b = _finite_rhs(b)
     if b.shape[0] != m:
@@ -309,6 +318,7 @@ def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):
     """
     if op.nrows != op.ncols:
         raise ValueError("GMRES needs a square operator")
+    _check_tol(tol)
     b = _finite_rhs(b)
     n = op.ncols
     if maxit is None:

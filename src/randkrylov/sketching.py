@@ -60,9 +60,9 @@ def estimate_leverage_scores(M, R=None):
     range basis. Sums to rank(M); each score lies in [0, 1]. Given the
     k-by-k R of a QR of M (such as the R of ``irn._reduce_system``), they
     are the squared row norms of M R^{-1}, from triangular solves over
-    512-row blocks, so no m-row basis is formed; a rank-deficient or
-    ill-conditioned R (reciprocal condition estimate below ``_RCOND_MIN``),
-    or none, leaves them to a pivoted QR of M."""
+    ``_ROW_BLOCK``-row blocks, so no m-row basis is formed; a
+    rank-deficient or ill-conditioned R (reciprocal condition estimate
+    below ``_RCOND_MIN``), or none, leaves them to a pivoted QR of M."""
     M = np.asarray(M, dtype=np.float64)
     m, k = M.shape
     if k > m:

@@ -74,14 +74,13 @@ def objective_value(A, b, x, spec):
     return _penalized(float(r @ r), x, spec)
 
 
-def objective_values(A, b, x, weight, lam, Ax=None, fit=None):
+def objective_values(A, b, x, weight, lam, fit=None):
     """(mm_consistent, paper_literal) objectives at x from one data fit
-    |Ax-b|^2: the caller's ``fit``, else the residual of the caller's Ax,
-    else of one apply of A. From Ax or the apply, each equals its
-    objective_value bit for bit."""
+    |Ax-b|^2: the caller's ``fit``, else that of one apply of A, with which
+    each equals its objective_value bit for bit."""
     x = np.asarray(x, dtype=np.float64)
     if fit is None:
-        r = (A.apply(x) if Ax is None else Ax) - b
+        r = A.apply(x) - b
         fit = float(r @ r)
     return tuple(_penalized(fit, x, ObjectiveSpec(weight, lam, variant))
                  for variant in ("mm_consistent", "paper_literal"))

@@ -339,6 +339,25 @@ def test_unknown_solver_keys_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["lsqr", "gmres"])
+def test_bad_krylov_baseline_tol_exits_2(tmp_path, capsys, family):
+    # a NaN, negative or infinite tol is refused before any solver runs; with
+    # tol = inf LSQR would stop at its first iteration and exit 0. tol = 0
+    # (run to k_max, as the tomo workload does) stays valid
+    base = ("problem.generator = identity\nproblem.n = 6\nproblem.seed = 1\n"
+            f"solver.t.family = {family}\nsolver.t.seed = 1\n"
+            "solver.t.k_max = 3\n")
+    for i, tol in enumerate(["nan", "-1", "inf", "-inf"]):
+        cfg = _write(tmp_path, base + f"solver.t.tol = {tol}\n",
+                     f"tol{i}.cfg")
+        out = tmp_path / f"t{i}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2, tol
+        assert "tol must be finite and non-negative" in capsys.readouterr().err
+        assert not out.exists()
+    cfg = _write(tmp_path, base + "solver.t.tol = 0\n", "tol0.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_unknown_problem_keys_exit_2(tmp_path, capsys):
     # a problem key that the generator does not read is rejected by name,
     # bundles included, in gen and in run; so is a malformed noise_seed,

@@ -28,6 +28,16 @@ def test_lsqr_matches_scipy():
     assert res.converged
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_krylov_solvers_refuse_a_bad_tol(tol):
+    op = DenseOperator(_rng(3).standard_normal((8, 8)))
+    b = np.ones(8)
+    for solve in (lsqr_solve, gmres_solve):
+        with pytest.raises(ValueError, match="tol"):
+            solve(op, b, tol=tol)
+        assert solve(op, b, tol=0.0, maxit=3).n_iter == 3  # runs to maxit
+
+
 def test_lsqr_tikhonov_matches_direct():
     rng = _rng(2)
     M = rng.standard_normal((30, 12))

@@ -154,6 +154,46 @@ def test_trace_rows_describe_the_returned_iterates(family, inner_iters,
     assert res.column("cum_inner") == list(accumulate(steps))
 
 
+def _rng_vector(seed, n):
+    return np.random.Generator(np.random.Philox(seed)).standard_normal(n)
+
+
+def _same(a, b):
+    """Two TraceRows hold the same fields, NaN equal to NaN."""
+    return all(u == v or u != u and v != v
+               for u, v in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+
+def test_trace_recorder_alone_applies_A_once_at_the_last_row():
+    # rows take the caller's fit and apply nothing; result() re-evaluates
+    # the last row's two objectives from one apply of A at the final x, or
+    # from the caller's fit without an apply, and leaves all else alone
+    inst = _instance()
+    A = _CountingDense(inst.A.matrix)
+    xs = [_rng_vector(seed, A.ncols) for seed in range(3)]
+    for final_fit in (None, 7.0):
+        rec = irn._TraceRecorder(A, inst.b, WEIGHT, inst.x_true)
+        for i, x in enumerate(xs):
+            rec.row(x, 0.5, 1.0 + i, inner=2, stagnated=i == 1)
+        assert A.applies == 0
+        rows = [dataclasses.replace(row) for row in rec.trace]
+        assert [(row.objective_mm, row.objective_literal) for row in rows] == [
+            objective_values(A, inst.b, x, WEIGHT, 0.5, 1.0 + i)
+            for i, x in enumerate(xs)]
+        res = rec.result(final_fit)
+        assert A.applies == (1 if final_fit is None else 0)
+        A.applies = 0
+        assert np.array_equal(res.x, xs[-1])
+        assert all(map(_same, res.trace[:-1], rows[:-1]))
+        last = res.trace[-1]
+        assert (last.objective_mm, last.objective_literal) == objective_values(
+            inst.A, inst.b, xs[-1], WEIGHT, 0.5, final_fit)
+        assert _same(dataclasses.replace(
+            last, objective_mm=rows[-1].objective_mm,
+            objective_literal=rows[-1].objective_literal), rows[-1])
+        assert res.column("cum_inner") == [2, 4, 6]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("family", ["cli-fista", "cli-lsqr", "fista", "irn"])
 def test_zero_x_true_has_no_relative_error(family):
