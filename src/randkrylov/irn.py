@@ -138,14 +138,21 @@ class _ReducedSystem:
 def _reduce_system(M, b):
     """One Householder QR of the bordered [M, b], whose R factor is
     [R, Q^T b; 0, +-beta_perp]. Exact for any shape and rank. IRN's inner
-    LSQR runs on (R W^{-1}, Q^T b), and its lambda rules read all of it;
-    R and Q^T b are copied out, so the bordered factor is freed."""
+    LSQR runs on (R W^{-1}, Q^T b), and its lambda rules read all of it.
+    [M, b] is copied once, into one Fortran-ordered buffer that LAPACK's
+    blocked geqrf factors in place (the workspace query passes the
+    overwrite flag too, or f2py would copy the buffer for it); R and Q^T b
+    are copied out, so the buffer is freed."""
     m, n = M.shape
     k = min(m, n)
-    T = np.linalg.qr(np.column_stack([M, b]), mode="r")
+    T = np.empty((m, n + 1), order="F")
+    T[:, :n], T[:, n] = M, b
+    geqrf, = scipy.linalg.get_lapack_funcs(("geqrf",), (T,))
+    lwork = int(geqrf(T, lwork=-1, overwrite_a=1)[2][0])
+    T = geqrf(T, lwork=lwork, overwrite_a=1)[0]
     beta_perp = abs(float(T[k, n])) if m > n else 0.0
-    return _ReducedSystem(np.ascontiguousarray(T[:k, :n]), T[:k, n].copy(),
-                          beta_perp, m, float(np.linalg.norm(b)))
+    return _ReducedSystem(np.triu(T[:k, :n]), T[:k, n].copy(), beta_perp, m,
+                          float(np.linalg.norm(b)))
 
 
 def _reweighted_pair(system, w_inv, coef=False):
@@ -199,13 +206,16 @@ def build_partly_exact_preconditioner(C0, w, lam):
     w_inv = 1.0 / w
     C = C0 * np.outer(w_inv, w_inv)
     C[np.diag_indices_from(C)] += lam
-    try:
-        return scipy.linalg.cholesky(C, lower=False)
-    except np.linalg.LinAlgError as exc:
+    _finite_rhs(C, "preconditioner Gram matrix")
+    # C is ours and symmetric bit for bit (C0 is a Gram matrix), so its
+    # transpose is the Fortran-ordered C that potrf factors in place
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (C,))
+    R, info = potrf(C.T, lower=False, overwrite_a=1, clean=1)
+    if info > 0:
         raise np.linalg.LinAlgError(
             "Cholesky of the sketched Gram matrix failed; increase lambda "
-            "above the rounding floor of the sketched system norm"
-        ) from exc
+            "above the rounding floor of the sketched system norm")
+    return R
 
 
 def irn_s2p_solve(A, b, config, sketch, x_true=None, reduced=None):
@@ -230,6 +240,7 @@ def _irn_loop(A, b, config, x_true, sketch, reduced):
         if sketch is not None:
             Y0 = apply_sketch(sketch, M)  # S A
             C0 = Y0.T @ Y0
+            del Y0
         del M  # the loop reads only the reduced system and C0
 
     # the inner solves' operator and right-hand side: A and b, or R and Q^T b

@@ -216,14 +216,27 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
 
     prec = prec_t = lambda v: v
     if right_precond is not None:
-        # R is checked once; each vector still is, so a NaN or inf from the
-        # operator raises here as it did inside solve_triangular
         R = _finite_rhs(right_precond, "preconditioner")
-        prec = lambda v: scipy.linalg.solve_triangular(
-            R, _finite_rhs(v, "preconditioned vector"), check_finite=False)
-        prec_t = lambda v: scipy.linalg.solve_triangular(
-            R, _finite_rhs(v, "preconditioned vector"), trans="T",
-            check_finite=False)
+        if R.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} preconditioner, got "
+                             f"{R.shape}")
+        # LAPACK trtrs, called as solve_triangular calls it: an F-ordered R
+        # as is, else the F-ordered R^T as lower, with trans flipped
+        flip = not R.flags.f_contiguous
+        R_f = np.asfortranarray(R.T) if flip else R
+        trtrs, = scipy.linalg.get_lapack_funcs(("trtrs",), (R_f,))
+
+        def solve(v, trans):
+            # each vector is checked, so a NaN or inf from the operator raises
+            x, info = trtrs(R_f, _finite_rhs(v, "preconditioned vector"),
+                            lower=flip, trans=trans ^ flip)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"singular preconditioner: zero diagonal {info - 1}")
+            return x
+
+        prec = lambda v: solve(v, 0)
+        prec_t = lambda v: solve(v, 1)
 
     def rmatvec(r):
         top = r[:m]

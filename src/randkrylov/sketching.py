@@ -129,14 +129,15 @@ def build_flex_sketches(A, b, k_max, multiplier, seed):
 
 
 def apply_sketch(S, M):
-    """S @ M for a matrix (or vector) M with m rows: gather, then scale."""
+    """S @ M for a matrix (or vector) M with m rows: gather, then scale.
+    The gather is a new s-row array and is scaled in place, so the sketch
+    holds no second copy of it."""
     M = np.asarray(M, dtype=np.float64)
     if M.shape[0] != S.m:
         raise ValueError(f"expected {S.m} rows, got {M.shape[0]}")
     G = M[S.selected_rows]
-    if M.ndim == 1:
-        return G * S.scales
-    return G * S.scales[:, None]
+    G *= S.scales if M.ndim == 1 else S.scales[:, None]
+    return G
 
 
 def commute_diagonal(S, w):

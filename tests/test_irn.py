@@ -1,6 +1,9 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from test_flex import _MatrixFreeOnly
 
 import randkrylov.irn as irn
@@ -83,8 +86,11 @@ def test_preconditioner_factor_identity():
     expect = C0 * np.outer(1 / w, 1 / w) + lam * np.eye(8)
     np.testing.assert_allclose(R.T @ R, expect, rtol=1e-12, atol=1e-12)
     assert np.max(np.abs(np.tril(R, -1))) == 0.0
-    with pytest.raises(ValueError):
-        build_partly_exact_preconditioner(C0, w, 0.0)
+    # factored in place, bit for bit the factor of a copy
+    assert np.array_equal(R, scipy.linalg.cholesky(expect))
+    for bad_lam in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            build_partly_exact_preconditioner(C0, w, bad_lam)
 
 
 def test_preconditioner_drives_condition_down():
@@ -335,6 +341,69 @@ def test_reduction_passed_in_is_the_one_used(monkeypatch):
     monkeypatch.setattr(irn, "_reduce_system", no_qr)
     res = irn_solve(inst.A, inst.b, _fixed(), inst.x_true, reduced=reduced)
     np.testing.assert_array_equal(res.x, ref.x)
+
+
+def _reduce_system_reference(M, b):
+    """R, Q^T b and beta_perp from NumPy's QR of a stacked copy of [M, b]."""
+    m, n = M.shape
+    k = min(m, n)
+    T = np.linalg.qr(np.column_stack([M, b]), mode="r")
+    return T[:k, :n], T[:k, n], abs(T[k, n]) if m > n else 0.0
+
+
+@pytest.mark.parametrize("m, n", [(200, 50), (50, 50), (30, 50), (120, 40),
+                                  (2, 1), (11, 10), (31, 30)],
+                         ids=["tall", "square", "wide", "rank_deficient",
+                              "gram_1", "gram_10", "gram_30"])
+def test_reduced_system_matches_numpys_qr(m, n):
+    # the (k+1)-by-k inputs are the flexible pairs' bordered R_B [H, b]
+    rng = _rng(41)
+    M = rng.standard_normal((m, n))
+    if m == 120:
+        M = M[:, :10] @ rng.standard_normal((10, n))  # rank 10
+    b = rng.standard_normal(m)
+    got = _reduce_system(M, b)
+    scale = np.linalg.norm(np.column_stack([M, b]))
+    for x, ref in zip((got.R, got.qtb, got.beta_perp),
+                      _reduce_system_reference(M, b)):
+        np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13 * scale)
+    assert got.R.flags.c_contiguous and not np.any(np.tril(got.R, -1))
+    assert (got.m, got.b_norm) == (m, np.linalg.norm(b))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reduced_system_holds_one_bordered_copy():
+    # [M, b] is copied once into the buffer that geqrf factors in place;
+    # NumPy's QR of a stacked copy holds about 2.1 such buffers
+    m, n = 2000, 400
+    rng = _rng(42)
+    M, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+    assert _traced_peak(_reduce_system, M, b) <= 1.3 * 8 * m * (n + 1)
+
+
+def test_irn_s2p_holds_the_sketch_only_until_its_gram():
+    # experiment 1's irn-s2p-lsqr: S A is gathered and scaled in one s-by-n
+    # array and freed once C0 = (S A)^T (S A) is formed, and each
+    # preconditioner is factored in place
+    inst = add_noise(gen_subset_selection(2000, 400, seed=7), 0.05, 11)
+    reduced = _reduce_system(inst.A.matrix, inst.b)
+    s, n = 1600, 400
+    S = build_leverage_sketch(
+        estimate_leverage_scores(inst.A.matrix, reduced.R), s, 13)
+    cfg = IRNConfig(weight=WeightSpec(p=1.0, tau=1e-10), outer_max=15,
+                    inner_max=800,
+                    lambda_policy=LambdaPolicy(kind="fixed", lam=40.0))
+    peak = _traced_peak(irn_s2p_solve, inst.A, inst.b, cfg, S, inst.x_true,
+                        reduced)
+    assert peak < 8 * (s * n + 1.5 * n * n)
 
 
 @pytest.mark.parametrize("solver", ["irn", "irn_s2p"])

@@ -62,6 +62,34 @@ def test_lsqr_right_preconditioner_preserves_solution():
     assert res.n_iter <= 3
 
 
+def test_lsqr_right_preconditioner_in_any_layout():
+    # R goes to LAPACK trtrs as solve_triangular passes it: an F-ordered R
+    # as is, any other as its transpose, so a C-ordered R and a strided
+    # view of it solve the same system bit for bit; a zero pivot raises
+    rng = _rng(5)
+    M = rng.standard_normal((25, 10))
+    b = rng.standard_normal(25)
+    lam = 0.1
+    R = np.linalg.cholesky(M.T @ M + lam * np.eye(10)).T
+    padded = np.zeros((10, 20))
+    padded[:, ::2] = R
+    ref = np.linalg.solve(M.T @ M + lam * np.eye(10), M.T @ b)
+    xs = []
+    for layout in (np.asfortranarray(R), np.ascontiguousarray(R),
+                   padded[:, ::2]):
+        res = lsqr_solve(DenseOperator(M), b, lam=lam, right_precond=layout,
+                         tol=1e-14)
+        np.testing.assert_allclose(res.x, ref, rtol=1e-9, atol=1e-11)
+        xs.append(res.x)
+    assert np.array_equal(xs[1], xs[2])
+    singular = R.copy()
+    singular[4, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        lsqr_solve(DenseOperator(M), b, lam=lam, right_precond=singular)
+    with pytest.raises(ValueError, match="10x10 preconditioner"):
+        lsqr_solve(DenseOperator(M), b, lam=lam, right_precond=R[:9, :9])
+
+
 def test_lsqr_validation():
     rng = _rng(4)
     op = DenseOperator(rng.standard_normal((5, 3)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -129,6 +131,21 @@ def test_sketch_unbiased_norm():
     vals = [np.sum(apply_sketch(build_leverage_sketch(p, 400, seed=s), x) ** 2)
             for s in range(40)]
     assert abs(np.mean(vals) / np.sum(x**2) - 1.0) < 0.05
+
+
+def test_apply_sketch_scales_its_gather_in_place():
+    # one s-by-n array, bit for bit the gather times the scales
+    rng = _rng(44)
+    M = rng.standard_normal((2000, 400))
+    S = build_leverage_sketch(rng.random(2000), 1600, seed=4)
+    tracemalloc.start()
+    try:
+        Y = apply_sketch(S, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 1600 * 400 * 8
+    assert np.array_equal(Y, M[S.selected_rows] * S.scales[:, None])
 
 
 def test_apply_sketch_matches_dense_matrix():
