@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .bidiag import bidiag_svd
 from .krylov import _finite_rhs, lsqr_solve
 from .operators import CompositeOperator, DenseOperator, DiagonalOperator
-from .regparam import LambdaPolicy, SpectralPair, select_lambda, svd_factors
+from .regparam import (LambdaPolicy, SpectralPair, select_lambda, svd_factors,
+                       tridiagonal_pair)
 from .sketching import apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
 
@@ -156,29 +156,33 @@ def _reduce_system(M, b):
 
 
 def _reweighted_pair(system, w_inv, coef=False):
-    """Spectral pair of the reweighted system A W^{-1}, from the small
-    R W^{-1}: A W^{-1} = (Q U) diag(sigma) V^T whenever R W^{-1} =
-    U diag(sigma) V^T, so the pair is (sigma, U^T Q^T b, beta_perp, V),
-    and GCV still counts all m rows. V, which only the optimal oracle reads,
-    comes from NumPy's SVD with ``coef``; else one bidiagonalization gives
-    sigma and U^T Q^T b with U never formed, and the pair's coef is None."""
-    with np.errstate(invalid="ignore"):  # inf * 0 = nan: both SVDs raise
+    """Pair of the reweighted system A W^{-1}, from the small M = R W^{-1}
+    and Q^T b; GCV still counts all m rows. With ``coef`` (the optimal
+    oracle, which reads V) it is the ``SpectralPair`` of NumPy's SVD of M:
+    A W^{-1} = (Q U) diag(sigma) V^T whenever M = U diag(sigma) V^T. Else
+    it is the ``TridiagonalPair`` of the left Gram M M^T = R W^{-2} R^T,
+    formed by one GEMM and reduced in place, which dp and gcv read."""
+    with np.errstate(all="ignore"):  # a non-finite M or G: both pairs raise
         M = system.R * w_inv[None, :]
-    sv, beta_t, V = (svd_factors(M, system.qtb) if coef
-                     else (*bidiag_svd(M, system.qtb), None))
-    return SpectralPair(sv, beta_t, system.beta_perp, V,
-                        float(sv[0] ** 2) if sv.size else 1.0, system.m)
+        if coef:
+            sv, beta_t, V = svd_factors(M, system.qtb)
+            return SpectralPair(sv, beta_t, system.beta_perp, V,
+                                float(sv[0] ** 2) if sv.size else 1.0,
+                                system.m)
+        G = M @ M.T
+    del M  # G and its reflectors' copy are the only k-by-k arrays from here
+    return tridiagonal_pair(G, system.qtb, system.beta_perp, system.m)
 
 
 def _select_lambda(policy, system, w_inv):
     """One lambda update per outer iteration, from the pair of the reweighted
     system A W^{-1} (``_reweighted_pair``), with A = Q R taken once per
     solve. The oracle's map s -> x = W^{-1} s has Gram data (W^{-2},
-    W^{-1} x_true)."""
+    W^{-1} x_true), W^{-2} passed as its diagonal."""
     if policy.kind == "fixed":
         return policy.lam
     optimal = policy.kind == "optimal"
-    gram = (np.diag(w_inv**2), w_inv * policy.x_true) if optimal else None
+    gram = (w_inv**2, w_inv * policy.x_true) if optimal else None
     return select_lambda(policy, _reweighted_pair(system, w_inv, optimal),
                          system.b_norm, gram)
 

@@ -1,18 +1,20 @@
 """Regularization-parameter selection: discrepancy principle, (weighted) GCV
-and the optimal-parameter oracle, all evaluated by ``select_lambda`` from the
-filter factors of one standard-form spectral pair, from NumPy's SVD
-(``svd_factors``): of R1 R2^{-1} for a projected pair, of R W^{-1} for IRN's
-system A W^{-1} = Q R W^{-1}, whose dp and gcv take sigma and U^T b alone
-from ``bidiag``. ``svd_pair``, a dense SVD of the full system, is the test
-reference."""
+and the optimal-parameter oracle, all evaluated by ``select_lambda`` from one
+standard-form pair: the filter factors of NumPy's SVD (``svd_factors``) of
+R1 R2^{-1} for a projected pair and of R W^{-1} for IRN's oracle on A W^{-1}
+= Q R W^{-1}, and for IRN's dp and gcv, with no SVD, the tridiagonal form of
+the Gram R W^{-2} R^T (``TridiagonalPair``). ``svd_pair``, a dense SVD of
+the full system, is the test reference."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import (dormqr, dptsv, dstebz, dsterf, dsytrd,
+                                 dsytrd_lwork)
 
 GRID_POINTS = 200
 
@@ -64,8 +66,50 @@ def dp_select(residual_norm, target, scale=1.0):
         return hi  # residual never reaches the target; saturate
     if f(tlo) > 0.0:
         return lo
-    troot = scipy.optimize.brentq(f, tlo, thi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    troot = _brentq(f, tlo, thi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     return float(np.exp(troot))
+
+
+@np.errstate(all="ignore")
+def _brentq(f, xpre, xcur, xtol, rtol, maxiter):
+    """Root of f between xpre and xcur, where f changes sign: SciPy's C
+    ``brentq`` (Brent, 1973) step for step, in float64 with C's IEEE
+    semantics (a zero divisor fails the step test), so the root is SciPy's
+    to the bit. No sign change or a NaN value raises ValueError, and no
+    convergence in ``maxiter`` steps RuntimeError."""
+    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f must change sign between the two points")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if np.isnan(fpre) or np.isnan(fcur):
+            raise ValueError(f"f is NaN at {xpre} or {xcur}")
+        if (fpre < 0) != (fcur < 0):  # the root lies between them
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = np.inf  # bisects unless a short step passes the test
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = np.float64(f(xcur))
+    raise RuntimeError(f"no convergence in {maxiter} steps, at {xcur}")
 
 
 def _log_grid(sigma_max_sq):
@@ -124,19 +168,85 @@ class SpectralPair:
     """Filter-factor data of one standard-form Tikhonov family
     min |M t - b|^2 + lam |t|^2: c = sigma(M), beta_t = U^T b for the left
     singular vectors U of M, beta_perp the norm of the rest of b, and coef
-    the map from filtered coefficients to the solution y (None where only dp
-    and gcv read the pair). Every rule searches a range anchored at smax_sq,
-    sigma_max^2 of the data-fit matrix. ``m`` is the row count of a full
-    system, whose GCV counts all m rows; None marks a projected pair, whose
-    (W)GCV is the projected function.
+    the map from filtered coefficients to the solution y. Every rule
+    searches a range anchored at smax_sq, sigma_max^2 of the data-fit
+    matrix. ``m`` is the row count of a full system, whose GCV counts all m
+    rows; None marks a projected pair, whose (W)GCV is the projected
+    function.
     """
 
     c: np.ndarray
     beta_t: np.ndarray
     beta_perp: float
-    coef: np.ndarray | None
+    coef: np.ndarray
     smax_sq: float
     m: int | None = None
+
+    def fit(self, lam):
+        """|b - M t|^2 + beta_perp^2 at the Tikhonov solution t (one value
+        per lambda of a grid), from the filter factors."""
+        comp = _filters(lam, self.c)[0]
+        return np.sum((comp * self.beta_t) ** 2, axis=-1) + self.beta_perp**2
+
+
+@dataclass(frozen=True)
+class TridiagonalPair:
+    """dp and GCV data of a full system min |M t - b|^2 + lam |t|^2 (plus
+    beta_perp^2; ``m`` rows in all) with no SVD of the k-row M: its left Gram
+    G = M M^T = Q T Q^T, T tridiagonal (diagonal d, off-diagonal e), and
+    qtb = Q^T b. smax_sq is T's largest eigenvalue; c, which only the GCV
+    trace reads, holds the roots of all of them, clipped at 0: sigma(M)."""
+
+    d: np.ndarray
+    e: np.ndarray
+    qtb: np.ndarray
+    beta_perp: float
+    smax_sq: float
+    m: int
+
+    @cached_property
+    def c(self):
+        eig = _lapack(dsterf, self.d, self.e)[0]
+        return np.sqrt(np.maximum(eig[::-1], 0.0))  # descending, as an SVD's
+
+    def fit(self, lam):
+        """|b - M t|^2 + beta_perp^2, with |b - M t| = |lam (T + lam I)^{-1}
+        Q^T b| from one O(k) solve per lambda; beta_perp^2 at lam = 0, where
+        G's rounding hides M's null directions."""
+        if np.ndim(lam):
+            return np.array([self.fit(t) for t in lam])
+        if lam == 0.0:
+            return self.beta_perp**2
+        r = lam * _lapack(dptsv, self.d + lam, self.e, self.qtb)[2]
+        return float(r @ r) + self.beta_perp**2
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs of a LAPACK wrapper but its info, which must be 0."""
+    *out, info = routine(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"{routine.__name__}: info = {info}")
+    return out
+
+
+def tridiagonal_pair(G, b, beta_perp, m):
+    """``TridiagonalPair`` of the Gram G = M M^T, which it overwrites: T by
+    blocked dsytrd, Q^T b by dormqr on its reflectors, T's largest
+    eigenvalue by dstebz. A non-finite G or b raises LinAlgError first."""
+    if not (np.isfinite(G).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("the Gram matrix and b must be finite")
+    k, qtb = G.shape[0], np.array(b, dtype=np.float64)
+    if k > 1:  # G.T is G in Fortran order. Q = diag(1, Q1), and Q1's
+        # reflectors sit below the subdiagonal as a QR factor's do
+        a, d, e, tau = _lapack(dsytrd, G.T, lower=1, overwrite_a=1,
+                               lwork=int(dsytrd_lwork(k, lower=1)[0]))
+        qtb[1:] = _lapack(dormqr, "L", "T", a[1:, :-1], tau, qtb[1:, None],
+                          lwork=k)[0][:, 0]
+    else:  # no reflector; f2py wants a non-empty off-diagonal
+        d, e = G[0].copy(), np.zeros(1)
+    top = _lapack(dstebz, d, e, 2, 0.0, 0.0, k, k, 0.0, "E")[1]
+    return TridiagonalPair(d, e, qtb, float(beta_perp),
+                           max(float(top[0]), 0.0), m)
 
 
 def svd_factors(M, b):
@@ -189,49 +299,43 @@ def _filters(lam, c):
 
 
 def select_lambda(policy, pair, b_norm, gram=None, sketch_rows=None):
-    """The policy's lambda, every rule read from the filter factors of one
-    spectral pair, for a scalar lambda or the whole search grid at once: dp
-    and (w)gcv in O(k) per lambda, the optimal oracle in O(k^2). The oracle
-    needs ``gram`` = (G, g) of the map y -> x = Z y from the coefficients to
-    the solution, G = Z^T Z and g = Z^T x_true, and evaluates |x - x_true|^2
-    = y^T G y - 2 g^T y + |x_true|^2. ``b_norm`` scales the dp target, and
+    """The policy's lambda from one pair, for a scalar lambda or the whole
+    grid at once: dp and (w)gcv from the pair's ``fit`` and c in O(k) per
+    lambda, the oracle from a ``SpectralPair`` in O(k^2). The oracle needs
+    ``gram`` = (G, g) of the map y -> x = Z y, G = Z^T Z (a vector if
+    diagonal) and g = Z^T x_true, and evaluates |x - x_true|^2 = y^T G y -
+    2 g^T y + |x_true|^2. ``b_norm`` scales the dp target, and
     ``sketch_rows`` sets the wgcv weight omega = (k+1)/sketch_rows."""
     if policy.kind == "fixed":
         return policy.lam
-    # Closures capture only these O(k) arrays, never the pair: brentq keeps
-    # the dp residual in a reference cycle that outlives this call.
-    c, beta_t, beta_perp = pair.c, pair.beta_t, pair.beta_perp
+    fit = pair.fit
     if policy.kind == "dp":
-        def residual(lam):
-            comp = _filters(lam, c)[0]
-            return float(np.sqrt(np.sum((comp * beta_t) ** 2) + beta_perp**2))
-
+        residual = lambda lam: float(np.sqrt(fit(lam)))
         target = policy.tau_lambda * policy.nl * b_norm
         return dp_select(residual, target, scale=pair.smax_sq)
-    k, m = c.size, pair.m
+    c, m = pair.c, pair.m
     if policy.kind == "optimal":
         if gram is None:
             raise ValueError("the optimal oracle needs the Gram data of its "
                              "solution map")
         G, g = gram
         x_true = np.asarray(policy.x_true, dtype=np.float64)
-        coef_t, xx = pair.coef.T, float(x_true @ x_true)
+        beta_t, coef_t, xx = pair.beta_t, pair.coef.T, float(x_true @ x_true)
 
         def fun(lam):  # |x - x_true|, clipped at 0 against cancellation
             y = (_filters(lam, c)[1] * beta_t) @ coef_t
-            err2 = np.sum((y @ G) * y, axis=-1) - 2.0 * (y @ g) + xx
+            Gy = y * G if G.ndim == 1 else y @ G  # a diagonal G as a vector
+            err2 = np.sum(Gy * y, axis=-1) - 2.0 * (y @ g) + xx
             return np.sqrt(np.maximum(err2, 0.0))
     elif m is None:
-        omega = 1.0 if policy.kind == "gcv" else (k + 1) / sketch_rows
-        fun = lambda lam: _wgcv_value(lam, c, beta_t, beta_perp, omega)
+        omega = 1.0 if policy.kind == "gcv" else (c.size + 1) / sketch_rows
+        fun = lambda lam: _wgcv_value(lam, c, pair.beta_t, pair.beta_perp,
+                                      omega)
     elif policy.kind == "wgcv":
         raise ValueError("wgcv is a projected-problem policy; a full system "
                          "supports fixed, dp, gcv and optimal")
     else:
         def fun(lam):  # (|r|^2 + beta_perp^2) / (m - sum(gamma))^2
-            comp = _filters(lam, c)[0]
-            tr = np.sum(comp, axis=-1) + (m - k)
-            return _quotient(np.sum((comp * beta_t) ** 2, axis=-1)
-                             + beta_perp**2, tr**2)
-    lam, _flagged = _grid_argmin(fun, pair.smax_sq)
-    return lam
+            tr = np.sum(_filters(lam, c)[0], axis=-1) + (m - c.size)
+            return _quotient(fit(lam), tr**2)
+    return _grid_argmin(fun, pair.smax_sq)[0]

@@ -191,15 +191,21 @@ def test_qr_reweighted_pair_matches_svd_pair(shape):
     system = _reduce_system(M, b)
     for trial in range(3):
         w_inv = rng.uniform(0.1, 10.0, n)
-        got = _reweighted_pair(system, w_inv)
+        got = _reweighted_pair(system, w_inv)  # dp and gcv: the Gram's T
+        full = _reweighted_pair(system, w_inv, coef=True)  # the oracle's
         ref = svd_pair(M * w_inv[None, :], b)
-        assert got.m == ref.m == m and got.c.size == ref.c.size
-        np.testing.assert_allclose(got.c, ref.c, rtol=1e-10,
+        assert got.m == full.m == ref.m == m
+        assert got.c.size == full.c.size == ref.c.size
+        np.testing.assert_allclose(full.c, ref.c, rtol=1e-10,
                                    atol=1e-12 * ref.c[0])
-        assert abs(_outside_range(got) - _outside_range(ref)) \
+        # T's eigenvalues are sigma^2 up to the Gram's rounding
+        assert np.max(np.abs(got.c**2 - ref.c**2)) <= 1e-13 * ref.smax_sq
+        assert abs(got.smax_sq - ref.smax_sq) <= 1e-13 * ref.smax_sq
+        assert abs(_outside_range(full) - _outside_range(ref)) \
             <= 1e-12 * b_norm
         if shape != "rank_deficient":
-            assert abs(got.beta_perp - ref.beta_perp) <= 1e-12 * b_norm
+            for pair in (got, full):
+                assert abs(pair.beta_perp - ref.beta_perp) <= 1e-12 * b_norm
         for policy in (LambdaPolicy(kind="dp", nl=0.05 * m**0.5 / b_norm),
                        LambdaPolicy(kind="gcv"),
                        LambdaPolicy(kind="optimal", x_true=x_true)):
@@ -210,9 +216,46 @@ def test_qr_reweighted_pair_matches_svd_pair(shape):
             assert abs(lam - lam_ref) <= 1e-10 * lam_ref, (policy.kind, trial)
 
 
+@pytest.mark.parametrize("shape", ["tall", "wide"])
+def test_reweighted_dp_finds_a_small_root(shape):
+    # b in range(M), so the dp root sits far below sigma_max^2, where the
+    # Gram's rounding weighs most against the residual
+    rng = _rng(41)
+    m, n = (10, 16) if shape == "wide" else (50, 12)
+    M = rng.standard_normal((m, n)) @ np.diag(np.geomspace(1.0, 1e-3, n))
+    b = M @ rng.standard_normal(n)
+    b_norm = float(np.linalg.norm(b))
+    system = _reduce_system(M, b)
+    for trial in range(3):
+        w_inv = rng.uniform(0.1, 10.0, n)
+        ref = svd_pair(M * w_inv[None, :], b)
+        for nl in (1e-6, 1e-8):
+            policy = LambdaPolicy(kind="dp", nl=nl)
+            lam = _select_lambda(policy, system, w_inv)
+            lam_ref = select_lambda(policy, ref, b_norm)
+            assert 0.0 < lam_ref <= 1e-8 * ref.smax_sq, (nl, trial)
+            assert abs(lam - lam_ref) <= 1e-10 * lam_ref, (nl, trial)
+
+
+def test_irn_oracle_takes_the_weight_gram_as_a_vector():
+    # y W^{-2} y from the diagonal gives the bits of y @ diag(W^{-2}) @ y
+    rng = _rng(32)
+    M = rng.standard_normal((40, 12)) @ np.diag(np.geomspace(1.0, 1e-3, 12))
+    x_true = rng.standard_normal(12)
+    b = M @ x_true + 0.05 * rng.standard_normal(40)
+    system = _reduce_system(M, b)
+    policy = LambdaPolicy(kind="optimal", x_true=x_true)
+    for trial in range(5):
+        w_inv = rng.uniform(0.1, 10.0, 12)
+        pair = _reweighted_pair(system, w_inv, coef=True)
+        dense = select_lambda(policy, pair, system.b_norm,
+                              (np.diag(w_inv**2), w_inv * x_true))
+        assert _select_lambda(policy, system, w_inv) == dense, trial
+
+
 def test_irn_lambda_rules_need_no_dense_svd(monkeypatch):
-    # dp and gcv read sigma and U^T Q^T b of R W^{-1} from one
-    # bidiagonalization, never from a dense SVD
+    # dp and gcv read R W^{-1} through the tridiagonal form of its Gram,
+    # never through a dense SVD
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
@@ -236,7 +279,9 @@ def test_reweighted_pair_refuses_non_finite_weights_and_keeps_beta_perp():
     b = rng.standard_normal(40)
     system = _reduce_system(M, b)
     w_inv = rng.uniform(0.1, 10.0, 12)
-    assert _reweighted_pair(system, w_inv).beta_perp == system.beta_perp
+    for coef in (False, True):
+        assert _reweighted_pair(system, w_inv, coef).beta_perp \
+            == system.beta_perp
     for bad in (np.nan, np.inf):
         w_bad = w_inv.copy()
         w_bad[5] = bad
@@ -247,10 +292,11 @@ def test_reweighted_pair_refuses_non_finite_weights_and_keeps_beta_perp():
                 _select_lambda(policy, system, w_bad)
         R_bad = system.R.copy()
         R_bad[2, 3] = bad
-        with pytest.raises(np.linalg.LinAlgError):
-            _reweighted_pair(_ReducedSystem(R_bad, system.qtb,
-                                            system.beta_perp, system.m,
-                                            system.b_norm), w_inv)
+        for coef in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                _reweighted_pair(_ReducedSystem(R_bad, system.qtb,
+                                                system.beta_perp, system.m,
+                                                system.b_norm), w_inv, coef)
 
 
 def _fixed(outer_max=6, **kwargs):

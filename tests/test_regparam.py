@@ -1,5 +1,9 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from randkrylov.regparam import (
     _filters,
     _grid_argmin,
     _log_grid,
+    _brentq,
     _wgcv_value,
     dp_select,
     optimal_select,
@@ -78,6 +83,75 @@ def test_dp_returns_the_jump_of_a_step_map():
         step = lambda lam, jump=jump: 2.0 if lam >= jump else 0.5
         lam = dp_select(step, 1.0)
         assert abs(lam - jump) <= 1e-13 * jump, jump
+
+
+def _brentq_cases():
+    """(f, a, b) of monotone maps with one sign change, on dp's bracket and
+    others: smooth, steep, flat-then-steep (zero divisors in the inverse
+    quadratic step), a step map, a root at either end, and a projected dp
+    residual in log(lam)."""
+    rng = _rng(12)
+    cases = []
+    for _ in range(40):
+        s, c = rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0)
+        cases.append((lambda t, s=s, c=c: np.sinh(s * (t - c)), -6.0, 7.0))
+        cases.append((lambda t, s=s, c=c: np.arctan(s * (t - c))
+                      + 0.1 * (t - c) ** 3, -27.6, 27.6))
+        cases.append((lambda t, s=s, c=c: max(t - c, 0.0) ** 3 - 1e-3 * s,
+                      -4.0, 4.5))
+    cases.append((lambda t: 1.0 if t >= 0.3 else -0.5, -2.0, 2.0))
+    cases += [(lambda t: t - 2.0, 2.0, 5.0), (lambda t: t - 2.0, -1.0, 2.0)]
+    R1, beta, beta_perp, R2, _y, noise_norm = _ill_posed_pair(3)
+    pair = projected_pair(R1, beta, beta_perp, R2)
+    target = 1.01 * noise_norm
+    lo, hi = 1e-12 * pair.smax_sq, 1e12 * pair.smax_sq
+    cases.append((lambda t: float(np.sqrt(pair.fit(np.exp(t)))) - target,
+                  float(np.log(lo)), float(np.log(hi))))
+    return cases
+
+
+def test_brentq_port_takes_scipys_steps_bit_for_bit():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    for i, (f, a, b) in enumerate(_brentq_cases()):
+        runs = []
+        for solver in (scipy_optimize.brentq, _brentq):
+            xs = []
+
+            def logged(t):
+                xs.append(t)
+                return f(t)
+
+            with np.errstate(all="ignore"):
+                root = solver(logged, a, b, xtol=1e-14, rtol=8.9e-16,
+                              maxiter=200)
+            runs.append((root, xs))
+        (theirs, their_xs), (mine, my_xs) = runs
+        assert mine == theirs and my_xs == their_xs, i
+
+
+def test_brentq_port_raises_as_scipy_does():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    f = lambda t: t**3 - 2.0
+    nan_above_1 = lambda t: np.nan if t > 1.0 else -1.0
+    for args, error in (((f, 0.0, 3.0, 5), RuntimeError),  # too few steps
+                        ((f, 2.0, 3.0, 200), ValueError),  # no sign change
+                        ((nan_above_1, 0.0, 3.0, 200), ValueError)):
+        fun, a, b, maxiter = args
+        for solver in (scipy_optimize.brentq, _brentq):
+            with pytest.raises(error):
+                solver(fun, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=maxiter)
+
+
+def test_cli_imports_no_scipy_optimize():
+    code = ("import sys, randkrylov.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.optimize')))")
+    src = str(Path(regparam.__file__).resolve().parents[1])  # this package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 def test_projected_pair_with_a_singular_r2_raises():
@@ -337,8 +411,9 @@ def test_select_lambda_matches_dense_svd_rules(seed):
 
 
 def test_dp_residual_does_not_keep_the_pair_alive():
-    # brentq keeps the dp residual in a reference cycle, so whatever the
-    # residual captures outlives the call until the cyclic collector runs
+    # whatever the dp residual captures lives as long as the residual; a
+    # root finder that kept it in a reference cycle (SciPy's brentq did)
+    # would keep the pair alive until the cyclic collector runs
     rng = _rng(9)
     M = rng.standard_normal((50, 20)) @ np.diag(np.geomspace(1.0, 1e-3, 20))
     b = M @ rng.standard_normal(20) + 0.01 * rng.standard_normal(50)
