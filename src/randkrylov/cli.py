@@ -54,6 +54,7 @@ from .irn import (
     TraceRow,
     _dense_system_matrix,
     _reduce_system,
+    _sketched_gram,
     irn_s2p_solve,
     irn_solve,
 )
@@ -269,9 +270,10 @@ def load_bundle(path):
 
 # What the solvers build from each problem, once per problem: the QR of a
 # dense [A, b] (read by IRN, FISTA and the irn-s2p leverage scores), those
-# leverage scores of A and the flex sketches of each (b, k_max, multiplier,
-# seed). An entry lives only as long as its A and holds no reference to it,
-# so no run's problem outlives the run.
+# leverage scores of A, the irn-s2p sketch Gram of each (multiplier, seed)
+# and the flex sketches of each (b, k_max, multiplier, seed). An entry lives
+# only as long as its A and holds no reference to it, so no run's problem
+# outlives the run.
 _problem_lock = threading.Lock()
 _problem_cache = weakref.WeakKeyDictionary()
 
@@ -365,7 +367,10 @@ def _solver_call(name, cfg, inst):
             p = _per_problem(A, "leverage", lambda: estimate_leverage_scores(
                 _dense_system_matrix(A), R))
             S = build_leverage_sketch(p, mult * A.ncols, seed)
-            return irn_s2p_solve(A, b, config, S, x_true, reduced)
+            C0 = _per_problem(A, ("sketch gram", mult, seed),
+                              lambda: _sketched_gram(
+                                  S, _dense_system_matrix(A)))
+            return irn_s2p_solve(A, b, config, S, x_true, reduced, C0)
         return solve
     if family == "flex":
         if config.scheme == "exact":

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .krylov import BREAKDOWN_RTOL, FlexibleFactorization, lsqr_solve
+from .krylov import (BREAKDOWN_RTOL, FlexibleFactorization, _check_count,
+                     lsqr_solve)
 from .irn import _LAMBDA_FLOOR, _TraceRecorder, _reduce_system
 from .operators import DenseOperator
 from .regparam import LambdaPolicy, projected_pair, select_lambda
@@ -130,11 +131,8 @@ class FlexSolverConfig:
         if self.scheme not in ("sketch_and_solve", "sketch_to_precondition",
                                "exact"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        if self.ell is not None and self.ell < 1:
-            raise ValueError("ell must be at least 1, or None for full "
-                             "orthogonalization")
+        _check_count(self.k_max, "k_max")
+        _check_count(self.ell, "ell", "full orthogonalization")
         if not self.inner_tol > 0.0:
             raise ValueError("inner_tol must be positive")
         if (self.scheme == "sketch_to_precondition"

@@ -222,29 +222,35 @@ def build_partly_exact_preconditioner(C0, w, lam):
     return R
 
 
-def irn_s2p_solve(A, b, config, sketch, x_true=None, reduced=None):
+def _sketched_gram(sketch, M):
+    """C0 = (S M)^T (S M), the Gram of the sketched system matrix that each
+    partly-exact preconditioner scales; S M is freed on return."""
+    Y0 = apply_sketch(sketch, M)
+    return Y0.T @ Y0
+
+
+def irn_s2p_solve(A, b, config, sketch, x_true=None, reduced=None,
+                  gram=None):
     """IRN with every inner LSQR right-preconditioned by the Cholesky factor
     of the sketched Gram matrix; the sketch of A is computed once.
-    ``reduced`` as for ``irn_solve``."""
-    return _irn_loop(A, b, config, x_true, sketch, reduced)
+    ``reduced`` as for ``irn_solve``; ``gram``, ``_sketched_gram`` of this
+    sketch and A, saves the solve its own S A."""
+    return _irn_loop(A, b, config, x_true, sketch, reduced, gram)
 
 
-def _irn_loop(A, b, config, x_true, sketch, reduced):
+def _irn_loop(A, b, config, x_true, sketch, reduced, C0=None):
     b = _finite_rhs(b)
     n = A.ncols
     inner_max = config.inner_max if config.inner_max is not None else 2 * n
     policy = config.lambda_policy
     weight = config.weight
 
-    C0 = None
     if hasattr(A, "matrix") or sketch is not None or policy.kind != "fixed":
         M = _finite_rhs(_dense_system_matrix(A), "system matrix")
         if reduced is None:
             reduced = _reduce_system(M, b)
-        if sketch is not None:
-            Y0 = apply_sketch(sketch, M)  # S A
-            C0 = Y0.T @ Y0
-            del Y0
+        if sketch is not None and C0 is None:
+            C0 = _sketched_gram(sketch, M)
         del M  # the loop reads only the reduced system and C0
 
     # the inner solves' operator and right-hand side: A and b, or R and Q^T b

@@ -4,10 +4,13 @@ orthogonalization, plus baseline GMRES and LSQR solvers.
 Both orthonormal bases here, the factorization's U and V, grow through one
 kernel, ``RowBasis.append``: classical Gram-Schmidt with one
 reorthogonalization pass over the retained window (CGS2), two
-matrix-vector products per pass. Each basis is stored as the rows of an
-append-only buffer, sized once from the caller's row count when it gives
-one and doubled when full, so the bases and the coefficient matrix H are
-read as views, not copies.
+matrix-vector products per pass. U and Z are kept in full, each as the rows
+of an append-only buffer, sized once from the caller's row count when it
+gives one and doubled when full, so they and the coefficient matrix H are
+read as views, not copies. Only the window reads Golub-Kahan's V, so an
+ell-truncated factorization keeps just its last ell + 1 vectors, in a
+buffer that never grows; V is the ell-window, and is kept in full only
+without truncation.
 
 The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
@@ -16,6 +19,7 @@ coefficients actually used in the orthogonalization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,19 @@ def _finite_rhs(b, what="right-hand side"):
     return b
 
 
+def _check_count(value, name, none=None):
+    """value when it is an integer of at least 1 (a bool is not), or None
+    when ``none`` says what None means; else ValueError."""
+    if value is None and none is not None:
+        return value
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < 1):
+        tail = f", or None for {none}" if none is not None else ""
+        raise ValueError(f"{name} must be an integer of at least 1{tail}, "
+                         f"got {value!r}")
+    return value
+
+
 def _check_tol(tol):
     """tol when finite and non-negative (0: no residual stop); else
     ValueError."""
@@ -45,19 +62,26 @@ class RowBasis:
     rows (``INITIAL_ROWS`` for None) that doubles when full. ``Q`` (the
     vectors as columns) and ``R`` (the upper-triangular coefficients of
     ``append``) are views; a view taken before the buffer grows keeps the
-    old buffer, whose rows are never rewritten."""
+    old buffer, whose rows are never rewritten.
+
+    With ``keep``, only the last ``keep`` vectors are kept, and no R: the
+    buffer grows to ``keep`` rows at most, and a push past them moves the
+    kept rows down one, so ``Q`` stays oldest-first and contiguous and
+    its views see the move. ``lo`` counts the vectors dropped."""
 
     INITIAL_ROWS = 8
 
-    def __init__(self, dim, rows=None):
+    def __init__(self, dim, rows=None, keep=None):
         rows = self.INITIAL_ROWS if rows is None else max(rows, 1)
-        self._rows = np.empty((rows, dim))
-        self._R = np.zeros((rows, rows))
-        self.k = 0
+        self.keep = keep
+        self._rows = np.empty((rows if keep is None else min(rows, keep),
+                               dim))
+        self._R = np.zeros((rows, rows)) if keep is None else None
+        self.k = self.lo = 0
 
     @property
     def Q(self):
-        return self._rows[: self.k].T
+        return self._rows[: self.k - self.lo].T
 
     @property
     def R(self):
@@ -65,14 +89,23 @@ class RowBasis:
 
     def push(self, v):
         """Store v as the next row, as it is."""
-        k = self.k
-        if k == len(self._rows):
-            rows, R = self._rows, self._R
-            self._rows = np.empty((2 * k, rows.shape[1]))
-            self._rows[:k] = rows
-            self._R = np.zeros((2 * k, 2 * k))
-            self._R[:k, :k] = R
-        self._rows[k] = v
+        i = self.k - self.lo  # v's row in the buffer
+        if i == len(self._rows):
+            rows = self._rows
+            if i == self.keep:  # drop the oldest, one overlapping move
+                flat = rows.reshape(-1)
+                flat[: flat.size - rows.shape[1]] = flat[rows.shape[1]:]
+                self.lo += 1
+                i -= 1
+            else:
+                size = 2 * i if self.keep is None else min(2 * i, self.keep)
+                self._rows = np.empty((size, rows.shape[1]))
+                self._rows[:i] = rows
+                if self._R is not None:
+                    R = self._R
+                    self._R = np.zeros((size, size))
+                    self._R[:i, :i] = R
+        self._rows[i] = v
         self.k += 1
 
     def append(self, q, window=None, floor=0.0):
@@ -85,7 +118,7 @@ class RowBasis:
             raise ValueError("cannot orthogonalize a non-finite vector")
         k = self.k
         lo = 0 if window is None else max(0, k - window)
-        Qw = self._rows[lo:k]
+        Qw = self._rows[lo - self.lo: k - self.lo]
         col = np.zeros(k + 1)
         for _ in range(2):
             h = Qw @ q
@@ -93,23 +126,30 @@ class RowBasis:
             q = q - h @ Qw
         col[k] = np.linalg.norm(q)
         self.push(q / col[k] if col[k] > floor else 0.0)
-        self._R[: k + 1, k] = col
+        if self._R is not None:
+            self._R[: k + 1, k] = col
         return col
 
 
 class FlexibleFactorization:
     """Growing state of an ell-truncated flexible Arnoldi or Golub-Kahan
     factorization of (A, b) with per-step diagonal preconditioners: the
-    bases U, V and Z and the coefficients H, all views of ``RowBasis``
-    buffers sized for ``k_max`` steps when it is given. The raw columns
-    A z_j are returned by ``expand`` and not kept: A Z = U H gives them
-    back from what is kept, at any ell, and after a breakdown to within its
-    floor. The flexible solvers read their data fit from H and the Gram of
-    U, and keep no column QR of the A z_j."""
+    bases U and Z and the coefficients H, kept in full as views of
+    ``RowBasis`` buffers sized for ``k_max`` steps when it is given, and V.
+    Arnoldi's V is U. Golub-Kahan's V is the ell-window, the last ell v's
+    that the next step orthogonalizes against, kept in a buffer of ell + 1
+    rows (in full for ell None); it is a view that each step rewrites. The
+    raw columns A z_j are returned by ``expand`` and not kept: A Z = U H
+    gives them back from what is kept, at any ell, and after a breakdown
+    to within its floor. The flexible solvers read their data fit from H
+    and the Gram of U, and keep no column QR of the A z_j. An ell or k_max
+    that is not None or an integer of at least 1 raises ValueError."""
 
     def __init__(self, kind, A, b, ell=None, k_max=None):
         if kind not in ("arnoldi", "golub_kahan"):
             raise ValueError(f"unknown factorization kind {kind!r}")
+        _check_count(ell, "ell", "full orthogonalization")
+        _check_count(k_max, "k_max", "unsized buffers")
         self.kind, self.A, self.ell = kind, A, ell  # ell None: full
         self.b = _finite_rhs(b)
         self.beta1 = float(np.linalg.norm(self.b))
@@ -118,8 +158,10 @@ class FlexibleFactorization:
         self.breakdown = False
         self._U = RowBasis(self.b.size, None if k_max is None else k_max + 1)
         self._U.append(self.b)  # R = [beta1 e1, H]
-        # Arnoldi's V is U: only Golub-Kahan stores a V
-        self._V = RowBasis(A.ncols, k_max) if kind == "golub_kahan" else None
+        # Arnoldi's V is U: only Golub-Kahan stores a V, and with a window
+        # the last ell v's and the newest (a breakdown's zero v) only
+        self._V = None if kind == "arnoldi" else RowBasis(
+            A.ncols, k_max, None if ell is None else ell + 1)
         self._Z = RowBasis(A.ncols, k_max)
 
     @property
@@ -132,8 +174,11 @@ class FlexibleFactorization:
 
     @property
     def V(self):
+        if self.kind == "arnoldi":
+            return self.U
         # a Golub-Kahan breakdown stores a zero v_{k+1}, outside the view
-        return self.U if self.kind == "arnoldi" else self._V.Q[:, : self.k]
+        V = self._V.Q[:, : self.k - self._V.lo]
+        return V if self.ell is None else V[:, -self.ell:]
 
     @property
     def Z(self):

@@ -779,6 +779,39 @@ def test_irn_s2p_leverage_scores_once_per_run(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
+def test_irn_s2p_sketch_gram_once_per_seed_and_multiplier(
+        tmp_path, monkeypatch, threads):
+    # solvers that draw one sketch (the same seed and multiplier) share its
+    # Gram C0 = (S A)^T (S A): the second forms no S A, and each returns
+    # the bytes it returns alone; another multiplier forms its own
+    gathers = []
+    real = irn.apply_sketch
+
+    def counted(S, M):
+        gathers.append((S.s, M.shape))
+        return real(S, M)
+
+    monkeypatch.setattr(irn, "apply_sketch", counted)
+    solvers = dict(IRN_S2P_SOLVERS, wide=(
+        "solver.wide.family = irn_s2p\nsolver.wide.seed = 3\n"
+        "solver.wide.sketch_multiplier = 5\nsolver.wide.lambda = 0.5\n"
+        "solver.wide.outer_max = 4\n"))
+    solvers["dp"] = solvers["dp"].replace("seed = 5", "seed = 3")
+    every = _write(tmp_path, IRN_S2P_PAIR + "".join(solvers.values()),
+                   "all.cfg")
+    assert main(["run", "--config", every, "--out", str(tmp_path / "all"),
+                 "--threads", threads]) == 0
+    assert sorted(gathers) == [(40, (60, 10)), (50, (60, 10))]
+    for name, text in solvers.items():
+        alone = _write(tmp_path, IRN_S2P_PAIR + text, f"{name}.cfg")
+        assert main(["run", "--config", alone,
+                     "--out", str(tmp_path / name)]) == 0
+        for ext in ("trace.csv", "x.f64"):
+            assert (tmp_path / "all" / f"{name}.{ext}").read_bytes() == \
+                (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
 def test_irn_reduction_once_per_run(tmp_path, monkeypatch, threads):
     # irn, irn_s2p and irn_s2p with dp share one QR of the dense [A, b],
     # taken when the first of them runs

@@ -280,6 +280,7 @@ def test_flex_config_validation():
         with pytest.raises(ValueError):
             FlexSolverConfig(**bad)
     FlexSolverConfig(ell=None, k_max=1)
+    FlexSolverConfig(ell=np.int64(2), k_max=np.int64(3))
     with pytest.raises(ValueError):
         sns_flex_solve(None, None, FlexSolverConfig(scheme="exact"),
                        None, None)
@@ -287,6 +288,16 @@ def test_flex_config_validation():
         exact_flex_solve(None, None, FlexSolverConfig())
     with pytest.raises(ValueError):
         s2p_flex_solve(None, None, FlexSolverConfig(), None, None)
+
+
+@pytest.mark.parametrize("bad", [{"ell": 2.5}, {"k_max": 2.5},
+                                 {"ell": True}, {"k_max": None}])
+def test_flex_config_refuses_a_non_integer_window_or_size(bad):
+    # once accepted: ell = 2.5 failed only at the first expand, and a bool
+    # passed as the integer it compares as
+    with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an "
+                                         "integer"):
+        FlexSolverConfig(**bad)
 
 
 def test_exact_fgmres_unweighted_equals_gmres(iterates):

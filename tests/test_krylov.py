@@ -421,6 +421,37 @@ def test_factorization_rejects_bad_input():
 
 
 
+@pytest.mark.parametrize("bad", [{"ell": 0}, {"ell": -1}, {"ell": 2.5},
+                                 {"ell": True}, {"k_max": 0},
+                                 {"k_max": -1}, {"k_max": 2.5}])
+def test_factorization_refuses_a_bad_window_or_size(bad):
+    # ell = 0 once skipped orthogonalization (an off-diagonal entry of U^T U
+    # reached 0.98 on this problem after six steps), and ell = 2.5 raised
+    # TypeError at the first expand: each is refused when the factorization
+    # is built
+    M = _rng(18).standard_normal((10, 8))
+    for kind in ("arnoldi", "golub_kahan"):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            FlexibleFactorization(kind, DenseOperator(M), np.ones(10), **bad)
+
+
+@pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
+def test_factorization_takes_none_and_numpy_integers(kind):
+    n = 10 if kind == "arnoldi" else 8
+    M = _rng(18).standard_normal((10, n))
+    for ell, k_max in ((None, None), (np.int64(2), np.int32(5))):
+        fact = FlexibleFactorization(kind, DenseOperator(M), np.ones(10),
+                                     ell=ell, k_max=k_max)
+        for _ in range(6):
+            fact.expand(np.ones(n))
+        U = fact.U
+        gap = U.T @ U - np.eye(7)
+        if ell is not None:
+            i, j = np.indices(gap.shape)
+            gap[np.abs(i - j) > ell] = 0.0
+        assert np.max(np.abs(gap)) <= 1e-14
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_factorization_refuses_a_non_finite_preconditioner(bad):
     # NaN <= 0 and inf <= 0 are both False: a sign test alone let them pass,
@@ -470,7 +501,9 @@ def test_bases_sized_from_k_max_do_not_grow(kind):
     first = (sized.U, sized.V, sized.Z, sized.H)
     for w_inv in weights[1:steps]:
         sized.expand(w_inv)
-    for early, now in zip(first, (sized.U, sized.V, sized.Z, sized.H)):
+    # Golub-Kahan's V window moves down its one buffer of ell + 1 rows
+    kept_V = sized.V if kind == "arnoldi" else sized._V.Q
+    for early, now in zip(first, (sized.U, kept_V, sized.Z, sized.H)):
         assert np.shares_memory(early, now)
     for w_inv in weights[:steps]:
         plain.expand(w_inv)
@@ -520,7 +553,7 @@ def _list_factorization(kind, M, b, ell, weights):
 
 
 @pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
-@pytest.mark.parametrize("ell", [None, 2])
+@pytest.mark.parametrize("ell", [None, 2, 10])  # 10: V's window grows first
 def test_factorization_is_bitwise_the_list_recurrence(kind, ell):
     rng = _rng(11)
     m, n = (30, 30) if kind == "arnoldi" else (40, 30)
@@ -533,6 +566,9 @@ def test_factorization_is_bitwise_the_list_recurrence(kind, ell):
         fact.expand(w_inv)
     assert not fact.breakdown and fact.k == steps
     ref = _list_factorization(kind, M, b, ell, weights)
+    if kind == "golub_kahan" and ell is not None:
+        ref[1] = ref[1][:, -ell:]  # the window is all of V that is kept
+        assert fact._V._rows.shape[0] == ell + 1
     for name, got, want in zip("UVZH", (fact.U, fact.V, fact.Z, fact.H), ref):
         assert got.shape == want.shape, name
         assert np.ascontiguousarray(got).tobytes() == want.tobytes(), name
@@ -565,18 +601,63 @@ def test_row_basis_cgs2_is_orthogonal_on_an_ill_conditioned_input(window):
 
 def test_only_golub_kahan_allocates_a_v_buffer():
     # Arnoldi's V is U, so it allocates the n-row buffers of U and Z only:
-    # 2 k_max + 1 rows of n floats, not 3 k_max + 1
-    n, k_max = 20_000, 20
+    # 2 k_max + 1 rows of n floats, not 3 k_max + 1. An ell-truncated
+    # Golub-Kahan adds a V window of ell + 1 rows, whose moves allocate
+    # nothing, however long it runs
+    n, k_max, ell = 20_000, 20, 4
     A, b = IdentityOperator(n), np.ones(n)
     rows = {}
-    for kind in ("arnoldi", "golub_kahan"):
+    for kind, window in (("arnoldi", None), ("golub_kahan", None),
+                         ("golub_kahan", ell)):
         tracemalloc.start()
-        fact = FlexibleFactorization(kind, A, b, k_max=k_max)
-        rows[kind] = tracemalloc.get_traced_memory()[0] / (8 * n)
+        fact = FlexibleFactorization(kind, A, b, ell=window, k_max=k_max)
+        rows[kind, window] = tracemalloc.get_traced_memory()[0] / (8 * n)
         tracemalloc.stop()
         del fact
-    assert 2 * k_max + 1 <= rows["arnoldi"] < 2 * k_max + 2
-    assert 3 * k_max + 1 <= rows["golub_kahan"] < 3 * k_max + 2
+    assert 2 * k_max + 1 <= rows["arnoldi", None] < 2 * k_max + 2
+    assert 3 * k_max + 1 <= rows["golub_kahan", None] < 3 * k_max + 2
+    assert (2 * k_max + 1 + ell + 1 <= rows["golub_kahan", ell]
+            < 2 * k_max + ell + 3)
+    window = RowBasis(n, keep=ell + 1)
+    v = np.ones(n)
+    for _ in range(ell + 1):
+        window.push(v)
+    tracemalloc.start()
+    for _ in range(3 * ell):
+        window.push(v)
+    moved = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert moved < 8 * n and window.lo == 3 * ell
+
+
+def test_golub_kahan_breakdown_inside_a_window():
+    # lower bidiagonal B from e1: u_j = e_j and v_j = e_j, whatever the
+    # weights, until alpha_5 = 0 makes B^T u_5 = beta_5 e_4 lie in the
+    # window: v_5 = 0 at k = 4, past the window of ell = 2. The zero v is
+    # stored, as the newest row, outside the view V = [e_3, e_4]
+    rng = _rng(17)
+    n, ell = 8, 2
+    B = np.zeros((n + 1, n))
+    B[np.arange(n), np.arange(n)] = rng.random(n) + 1.0
+    B[np.arange(1, n + 1), np.arange(n)] = rng.random(n) + 1.0
+    B[4, 4] = 0.0
+    e1 = np.eye(n + 1)[0]
+    fact = FlexibleFactorization("golub_kahan", DenseOperator(B), e1,
+                                 ell=ell)
+    for _ in range(4):
+        assert fact.expand(rng.random(n) + 0.2) is not None
+    assert fact.expand(rng.random(n) + 0.2) is None
+    assert fact.breakdown and fact.k == 4
+    assert (fact._V.k, fact._V.lo) == (5, 2)  # the zero v moved the rows
+    np.testing.assert_allclose(fact.V, np.eye(n)[:, 2:4], rtol=0,
+                               atol=1e-15)
+    assert not np.any(fact._V.Q[:, -1])
+    np.testing.assert_allclose(fact.U, np.eye(n + 1)[:, :5], rtol=0,
+                               atol=1e-15)
+    np.testing.assert_allclose(B @ fact.Z, fact.U @ fact.H, rtol=0,
+                               atol=1e-14)
+    with pytest.raises(RuntimeError):
+        fact.expand(np.ones(n))
 
 
 def test_row_basis_column_qr_with_a_dependent_column():

@@ -3,6 +3,8 @@
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solver_peaks.py"
 main = runpy.run_path(str(SCRIPT))["main"]
 
@@ -40,3 +42,34 @@ def test_a_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text(CONFIG + "solver.irn.colour = blue\n")
     assert main([str(cfg)]) == 2
     assert "colour" in capsys.readouterr().err
+
+
+def _peaks(capsys):
+    return {line.split()[0]: float(line.split()[1])
+            for line in capsys.readouterr().out.splitlines()}
+
+
+def test_set_overrides_a_key_after_parsing(tmp_path, capsys):
+    # a hundred times the rows: s2p, the first to need the QR of the dense
+    # [A, b] and the leverage scores, carries both at their new size
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(CONFIG)
+    assert main([str(cfg)]) == 0
+    small = _peaks(capsys)
+    assert main([str(cfg), "--set", "problem.m=6000",
+                 "--set", " solver.irn.outer_max = 2 "]) == 0
+    large = _peaks(capsys)
+    assert list(large) == ["s2p", "fista", "irn"]
+    assert large["s2p"] > 5 * small["s2p"]
+    assert cfg.read_text() == CONFIG
+
+
+@pytest.mark.parametrize("setting", ["problem.m", "problem.m=", "=600",
+                                     "m=600", "problem.colour=blue",
+                                     "solver.irn.colour=blue",
+                                     "solver.irn.outer_max=0"])
+def test_a_malformed_or_unknown_set_exits_2(tmp_path, capsys, setting):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(CONFIG)
+    assert main([str(cfg), "--set", setting]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -241,9 +241,9 @@ def test_s2p_without_a_lambda_rule_builds_no_unsketched_column_qr(
     dims, shapes = [], []
 
     class Recording(RowBasis):
-        def __init__(self, dim, rows=None):
+        def __init__(self, dim, *args, **kwargs):
             dims.append(dim)
-            super().__init__(dim, rows)
+            super().__init__(dim, *args, **kwargs)
     monkeypatch.setattr(krylov, "RowBasis", Recording)
     monkeypatch.setattr(flex, "RowBasis", Recording, raising=False)
     real = flex.lsqr_solve
