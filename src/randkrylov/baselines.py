@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .irn import _TraceRecorder
-from .krylov import _finite_rhs, gmres_solve, lsqr_solve
+from .krylov import _check_count, _finite_rhs, gmres_solve, lsqr_solve
 from .operators import DenseOperator
 from .weights import WeightSpec
 
@@ -20,8 +20,7 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None,
     ``reduced``, ``irn._reduce_system`` of a dense A and this b, puts R and
     Q^T b in place of A and b, with the same gradient R^T (R v - Q^T b) and
     norm |R| = |A|: rows read |R x - Q^T b|^2 + beta_perp^2."""
-    if n_iter < 1:
-        raise ValueError("need at least one iteration")
+    _check_count(n_iter, "the iteration count n_iter")
     if not lam >= 0.0:
         raise ValueError("lambda must be non-negative")
     b = _finite_rhs(b)

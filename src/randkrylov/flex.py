@@ -2,44 +2,42 @@
 sketch-to-precondition, and the exact (dense projected) reference scheme.
 
 All three run one loop (``_flex_loop``), in the flexible Golub-Kahan /
-Arnoldi framework of Chung & Gazzola (SISC 2019). Each iteration rebuilds
-the diagonal weights W at the current iterate, expands the flexible
+Arnoldi framework of Chung & Gazzola (SISC 2019), that branches on nothing
+but the scheme name each entry point passes. Each iteration rebuilds the
+diagonal weights W at the current iterate, expands the flexible
 factorization A Zbar = U H, b = beta1 u1 by one column with W^{-1} as
 preconditioner, and updates its projected pairs. Their data fit lives in
 k + 1 rows: |B (H y - beta1 e1)| = |R_B (H y - beta1 e1)| with R_B^T R_B =
-B^T B (``_BasisGram``), for B = U (the fit |A Zbar y - b|) and B = S1 U
-(the sketched fit). R2 is an R of W Zbar, from its Gram
-(``_weighted_r``), or the R of S2 W Zbar (the identity outside ``irw``
-mode). No m-row QR is kept.
-Once the basis is spent (breakdown, or k reaches min(m, n)) every scheme
-keeps it and only re-weights R2. The schemes differ only in how the
-projected Tikhonov problem in the coefficients y of x = Zbar y is then
-solved:
+B^T B (``_BasisGram``), for B = U and, in the two sketched schemes (which
+need both sketches), B = S1 U. R2 is an R of W Zbar (``_weighted_r``), or
+the R of S2 W Zbar (the identity outside ``irw`` mode). No m-row QR is
+kept. Once the basis is spent (breakdown, or k reaches min(m, n)) every
+scheme keeps it and only re-weights R2. The schemes differ only in how the
+projected Tikhonov problem in the coefficients y of x = Zbar y is solved,
+and one selector (``_select_projected_lambda``) picks lambda on the pair
+that the step solves:
 
-* ``exact``: stacked QR of the unsketched pair.
-* ``sketch_and_solve``: stacked QR of the sketched pair; the projected
-  problem is itself sketched. Only this scheme records the distortion and
-  monotonicity diagnostics, both read exactly from the two pairs at every
-  iteration, with no random probe and no apply of A.
-* ``sketch_to_precondition``: the unsketched projected problem is solved by
-  LSQR on the k-column [R1; sqrt(lam) R2] with right-hand side [beta; 0],
-  right-preconditioned by the R that sketch-and-solve solves with
-  (Blendenpik's preconditioner, from a QR, not from normal equations);
-  lambda is chosen on the unsketched pair. LSQR's iterates depend only on
-  the normal equations, and these are the full problem's, so its
-  iterations apply neither A nor U nor Zbar. It starts from the previous
-  coefficients padded with zeros and stops at the cold start's target, as
-  IRN's inner solves do, so in ``irw`` mode at fixed lambda the MM
-  objective never rises, at any inner tolerance.
+* ``exact``: stacked QR of the unsketched pair (m rows).
+* ``sketch_and_solve``: stacked QR of the sketched pair (S1.s rows); the
+  projected problem is itself sketched. Only this scheme is certified: it
+  records the distortion and monotonicity diagnostics, read exactly from
+  the two pairs at every iteration, with no random probe or apply of A.
+* ``sketch_to_precondition``: LSQR on the unsketched pair's k-column
+  [R1; sqrt(lam) R2] with right-hand side [beta; 0], right-preconditioned
+  by the R that sketch-and-solve solves with (Blendenpik's preconditioner,
+  from a QR, not from normal equations). LSQR's iterates depend only on the
+  normal equations, and these are the full problem's, so its iterations
+  apply neither A nor U nor Zbar. It starts from the previous coefficients
+  padded with zeros and stops at the cold start's target, as IRN's inner
+  solves do, so in ``irw`` mode at fixed lambda the MM objective never
+  rises, at any inner tolerance.
 
 All three factor the stacked pair in ``_stacked_factor``; a singular one is
-retried once at ``irn._LAMBDA_FLOOR``.
-
-Each iteration is one trace row (``irn._TraceRecorder``); its
-``cum_inner`` adds the inner LSQR iterations of s2p and 1 per iteration
-for the other two schemes. A row reads A x = A Zbar y = U H y from the
-factorization, so every scheme applies A once per expansion (A^T too for
-Golub-Kahan), and the recorder once more per run.
+retried once at ``irn._LAMBDA_FLOOR``. Each iteration is one trace row
+(``irn._TraceRecorder``); its ``cum_inner`` adds the inner LSQR iterations
+of s2p and 1 per iteration for the other two schemes. A row reads A x =
+A Zbar y = U H y from the factorization, so every scheme applies A once per
+expansion (A^T too for Golub-Kahan), and the recorder once more per run.
 """
 
 from __future__ import annotations
@@ -133,8 +131,8 @@ class FlexSolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         _check_count(self.k_max, "k_max")
         _check_count(self.ell, "ell", "full orthogonalization")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        if not 0.0 < self.inner_tol < np.inf:
+            raise ValueError("inner_tol must be positive and finite")
         if (self.scheme == "sketch_to_precondition"
                 and self.lambda_policy.kind in ("gcv", "wgcv")):
             raise ValueError("sketch-to-precondition supports fixed, dp and "
@@ -212,8 +210,8 @@ def _weighted_r(w, Z):
 
 
 def _select_projected_lambda(policy, pp, b_norm, sketch_rows, gram):
-    """One lambda choice per iteration on the (possibly sketched) projected
-    problem; ``gram`` is the oracle's (Zbar^T Zbar, Zbar^T x_true)."""
+    """Every scheme's lambda, on the pair its step solves, of ``sketch_rows``
+    rows; ``gram`` is the oracle's (Zbar^T Zbar, Zbar^T x_true)."""
     if policy.kind == "fixed":
         return policy.lam
     pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
@@ -250,26 +248,20 @@ def sns_flex_solve(A, b, config, S1, S2, x_true=None):
     """Sketch-and-solve flexible Krylov iteration (Arnoldi or Golub-Kahan
     basis), with the regularization parameter chosen on the sketched
     projected problem."""
-    if config.scheme != "sketch_and_solve":
-        raise ValueError("config.scheme must be 'sketch_and_solve'")
-    return _flex_loop(A, b, config, S1, S2, x_true)
+    return _flex_loop("sketch_and_solve", A, b, config, S1, S2, x_true)
 
 
 def exact_flex_solve(A, b, config, x_true=None):
     """Reference scheme: identical basis growth, dense QR of the unsketched
     projected matrices."""
-    if config.scheme != "exact":
-        raise ValueError("config.scheme must be 'exact'")
-    return _flex_loop(A, b, config, None, None, x_true)
+    return _flex_loop("exact", A, b, config, None, None, x_true)
 
 
 def s2p_flex_solve(A, b, config, S1, S2, x_true=None):
     """Sketch-to-precondition flexible Krylov iteration: the unsketched
     projected problem is solved by LSQR, right-preconditioned with the R
     factor of the stacked QR of the sketched pair."""
-    if config.scheme != "sketch_to_precondition":
-        raise ValueError("config.scheme must be 'sketch_to_precondition'")
-    return _flex_loop(A, b, config, S1, S2, x_true)
+    return _flex_loop("sketch_to_precondition", A, b, config, S1, S2, x_true)
 
 
 def _projected_majorant(pp, y, lam):
@@ -282,12 +274,17 @@ def _projected_majorant(pp, y, lam):
     return float(r @ r) + pp.beta_perp**2 + lam * float(s2 @ s2)
 
 
-def _flex_loop(A, b, config, S1, S2, x_true):
+def _flex_loop(scheme, A, b, config, S1, S2, x_true):
+    if config.scheme != scheme:
+        raise ValueError(f"config.scheme must be {scheme!r}")
+    sketched = scheme != "exact"
     n, m = A.ncols, A.nrows
-    weight = config.weight
-    policy = config.lambda_policy
-    sketched = S1 is not None
-    s2p = config.scheme == "sketch_to_precondition"
+    if sketched and (S1 is None or S2 is None or (S1.m, S2.m) != (m, n)):
+        raise ValueError(f"the {scheme} scheme needs sketches S1 of A's "
+                         f"{m} rows and S2 of its {n} columns")
+    s2p, certify = (scheme == "sketch_to_precondition",
+                    scheme == "sketch_and_solve")
+    weight, policy = config.weight, config.lambda_policy
 
     k_max = min(config.k_max, m, n)  # the most columns the basis can get
     fact = FlexibleFactorization(config.basis, A, b, ell=config.ell,
@@ -321,13 +318,9 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         gram = ((Z.T @ Z, Z.T @ policy.x_true) if policy.kind == "optimal"
                 else None)
 
-        if config.mode == "none":
-            lam = 0.0
-        elif s2p:
-            lam = _select_s2p_lambda(policy, pp0, b_norm, gram)
-        else:
-            lam = _select_projected_lambda(policy, pp, b_norm,
-                                           S1.s if sketched else m, gram)
+        lam = 0.0 if config.mode == "none" else _select_projected_lambda(
+            policy, pp if certify else pp0, b_norm, S1.s if certify else m,
+            gram)  # on the pair the step solves
         # the previous iterate in the current basis
         y_prev = np.pad(y, (0, fact.k - y.size))
 
@@ -347,7 +340,7 @@ def _flex_loop(A, b, config, S1, S2, x_true):
         r = fact.U @ (fact.H @ y) - b  # A x - b = A Zbar y - b = U H y - b
 
         mono = None
-        if sketched and not s2p:
+        if certify:
             eps_hat = _sketch_distortion(pp, pp0, b_norm)
             if eps_hat < 1.0:
                 mono, _margin = check_monotonicity_condition(
@@ -372,10 +365,6 @@ def _s2p_projected_solve(pp0, pp, lam, tol, y0):
                       maxit=max(4 * op.ncols, 8), x0=y0)
 
 
-def _select_s2p_lambda(policy, pp, b_norm, gram):
-    """Lambda for the sketch-to-precondition step, chosen on the unsketched
-    projected pair."""
-    if policy.kind == "fixed":
-        return policy.lam
-    pair = projected_pair(pp.R1, pp.beta, pp.beta_perp, pp.R2)
-    return select_lambda(policy, pair, b_norm, gram)
+# Kept for the benchmark's span table (perfbench/tracing.py SPANS). A plain
+# alias would be traced twice, as the tracer rebinds every name of a function.
+_select_s2p_lambda = lambda *args: _select_projected_lambda(*args)

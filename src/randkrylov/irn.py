@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .krylov import _finite_rhs, lsqr_solve
+from .krylov import _check_count, _finite_rhs, lsqr_solve
 from .operators import CompositeOperator, DenseOperator, DiagonalOperator
 from .regparam import (LambdaPolicy, SpectralPair, select_lambda, svd_factors,
                        tridiagonal_pair)
@@ -46,12 +46,10 @@ class IRNConfig:
     lambda_policy: LambdaPolicy = LambdaPolicy()
 
     def __post_init__(self):
-        if self.outer_max < 1:
-            raise ValueError("need at least one outer iteration")
-        if self.inner_max is not None and self.inner_max < 1:
-            raise ValueError("inner_max must be at least 1, or None for 2n")
-        if not self.inner_tol > 0.0:
-            raise ValueError("inner_tol must be positive")
+        _check_count(self.outer_max, "outer_max")
+        _check_count(self.inner_max, "inner_max", "2n")
+        if not 0.0 < self.inner_tol < np.inf:
+            raise ValueError("inner_tol must be positive and finite")
         if self.lambda_policy.kind == "wgcv":
             raise ValueError("wgcv is a projected-problem policy; IRN has none")
 

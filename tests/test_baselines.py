@@ -104,8 +104,9 @@ def test_fista_on_R_applies_A_once_per_run():
 def test_fista_rejects_no_iterations_and_negative_lambda():
     M, b = _problem()
     A = _CountingDense(M)
-    with pytest.raises(ValueError, match="iteration"):
-        fista_solve(A, b, 0.3, n_iter=0)
+    for n_iter in (0, 2.5):  # 2.5 once failed with a TypeError
+        with pytest.raises(ValueError, match="iteration"):
+            fista_solve(A, b, 0.3, n_iter=n_iter)
     with pytest.raises(ValueError, match="lambda"):
         fista_solve(A, b, -0.3, n_iter=25)
     assert (A.applies, A.adjoints) == (0, 0)

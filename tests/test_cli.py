@@ -186,6 +186,8 @@ def test_exit_code_2_on_config_errors(tmp_path):
         "family = irn\nlambda = -1", "family = irn\nnl = -0.1",
         "family = irn\nlambda_policy = dp\nnl = 0",
         "family = irn\ninner_max = 0", "family = irn\ninner_tol = 0",
+        "family = irn\ninner_tol = inf", "family = irn_s2p\ninner_tol = inf",
+        "family = flex\nscheme = sketch_to_precondition\ninner_tol = inf",
         "family = lsqr\nlambda = -1",
         "family = irn\ntau = nan", "family = fista\ntau = inf",
         "family = irn\nlambda = nan", "family = flex\nlambda = inf",

@@ -288,6 +288,23 @@ def test_flex_config_validation():
         exact_flex_solve(None, None, FlexSolverConfig())
     with pytest.raises(ValueError):
         s2p_flex_solve(None, None, FlexSolverConfig(), None, None)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="inner_tol"):
+            FlexSolverConfig(scheme="sketch_to_precondition", inner_tol=bad)
+    # the sketched schemes need both sketches, sized to A: once, no sketch
+    # ran the exact scheme (s2p preconditioned with the unsketched pair),
+    # and S1 without S2 failed in irw mode with an AttributeError
+    inst = _tall_instance(m=40, n=18)
+    S1, S2 = build_flex_sketches(inst.A, inst.b, 4, 4, 1)
+    for solve, scheme in ((sns_flex_solve, "sketch_and_solve"),
+                          (s2p_flex_solve, "sketch_to_precondition")):
+        cfg = FlexSolverConfig(scheme=scheme, k_max=4)
+        for s1, s2 in ((None, None), (S1, None), (None, S2),
+                       (identity_sketch(39), S2), (S1, identity_sketch(19)),
+                       (S2, S1)):
+            with pytest.raises(ValueError, match="sketches S1"):
+                solve(inst.A, inst.b, cfg, s1, s2)
+        assert len(solve(inst.A, inst.b, cfg, S1, S2).trace) == 4
 
 
 @pytest.mark.parametrize("bad", [{"ell": 2.5}, {"k_max": 2.5},
@@ -494,6 +511,43 @@ def test_each_flexible_lambda_choice_bidiagonalizes_once(monkeypatch, scheme):
         assert len(res.trace) == 5
         expect = [] if kind == "fixed" else [(k, k) for k in range(1, 6)]
         assert shapes == expect, (kind, mode)
+
+
+def test_each_scheme_chooses_lambda_on_the_pair_its_step_solves(monkeypatch):
+    # one selector: exact and s2p choose on the unsketched pair, with m
+    # rows, sketch-and-solve on the sketched pair, with S1.s rows. At the
+    # first row all three share x = 0, so s2p's oracle lambda is exact's bit
+    # for bit, while sketch-and-solve's differs
+    inst = add_noise(gen_subset_selection(80, 30, seed=0), 0.05, 1)
+    S1, S2 = build_flex_sketches(inst.A, inst.b, 6, 4, 1)
+    real, rows = flex.select_lambda, []
+
+    def spy(policy, pair, b_norm, gram=None, sketch_rows=None):
+        rows.append(sketch_rows)
+        return real(policy, pair, b_norm, gram, sketch_rows)
+
+    monkeypatch.setattr(flex, "select_lambda", spy)
+    runs = {"exact": lambda cfg: exact_flex_solve(inst.A, inst.b, cfg),
+            "sketch_and_solve": lambda cfg: sns_flex_solve(
+                inst.A, inst.b, cfg, S1, S2),
+            "sketch_to_precondition": lambda cfg: s2p_flex_solve(
+                inst.A, inst.b, cfg, S1, S2)}
+    expect_rows = {"exact": 80, "sketch_and_solve": S1.s,
+                   "sketch_to_precondition": 80}
+    assert S1.s != 80
+    for kind in ("optimal", "wgcv"):
+        first = {}
+        for scheme, run in runs.items():
+            if kind == "wgcv" and scheme == "sketch_to_precondition":
+                continue  # its config refuses the gcv policies
+            rows.clear()
+            cfg = FlexSolverConfig(scheme=scheme, k_max=6, lambda_policy=(
+                LambdaPolicy(kind=kind, x_true=inst.x_true)))
+            first[scheme] = run(cfg).trace[0].lam
+            assert rows == [expect_rows[scheme]] * 6, (kind, scheme)
+        assert first["sketch_and_solve"] != first["exact"], kind
+        if kind == "optimal":
+            assert first["sketch_to_precondition"] == first["exact"]
 
 
 def test_projected_gcv_leaves_the_grid_floor_at_small_k(monkeypatch):

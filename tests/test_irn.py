@@ -163,7 +163,11 @@ def test_irn_rejects_wgcv():
 
 def test_irn_config_validation():
     for bad in ({"outer_max": 0}, {"inner_max": 0}, {"inner_tol": 0.0},
-                {"inner_tol": -1e-8}, {"inner_tol": float("nan")}):
+                {"inner_tol": -1e-8}, {"inner_tol": float("nan")},
+                # once accepted and failing mid-solve (a non-integer count,
+                # an infinite tolerance), or run as one outer iteration (True)
+                {"outer_max": 2.5}, {"inner_max": 2.5}, {"outer_max": True},
+                {"inner_tol": float("inf")}):
         with pytest.raises(ValueError):
             IRNConfig(**bad)
     IRNConfig(inner_max=1, inner_tol=1e-12)
