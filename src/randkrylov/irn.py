@@ -18,13 +18,19 @@ residual. A matrix-free A at fixed lambda with no sketch is neither
 materialized nor reduced: each inner LSQR carries A x, from which the row
 and the next warm start read b - A x; A^T b is taken once per solve.
 
+Beyond A, the dense path holds O(n^2) whatever m is: the QR streams
+[A, b] in row blocks into an (n+1)-square triangle, the irn-s2p Gram
+C0 = (S A)^T (S A) gathers one block of sketched rows at a time, A's
+finiteness is checked block by block, and each outer iteration holds one
+n-by-n preconditioner, only for its inner solve.
+
 ``_TraceRecorder`` writes the trace of every solver (these loops, flex and
 the ``baselines``); IRN's ``cum_inner`` adds inner iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +39,7 @@ from .krylov import _check_count, _finite_rhs, lsqr_solve
 from .operators import CompositeOperator, DenseOperator, DiagonalOperator
 from .regparam import (LambdaPolicy, SpectralPair, select_lambda, svd_factors,
                        tridiagonal_pair)
-from .sketching import apply_sketch
+from .sketching import _ROW_BLOCK, apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
 
 
@@ -137,20 +143,49 @@ def _reduce_system(M, b):
     """One Householder QR of the bordered [M, b], whose R factor is
     [R, Q^T b; 0, +-beta_perp]. Exact for any shape and rank. IRN's inner
     LSQR runs on (R W^{-1}, Q^T b), and its lambda rules read all of it.
-    [M, b] is copied once, into one Fortran-ordered buffer that LAPACK's
-    blocked geqrf factors in place (the workspace query passes the
-    overwrite flag too, or f2py would copy the buffer for it); R and Q^T b
-    are copied out, so the buffer is freed."""
+    Non-finite [M, b] raises ValueError.
+
+    [M, b] is streamed in row blocks (sequential TSQR; Demmel, Grigori,
+    Hoemmen and Langou, SISC 2012), each copied into a Fortran-ordered
+    buffer that LAPACK factors in place: blocked geqrf the first
+    max(``_ROW_BLOCK``, n + 1) rows (its workspace query passes the
+    overwrite flag too, or f2py would copy the buffer for it), then tpqrt
+    folds each later ``_ROW_BLOCK`` rows into the (n+1)-square triangle,
+    in reflector blocks of geqrf's own size. So it holds that triangle and
+    one block, O(n^2 + block n) whatever m is, and no m-row copy; the
+    rows of R and Q^T b are fixed up to their signs, which no reader
+    sees. R and Q^T b are copied out, so the buffers are freed."""
     m, n = M.shape
-    k = min(m, n)
-    T = np.empty((m, n + 1), order="F")
-    T[:, :n], T[:, n] = M, b
-    geqrf, = scipy.linalg.get_lapack_funcs(("geqrf",), (T,))
+    k, first = min(m, n), max(_ROW_BLOCK, n + 1)
+    T = _bordered_rows(M, b, 0, first)
+    geqrf, tpqrt = scipy.linalg.get_lapack_funcs(("geqrf", "tpqrt"), (T,))
     lwork = int(geqrf(T, lwork=-1, overwrite_a=1)[2][0])
     T = geqrf(T, lwork=lwork, overwrite_a=1)[0]
+    if m > first:  # tpqrt reads only the triangle's upper part
+        T, nb = T[:n + 1].copy(order="F"), min(lwork // (n + 1), n + 1)
+        for lo in range(first, m, _ROW_BLOCK):
+            T = tpqrt(0, nb, T, _bordered_rows(M, b, lo, lo + _ROW_BLOCK),
+                      overwrite_a=1, overwrite_b=1)[0]
     beta_perp = abs(float(T[k, n])) if m > n else 0.0
     return _ReducedSystem(np.triu(T[:k, :n]), T[:k, n].copy(), beta_perp, m,
                           float(np.linalg.norm(b)))
+
+
+def _bordered_rows(M, b, lo, hi):
+    """Rows lo:hi of [M, b] as a new Fortran-ordered array; a NaN or inf
+    among them raises ValueError."""
+    T = np.empty((min(hi, M.shape[0]) - lo, M.shape[1] + 1), order="F")
+    T[:, :-1], T[:, -1] = M[lo:hi], b[lo:hi]
+    return _finite_rhs(T, "the bordered system [M, b]")
+
+
+def _finite_rows(M, what):
+    """M as float64, a NaN or inf refused with ValueError; checked in
+    ``_ROW_BLOCK``-row blocks, so no m-row bool array is formed."""
+    M = np.asarray(M, dtype=np.float64)
+    for lo in range(0, M.shape[0], _ROW_BLOCK):
+        _finite_rhs(M[lo:lo + _ROW_BLOCK], what)
+    return M
 
 
 def _reweighted_pair(system, w_inv, coef=False):
@@ -206,9 +241,10 @@ def build_partly_exact_preconditioner(C0, w, lam):
         raise ValueError("preconditioner needs lambda > 0")
     w = np.asarray(w, dtype=np.float64)
     w_inv = 1.0 / w
-    C = C0 * np.outer(w_inv, w_inv)
+    C = np.outer(w_inv, w_inv)
+    C *= C0  # the bits of C0 * outer, with no second n-by-n array
     C[np.diag_indices_from(C)] += lam
-    _finite_rhs(C, "preconditioner Gram matrix")
+    _finite_rows(C, "preconditioner Gram matrix")
     # C is ours and symmetric bit for bit (C0 is a Gram matrix), so its
     # transpose is the Fortran-ordered C that potrf factors in place
     potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (C,))
@@ -222,9 +258,25 @@ def build_partly_exact_preconditioner(C0, w, lam):
 
 def _sketched_gram(sketch, M):
     """C0 = (S M)^T (S M), the Gram of the sketched system matrix that each
-    partly-exact preconditioner scales; S M is freed on return."""
-    Y0 = apply_sketch(sketch, M)
-    return Y0.T @ Y0
+    partly-exact preconditioner scales. S M is gathered through
+    ``apply_sketch`` one ``_ROW_BLOCK`` of sketched rows at a time, and
+    SciPy's dsyrk adds each block's Y^T Y to C0's upper triangle, which is
+    then mirrored: it holds C0 and one block, never all s rows of S M."""
+    n = M.shape[1]
+    C0 = np.zeros((n, n), order="F")
+    syrk, = scipy.linalg.get_blas_funcs(("syrk",), (C0,))
+    for lo in range(0, sketch.s, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, sketch.s)
+        part = replace(sketch, s=hi - lo,
+                       selected_rows=sketch.selected_rows[lo:hi],
+                       scales=sketch.scales[lo:hi])
+        # Y^T Y as Y.T (Y.T)^T: Y.T is Fortran-ordered, so f2py copies
+        # nothing, and the block is freed before the next is gathered
+        C0 = syrk(1.0, apply_sketch(part, M).T, beta=1.0, c=C0,
+                  overwrite_c=1)
+    for j in range(n - 1):
+        C0[j + 1:, j] = C0[j, j + 1:]
+    return C0.T  # C-ordered, as C0 is symmetric bit for bit
 
 
 def irn_s2p_solve(A, b, config, sketch, x_true=None, reduced=None,
@@ -244,7 +296,7 @@ def _irn_loop(A, b, config, x_true, sketch, reduced, C0=None):
     weight = config.weight
 
     if hasattr(A, "matrix") or sketch is not None or policy.kind != "fixed":
-        M = _finite_rhs(_dense_system_matrix(A), "system matrix")
+        M = _finite_rows(_dense_system_matrix(A), "system matrix")
         if reduced is None:
             reduced = _reduce_system(M, b)
         if sketch is not None and C0 is None:
@@ -263,11 +315,10 @@ def _irn_loop(A, b, config, x_true, sketch, reduced, C0=None):
         w_inv = 1.0 / w
         lam = _select_lambda(policy, reduced, w_inv)
         op_k = CompositeOperator([op, DiagonalOperator(w_inv)])
-
-        R = (None if sketch is None else build_partly_exact_preconditioner(
-            C0, w, max(lam, _LAMBDA_FLOOR)))
+        # the preconditioner lives only as long as its inner solve
         res = lsqr_solve(
-            op_k, rhs, lam=lam, right_precond=R,
+            op_k, rhs, lam=lam, right_precond=None if sketch is None else
+            build_partly_exact_preconditioner(C0, w, max(lam, _LAMBDA_FLOOR)),
             tol=config.inner_tol, maxit=inner_max, x0=w * x, r0=r,
             atb=w_inv * atb,
         )

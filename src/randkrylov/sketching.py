@@ -71,10 +71,15 @@ def estimate_leverage_scores(M, R=None):
         if R.shape != (k, k):
             raise ValueError(f"expected a {k}x{k} R, got {R.shape}")
         if k and scipy.linalg.lapack.dtrcon(R)[0] >= _RCOND_MIN:
-            scores = np.empty(m)
+            # R^T Y = M_i^T, solved in place in one Fortran-ordered buffer
+            # as lower-triangular (R^T) Y = M_i^T, which is the call that
+            # solve_triangular makes for a C-ordered R
+            RT, scores = np.asfortranarray(R.T), np.empty(m)
+            buf = np.empty((k, min(m, _ROW_BLOCK)), order="F")
             for i in range(0, m, _ROW_BLOCK):  # block i of M R^{-1}, as Y^T
-                Y = scipy.linalg.solve_triangular(R, M[i:i + _ROW_BLOCK].T,
-                                                  trans="T")
+                Y = buf[:, :min(m - i, _ROW_BLOCK)]
+                Y[...] = M[i:i + _ROW_BLOCK].T
+                scipy.linalg.lapack.dtrtrs(RT, Y, lower=1, overwrite_b=1)
                 scores[i:i + _ROW_BLOCK] = np.einsum("ij,ij->j", Y, Y)
             return scores
     q, r, _ = scipy.linalg.qr(M, mode="economic", pivoting=True)

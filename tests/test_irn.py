@@ -21,6 +21,7 @@ from randkrylov.operators import DenseOperator
 from randkrylov.problems import add_noise, gen_subset_selection
 from randkrylov.regparam import LambdaPolicy, select_lambda, svd_pair
 from randkrylov.sketching import (
+    _ROW_BLOCK,
     apply_sketch,
     build_leverage_sketch,
     estimate_leverage_scores,
@@ -401,24 +402,70 @@ def _reduce_system_reference(M, b):
     return T[:k, :n], T[:k, n], abs(T[k, n]) if m > n else 0.0
 
 
-@pytest.mark.parametrize("m, n", [(200, 50), (50, 50), (30, 50), (120, 40),
-                                  (2, 1), (11, 10), (31, 30)],
-                         ids=["tall", "square", "wide", "rank_deficient",
-                              "gram_1", "gram_10", "gram_30"])
-def test_reduced_system_matches_numpys_qr(m, n):
-    # the (k+1)-by-k inputs are the flexible pairs' bordered R_B [H, b]
+def _canonical(R, qtb, beta_perp, rank):
+    """R and the first ``rank`` entries of Q^T b with each row's sign
+    chosen so that R's diagonal is non-negative, and the norm of the rest
+    of the residual, hypot(|Q^T b[rank:]|, beta_perp): a QR fixes the rows
+    of [R, Q^T b] up to their signs, and beyond the rank of M it fixes only
+    that norm."""
+    sign = np.where(np.diag(R) < 0, -1.0, 1.0)
+    return (sign[:, None] * R, (sign * qtb)[:rank],
+            np.hypot(np.linalg.norm(qtb[rank:]), beta_perp))
+
+
+# the (k+1)-by-k inputs are the flexible pairs' bordered R_B [H, b]; from
+# 513 rows on (and from n + 2 rows past n + 1 > 512) [M, b] is streamed in
+# 512-row blocks
+@pytest.mark.parametrize("m, n, rank", [
+    (200, 50, 50), (50, 50, 50), (30, 50, 30), (120, 40, 10), (2, 1, 1),
+    (11, 10, 10), (31, 30, 30), (512, 40, 40), (513, 40, 40),
+    (2 * 512 + 37, 60, 60), (1300, 40, 10), (1500, 600, 600)],
+    ids=["tall", "square", "wide", "rank_deficient", "gram_1", "gram_10",
+         "gram_30", "one_block", "one_block_and_a_row", "blocks_and_a_part",
+         "streamed_rank_deficient", "triangle_past_a_block"])
+def test_reduced_system_matches_numpys_qr(m, n, rank):
     rng = _rng(41)
     M = rng.standard_normal((m, n))
-    if m == 120:
-        M = M[:, :10] @ rng.standard_normal((10, n))  # rank 10
+    if rank < min(m, n):
+        M = M[:, :rank] @ rng.standard_normal((rank, n))
     b = rng.standard_normal(m)
     got = _reduce_system(M, b)
     scale = np.linalg.norm(np.column_stack([M, b]))
-    for x, ref in zip((got.R, got.qtb, got.beta_perp),
-                      _reduce_system_reference(M, b)):
+    for x, ref in zip(_canonical(got.R, got.qtb, got.beta_perp, rank),
+                      _canonical(*_reduce_system_reference(M, b), rank)):
         np.testing.assert_allclose(x, ref, rtol=1e-13, atol=1e-13 * scale)
     assert got.R.flags.c_contiguous and not np.any(np.tril(got.R, -1))
     assert (got.m, got.b_norm) == (m, np.linalg.norm(b))
+
+
+def test_reduced_system_of_one_block_is_one_geqrf():
+    # up to max(512, n + 1) rows (every flexible pair's bordered R_B [H, b]
+    # among them) the reduction is one geqrf of [M, b], bit for bit
+    rng = _rng(43)
+    for m, n in ((512, 40), (31, 30), (600, 599)):
+        M, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        T = np.column_stack([M, b])
+        lwork = int(scipy.linalg.lapack.dgeqrf(T, lwork=-1)[2][0])
+        T = scipy.linalg.lapack.dgeqrf(T, lwork=lwork)[0]
+        got, k = _reduce_system(M, b), min(m, n)
+        assert np.array_equal(got.R, np.triu(T[:k, :n]))
+        assert np.array_equal(got.qtb, T[:k, n])
+        assert got.beta_perp == abs(T[k, n])
+
+
+@pytest.mark.parametrize("m, row", [(50, 7), (1100, 1000)],
+                         ids=["one_block", "later_block"])
+@pytest.mark.parametrize("bad", ["nan_M", "inf_M", "nan_b"])
+def test_reduced_system_refuses_non_finite_data(m, row, bad):
+    # a NaN R and beta_perp would reach FISTA and IRN without raising
+    rng = _rng(44)
+    M, b = rng.standard_normal((m, 10)), rng.standard_normal(m)
+    if bad == "nan_b":
+        b[row] = np.nan
+    else:
+        M[row, 3] = np.nan if bad == "nan_M" else -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        _reduce_system(M, b)
 
 
 def _traced_peak(f, *args):
@@ -430,19 +477,37 @@ def _traced_peak(f, *args):
         tracemalloc.stop()
 
 
-def test_reduced_system_holds_one_bordered_copy():
-    # [M, b] is copied once into the buffer that geqrf factors in place;
-    # NumPy's QR of a stacked copy holds about 2.1 such buffers
-    m, n = 2000, 400
-    rng = _rng(42)
-    M, b = rng.standard_normal((m, n)), rng.standard_normal(m)
-    assert _traced_peak(_reduce_system, M, b) <= 1.3 * 8 * m * (n + 1)
+def test_reduced_system_memory_does_not_grow_with_m():
+    # [M, b] streams in 512-row blocks into an (n+1)-square triangle, so
+    # four times the rows hold no more: one block and the triangle
+    n, rng = 400, _rng(42)
+    peaks = []
+    for m in (2000, 8000):
+        M, b = rng.standard_normal((m, n)), rng.standard_normal(m)
+        peaks.append(_traced_peak(_reduce_system, M, b))
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[0] <= 8 * (_ROW_BLOCK + 2 * (n + 1)) * (n + 1)
+
+
+@pytest.mark.parametrize("s", [100, _ROW_BLOCK, 2 * _ROW_BLOCK + 77],
+                         ids=["part_block", "one_block", "blocks_and_a_part"])
+def test_sketched_gram_matches_the_gram_of_the_sketch(s):
+    # C0 accumulates one block of sketched rows at a time; it is symmetric
+    # bit for bit, as each preconditioner's in-place Cholesky needs
+    rng = _rng(45)
+    M = rng.standard_normal((3000, 50)) * np.exp(rng.standard_normal(50))
+    S = build_leverage_sketch(estimate_leverage_scores(M), s, 7)
+    C0 = irn._sketched_gram(S, M)
+    Y = apply_sketch(S, M)
+    ref = Y.T @ Y
+    assert np.abs(C0 - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(C0, C0.T) and C0.flags.c_contiguous
 
 
 def test_irn_s2p_holds_the_sketch_only_until_its_gram():
-    # experiment 1's irn-s2p-lsqr: S A is gathered and scaled in one s-by-n
-    # array and freed once C0 = (S A)^T (S A) is formed, and each
-    # preconditioner is factored in place
+    # experiment 1's irn-s2p-lsqr: S A is gathered and scaled one 512-row
+    # block at a time into C0 = (S A)^T (S A), never all s rows, and each
+    # preconditioner is factored in place and freed after its inner solve
     inst = add_noise(gen_subset_selection(2000, 400, seed=7), 0.05, 11)
     reduced = _reduce_system(inst.A.matrix, inst.b)
     s, n = 1600, 400
@@ -453,7 +518,24 @@ def test_irn_s2p_holds_the_sketch_only_until_its_gram():
                     lambda_policy=LambdaPolicy(kind="fixed", lam=40.0))
     peak = _traced_peak(irn_s2p_solve, inst.A, inst.b, cfg, S, inst.x_true,
                         reduced)
-    assert peak < 8 * (s * n + 1.5 * n * n)
+    assert peak < 8 * (_ROW_BLOCK * n + 1.5 * n * n)
+
+
+def test_irn_checks_the_system_matrix_in_row_blocks(monkeypatch):
+    # a NaN in the last of 1300 rows is refused before any QR, by a check
+    # that forms no m-row bool array
+    inst = _instance(m=1300, n=40)
+    M = inst.A.matrix.copy()
+    n = M.shape[1]
+    assert _traced_peak(irn._finite_rows, M, "M") < 2 * _ROW_BLOCK * n
+    M[-1, -1] = np.nan
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started on non-finite data")
+
+    monkeypatch.setattr(irn, "_reduce_system", never)
+    with pytest.raises(ValueError, match="system matrix has non-finite"):
+        irn_solve(DenseOperator(M), inst.b, _fixed())
 
 
 @pytest.mark.parametrize("solver", ["irn", "irn_s2p"])

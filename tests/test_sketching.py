@@ -15,6 +15,7 @@ from randkrylov.problems import (
     gen_tomo,
 )
 from randkrylov.sketching import (
+    _ROW_BLOCK,
     SketchOperator,
     apply_sketch,
     apply_sketch_weighted,
@@ -87,6 +88,27 @@ def test_leverage_scores_from_R_match_the_pivoted_qr(monkeypatch):
         p = estimate_leverage_scores(M, R)
         np.testing.assert_allclose(p, pivoted, rtol=1e-12, atol=1e-15)
     assert calls == []
+
+
+def test_leverage_scores_from_R_solve_one_block_in_place():
+    # each block of M R^{-1} is solved in place in one buffer, by the
+    # trtrs call that solve_triangular makes, so the scores keep their
+    # bits and no second block is alive while the next one is solved
+    rng = _rng(12)
+    m, n = 2 * _ROW_BLOCK + 300, 100
+    M = rng.standard_normal((m, n))
+    R = _reduce_system(M, rng.standard_normal(m)).R
+    ref = np.concatenate([np.einsum("ij,ij->j", Y, Y) for Y in (
+        scipy.linalg.solve_triangular(R, M[i:i + _ROW_BLOCK].T, trans="T")
+        for i in range(0, m, _ROW_BLOCK))])
+    tracemalloc.start()
+    try:
+        p = estimate_leverage_scores(M, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(p, ref)
+    assert peak < 8 * (1.25 * _ROW_BLOCK * n + m)
 
 
 def test_leverage_scores_from_a_rank_deficient_R_fall_back(monkeypatch):

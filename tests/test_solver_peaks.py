@@ -3,10 +3,12 @@
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solver_peaks.py"
 main = runpy.run_path(str(SCRIPT))["main"]
+SCRIPT_GLOBALS = main.__globals__  # what the script's functions read
 
 CONFIG = """
 problem.generator = subset_selection
@@ -33,7 +35,10 @@ def test_one_positive_peak_per_solver_in_config_order(tmp_path, capsys):
     assert main([str(cfg)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [line[0] for line in lines] == ["s2p", "fista", "irn"]
-    assert all(line[2] == "MiB" and float(line[1]) > 0 for line in lines)
+    for line in lines:  # name, traced peak, then RSS growth
+        assert line[2:4] == ["MiB", "traced,"] and float(line[1]) > 0
+        assert line[5:] == ["MiB", "RSS"]
+        float(line[4])  # may read a little below 0: see _rss_growth
     assert list(tmp_path.iterdir()) == [cfg]  # nothing written
 
 
@@ -73,3 +78,24 @@ def test_a_malformed_or_unknown_set_exits_2(tmp_path, capsys, setting):
     cfg.write_text(CONFIG)
     assert main([str(cfg), "--set", setting]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_rss_growth_is_read_in_a_forked_child(monkeypatch):
+    # a solver that touches 40 MiB grows the child's high-water mark by
+    # about as much, and leaves this process's memory as it was; a solver
+    # that raises reads None
+    touched = []
+
+    def solver(name, cfg, inst):
+        touched.append(np.ones(5 * 2**20))  # 40 MiB, every page written
+
+    monkeypatch.setitem(SCRIPT_GLOBALS, "run_solver", solver)
+    growth = SCRIPT_GLOBALS["_rss_growth"]("big", {}, None)
+    assert 38 * 2**20 <= growth <= 48 * 2**20
+    assert touched == []  # the solver ran in the child only
+
+    def failing(name, cfg, inst):
+        raise RuntimeError("no solve")
+
+    monkeypatch.setitem(SCRIPT_GLOBALS, "run_solver", failing)
+    assert SCRIPT_GLOBALS["_rss_growth"]("bad", {}, None) is None
