@@ -362,14 +362,15 @@ def _solver_call(name, cfg, inst):
         return lambda: irn_solve(A, b, config, x_true, _reduced(A, b))
     if family == "irn_s2p":
         def solve():
-            reduced = _reduced(A, b)
-            R = None if reduced is None else reduced.R
+            # a matrix-free A is materialized once per solve, and reduced
+            M = _dense_system_matrix(A)
+            reduced = _reduced(A, b) or _reduce_system(M, b)
             p = _per_problem(A, "leverage", lambda: estimate_leverage_scores(
-                _dense_system_matrix(A), R))
+                M, reduced.R))
             S = build_leverage_sketch(p, mult * A.ncols, seed)
             C0 = _per_problem(A, ("sketch gram", mult, seed),
-                              lambda: _sketched_gram(
-                                  S, _dense_system_matrix(A)))
+                              lambda: _sketched_gram(S, M))
+            del M  # the loop reads only the reduced system and C0
             return irn_s2p_solve(A, b, config, S, x_true, reduced, C0)
         return solve
     if family == "flex":

@@ -300,9 +300,10 @@ def _flex_loop(scheme, A, b, config, S1, S2, x_true):
     for _ in range(config.k_max):
         w = compute_weights(x, weight)
 
-        if not fact.breakdown and fact.k < min(m, n):
-            # None: no new u; a breakdown u is zero and adds nothing to U H
-            if fact.expand(1.0 / w) is not None and not fact.breakdown:
+        if not fact.breakdown and fact.k < k_max:
+            # a breakdown adds no u, or a zero u that adds nothing to U H
+            fact.expand(1.0 / w)
+            if not fact.breakdown:
                 fit.add()
                 if sketched:
                     fit1.add()

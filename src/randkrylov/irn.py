@@ -284,7 +284,7 @@ def irn_s2p_solve(A, b, config, sketch, x_true=None, reduced=None,
     """IRN with every inner LSQR right-preconditioned by the Cholesky factor
     of the sketched Gram matrix; the sketch of A is computed once.
     ``reduced`` as for ``irn_solve``; ``gram``, ``_sketched_gram`` of this
-    sketch and A, saves the solve its own S A."""
+    sketch and A, saves the solve its own S A; with both, A is not copied."""
     return _irn_loop(A, b, config, x_true, sketch, reduced, gram)
 
 
@@ -295,11 +295,13 @@ def _irn_loop(A, b, config, x_true, sketch, reduced, C0=None):
     policy = config.lambda_policy
     weight = config.weight
 
-    if hasattr(A, "matrix") or sketch is not None or policy.kind != "fixed":
+    gram = sketch is not None and C0 is None
+    if gram or reduced is None and (hasattr(A, "matrix") or sketch is not None
+                                    or policy.kind != "fixed"):
         M = _finite_rows(_dense_system_matrix(A), "system matrix")
         if reduced is None:
             reduced = _reduce_system(M, b)
-        if sketch is not None and C0 is None:
+        if gram:
             C0 = _sketched_gram(sketch, M)
         del M  # the loop reads only the reduced system and C0
 

@@ -4,13 +4,12 @@ orthogonalization, plus baseline GMRES and LSQR solvers.
 Both orthonormal bases here, the factorization's U and V, grow through one
 kernel, ``RowBasis.append``: classical Gram-Schmidt with one
 reorthogonalization pass over the retained window (CGS2), two
-matrix-vector products per pass. U and Z are kept in full, each as the rows
-of an append-only buffer, sized once from the caller's row count when it
-gives one and doubled when full, so they and the coefficient matrix H are
-read as views, not copies. Only the window reads Golub-Kahan's V, so an
-ell-truncated factorization keeps just its last ell + 1 vectors, in a
-buffer that never grows; V is the ell-window, and is kept in full only
-without truncation.
+matrix-vector products per pass. Every basis is one buffer of rows,
+allocated once for the k_max steps the factorization may take, so U, Z
+and the coefficient matrix H are read as views, not copies. Only the
+window reads Golub-Kahan's V, so an ell-truncated factorization keeps just
+its last ell + 1 vectors, in a buffer of that many rows; V is the
+ell-window, and is kept in full only without truncation.
 
 The factorization maintains A Z_k = U_{k+1} H_{k+1,k} exactly (in
 exact arithmetic) regardless of the truncation window, because H records the
@@ -58,62 +57,40 @@ def _check_tol(tol):
 
 
 class RowBasis:
-    """Vectors of length ``dim`` kept as the rows of a buffer of ``rows``
-    rows (``INITIAL_ROWS`` for None) that doubles when full. ``Q`` (the
-    vectors as columns) and ``R`` (the upper-triangular coefficients of
-    ``append``) are views; a view taken before the buffer grows keeps the
-    old buffer, whose rows are never rewritten.
+    """Vectors of length ``dim`` as the rows of one buffer of ``rows`` rows,
+    allocated once (a push past it raises IndexError); ``Q``, the vectors
+    as columns, is a view. With ``keep``, only the last ``keep`` vectors
+    are kept, in min(rows, keep) rows: a push past ``keep`` moves them down
+    one row, so ``Q`` stays oldest-first and contiguous and its views see
+    the move. ``lo`` counts the vectors dropped."""
 
-    With ``keep``, only the last ``keep`` vectors are kept, and no R: the
-    buffer grows to ``keep`` rows at most, and a push past them moves the
-    kept rows down one, so ``Q`` stays oldest-first and contiguous and
-    its views see the move. ``lo`` counts the vectors dropped."""
-
-    INITIAL_ROWS = 8
-
-    def __init__(self, dim, rows=None, keep=None):
-        rows = self.INITIAL_ROWS if rows is None else max(rows, 1)
+    def __init__(self, dim, rows, keep=None):
         self.keep = keep
-        self._rows = np.empty((rows if keep is None else min(rows, keep),
-                               dim))
-        self._R = np.zeros((rows, rows)) if keep is None else None
+        self._rows = np.empty((min(rows, keep or rows), dim))
         self.k = self.lo = 0
 
     @property
     def Q(self):
         return self._rows[: self.k - self.lo].T
 
-    @property
-    def R(self):
-        return self._R[: self.k, : self.k]
-
     def push(self, v):
         """Store v as the next row, as it is."""
         i = self.k - self.lo  # v's row in the buffer
-        if i == len(self._rows):
-            rows = self._rows
-            if i == self.keep:  # drop the oldest, one overlapping move
-                flat = rows.reshape(-1)
-                flat[: flat.size - rows.shape[1]] = flat[rows.shape[1]:]
-                self.lo += 1
-                i -= 1
-            else:
-                size = 2 * i if self.keep is None else min(2 * i, self.keep)
-                self._rows = np.empty((size, rows.shape[1]))
-                self._rows[:i] = rows
-                if self._R is not None:
-                    R = self._R
-                    self._R = np.zeros((size, size))
-                    self._R[:i, :i] = R
+        if i == self.keep:  # drop the oldest, one overlapping move
+            flat, dim = self._rows.reshape(-1), self._rows.shape[1]
+            flat[: flat.size - dim] = flat[dim:]
+            self.lo += 1
+            i -= 1
         self._rows[i] = v
         self.k += 1
 
     def append(self, q, window=None, floor=0.0):
         """CGS2, classical Gram-Schmidt with one reorthogonalization pass, of
         q against the last ``window`` rows (all of them for None); stores
-        q / |q|, or the zero vector once |q| <= floor. Returns the new column
-        of R, the coefficients [h; |q|] (zeros outside the window). A q with
-        NaN or inf entries raises ValueError and stores nothing."""
+        q / |q|, or the zero vector once |q| <= floor. Returns q's
+        coefficients [h; |q|] in the basis, the column of a QR of the
+        vectors appended (zeros outside the window). A q with NaN or inf
+        entries raises ValueError and stores nothing."""
         if not np.isfinite(q @ q):
             raise ValueError("cannot orthogonalize a non-finite vector")
         k = self.k
@@ -126,43 +103,46 @@ class RowBasis:
             q = q - h @ Qw
         col[k] = np.linalg.norm(q)
         self.push(q / col[k] if col[k] > floor else 0.0)
-        if self._R is not None:
-            self._R[: k + 1, k] = col
         return col
 
 
 class FlexibleFactorization:
     """Growing state of an ell-truncated flexible Arnoldi or Golub-Kahan
-    factorization of (A, b) with per-step diagonal preconditioners: the
-    bases U and Z and the coefficients H, kept in full as views of
-    ``RowBasis`` buffers sized for ``k_max`` steps when it is given, and V.
-    Arnoldi's V is U. Golub-Kahan's V is the ell-window, the last ell v's
-    that the next step orthogonalizes against, kept in a buffer of ell + 1
-    rows (in full for ell None); it is a view that each step rewrites. The
-    raw columns A z_j are returned by ``expand`` and not kept: A Z = U H
-    gives them back from what is kept, at any ell, and after a breakdown
-    to within its floor. The flexible solvers read their data fit from H
-    and the Gram of U, and keep no column QR of the A z_j. An ell or k_max
-    that is not None or an integer of at least 1 raises ValueError."""
+    factorization of (A, b) with per-step diagonal preconditioners, for at
+    most ``k_max`` steps (None: min(m, n), the most a basis can take). The
+    bases U and Z are kept in full as views of ``RowBasis`` buffers, and the
+    coefficients H as a view of one (k_max + 1)-by-k_max array, all
+    allocated once; a step past k_max raises RuntimeError, as a step after
+    a breakdown does, and changes nothing. Arnoldi's V is U. Golub-Kahan's
+    V is the ell-window, the last ell v's that the next step orthogonalizes
+    against, kept in a buffer of ell + 1 rows (in full for ell None); it is
+    a view that each step rewrites. The raw columns A z_j are returned by
+    ``expand`` and not kept: A Z = U H gives them back from what is kept,
+    at any ell, and after a breakdown to within its floor. The flexible
+    solvers read their data fit from H and the Gram of U, and keep no
+    column QR of the A z_j. An ell or k_max that is not None or an integer
+    of at least 1 raises ValueError."""
 
     def __init__(self, kind, A, b, ell=None, k_max=None):
         if kind not in ("arnoldi", "golub_kahan"):
             raise ValueError(f"unknown factorization kind {kind!r}")
         _check_count(ell, "ell", "full orthogonalization")
-        _check_count(k_max, "k_max", "unsized buffers")
+        _check_count(k_max, "k_max", "min(m, n)")
         self.kind, self.A, self.ell = kind, A, ell  # ell None: full
         self.b = _finite_rhs(b)
         self.beta1 = float(np.linalg.norm(self.b))
         if self.beta1 == 0.0:
             raise ValueError("cannot build a Krylov space from a zero vector")
+        self.k_max = min(A.nrows, A.ncols) if k_max is None else k_max
         self.breakdown = False
-        self._U = RowBasis(self.b.size, None if k_max is None else k_max + 1)
-        self._U.append(self.b)  # R = [beta1 e1, H]
+        self._U = RowBasis(self.b.size, self.k_max + 1)
+        self._U.append(self.b)
+        self._H = np.zeros((self.k_max + 1, self.k_max))
         # Arnoldi's V is U: only Golub-Kahan stores a V, and with a window
         # the last ell v's and the newest (a breakdown's zero v) only
         self._V = None if kind == "arnoldi" else RowBasis(
-            A.ncols, k_max, None if ell is None else ell + 1)
-        self._Z = RowBasis(A.ncols, k_max)
+            A.ncols, self.k_max, None if ell is None else ell + 1)
+        self._Z = RowBasis(A.ncols, self.k_max)
 
     @property
     def k(self):
@@ -186,14 +166,18 @@ class FlexibleFactorization:
 
     @property
     def H(self):
-        return self._U.R[:, 1:]
+        return self._H[: self.k + 1, : self.k]
 
     def expand(self, w_inv):
         """One step k -> k+1 with preconditioner diag(w_inv). Returns the new
         raw column A z_{k+1}, or None when the Golub-Kahan v_{k+1} breaks
-        down. Raises after breakdown."""
+        down. Raises after breakdown and at k_max."""
         if self.breakdown:
             raise RuntimeError("factorization already broke down")
+        k = self.k
+        if k == self.k_max:
+            raise RuntimeError(f"factorization already took its k_max = "
+                               f"{k} steps")
         w_inv = np.asarray(w_inv, dtype=np.float64)
         if not (np.all(np.isfinite(w_inv)) and np.all(w_inv > 0)):
             raise ValueError("preconditioner entries must be finite and "
@@ -209,7 +193,9 @@ class FlexibleFactorization:
 
         z = w_inv * v
         q_raw = self.A.apply(z)
-        self.breakdown = self._U.append(q_raw, self.ell, floor)[-1] <= floor
+        col = self._U.append(q_raw, self.ell, floor)
+        self._H[: k + 2, k] = col
+        self.breakdown = col[-1] <= floor
         self._Z.push(z)
         return q_raw
 
@@ -252,11 +238,10 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
         raise ValueError("lambda must be non-negative")
     _check_tol(tol)
     m, n = op.nrows, op.ncols
+    maxit = _check_count(maxit, "maxit", "2n") or 2 * n
     b = _finite_rhs(b)
     if b.shape[0] != m:
         raise ValueError(f"rhs length {b.shape[0]} does not match {m} rows")
-    if maxit is None:
-        maxit = 2 * n
     sqlam = np.sqrt(lam)
 
     prec = prec_t = lambda v: v
@@ -370,22 +355,23 @@ def lsqr_solve(op, b, lam=0.0, right_precond=None, tol=1e-10, maxit=None,
 
 def gmres_solve(op, b, tol=1e-10, maxit=None, callback=None):
     """Plain (unrestarted) GMRES for a square operator, on a fully
-    orthogonalized Arnoldi factorization with unit weights. Each iterate x
-    = Z y comes with A x = U H y, read from the factorization (it holds
-    after a breakdown too), as ``callback(x, Ax)`` and the result's ``Ax``.
+    orthogonalized Arnoldi factorization with unit weights, sized for and
+    run to at most min(maxit, n) steps (None: n; a large n wants a maxit).
+    Each iterate x = Z y comes with A x = U H y, read from the factorization
+    (it holds after a breakdown too), as ``callback(x, Ax)`` and the
+    result's ``Ax``.
     """
     if op.nrows != op.ncols:
         raise ValueError("GMRES needs a square operator")
     _check_tol(tol)
-    b = _finite_rhs(b)
     n = op.ncols
-    if maxit is None:
-        maxit = n
+    maxit = min(_check_count(maxit, "maxit", "n") or n, n)
+    b = _finite_rhs(b)
     beta = np.linalg.norm(b)
     if beta == 0.0:
         return IterativeResult(np.zeros(n), np.zeros(n), np.array([0.0]), 0,
                                converged=True)
-    fact = FlexibleFactorization("arnoldi", op, b)
+    fact = FlexibleFactorization("arnoldi", op, b, k_max=maxit)
     ones = np.ones(n)
     residuals = [beta]
     x = Ax = np.zeros(n)

@@ -35,8 +35,14 @@ class SketchOperator:
     kind: str = "row_sampling"
 
     def __post_init__(self):
-        if self.selected_rows.shape != (self.s,) or self.scales.shape != (self.s,):
+        rows = self.selected_rows
+        if rows.shape != (self.s,) or self.scales.shape != (self.s,):
             raise ValueError("selected_rows and scales must have length s")
+        # a negative row would gather from the end, a float one not at all
+        if not np.issubdtype(rows.dtype, np.integer) or rows.size and (
+                rows.min() < 0 or rows.max() >= self.m):
+            raise ValueError(f"selected_rows must be integers in [0, "
+                             f"{self.m})")
         if not np.all(np.isfinite(self.scales)) or np.any(self.scales <= 0):
             raise ValueError("scales must be finite and positive")
 
@@ -120,7 +126,7 @@ def build_flex_sketches(A, b, k_max, multiplier, seed):
     Its depth min(k_max, 20, m - 1, n) keeps the m-by-(depth+1) U and the
     n-by-depth V no wider than tall."""
     depth = min(k_max, 20, A.nrows - 1, A.ncols)
-    pilot = FlexibleFactorization("golub_kahan", A, b, k_max=depth)
+    pilot = FlexibleFactorization("golub_kahan", A, b, k_max=max(depth, 1))
     ones = np.ones(A.ncols)
     while pilot.k < depth and not pilot.breakdown:
         pilot.expand(ones)

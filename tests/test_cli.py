@@ -25,6 +25,7 @@ from randkrylov.cli import (
     trace_to_csv,
     write_bundle,
 )
+from randkrylov.operators import LinearOperator
 
 TINY = """
 # tiny end-to-end experiment
@@ -918,3 +919,33 @@ def test_no_problem_outlives_its_run(tmp_path, monkeypatch):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     gc.collect()
     assert [ref() for ref in problems] == [None]
+
+
+def test_irn_on_a_matrix_free_A_materializes_it_once_per_solver(
+        tmp_path, monkeypatch):
+    # each irn_s2p solve materializes the blur once for its reduced system,
+    # leverage scores and sketch Gram, and an irn with dp once for its
+    # reduced system: 3 calls, where the leverage scores, each Gram and each
+    # loop once took one apiece (6); an irn at fixed lambda takes none
+    calls = []
+    real = LinearOperator.materialize
+
+    def counted(op):
+        calls.append(op.shape)
+        return real(op)
+
+    monkeypatch.setattr(LinearOperator, "materialize", counted)
+    solvers = "".join(
+        f"solver.{name}.family = {family}\nsolver.{name}.seed = {seed}\n"
+        f"solver.{name}.outer_max = 2\nsolver.{name}.{keys}\n"
+        for name, family, seed, keys in (
+            ("s2p-1", "irn_s2p", 1, "lambda = 0.001"),
+            ("s2p-2", "irn_s2p", 2, "lambda = 0.001"),
+            ("dp", "irn", 1, "lambda_policy = dp\nsolver.dp.nl = 0.01"),
+            ("fixed", "irn", 1, "lambda = 0.001")))
+    cfg = _write(tmp_path, (
+        "problem.generator = starfield\nproblem.nx = 16\n"
+        "problem.seed = 3\nproblem.nl = 0.01\nproblem.noise_seed = 4\n"
+        + solvers), "free.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+    assert calls == [(256, 256)] * 3

@@ -38,6 +38,19 @@ def test_krylov_solvers_refuse_a_bad_tol(tol):
         assert solve(op, b, tol=0.0, maxit=3).n_iter == 3  # runs to maxit
 
 
+@pytest.mark.parametrize("maxit", [0, -1, 2.5, True])
+def test_krylov_solvers_refuse_a_bad_maxit(maxit):
+    # maxit = 0 returned x0 unconverged, and 2.5 raised TypeError mid-solve;
+    # None is 2n for LSQR and n for GMRES, whose buffers it sizes
+    op = DenseOperator(_rng(3).standard_normal((8, 8)))
+    b = np.ones(8)
+    for solve, steps in ((lsqr_solve, 16), (gmres_solve, 8)):
+        with pytest.raises(ValueError, match="maxit"):
+            solve(op, b, maxit=maxit)
+        assert solve(op, b, tol=0.0, maxit=None).n_iter <= steps
+    assert gmres_solve(op, b, tol=0.0, maxit=np.int64(20)).n_iter <= 8
+
+
 def test_lsqr_tikhonov_matches_direct():
     rng = _rng(2)
     M = rng.standard_normal((30, 12))
@@ -442,10 +455,10 @@ def test_factorization_takes_none_and_numpy_integers(kind):
     for ell, k_max in ((None, None), (np.int64(2), np.int32(5))):
         fact = FlexibleFactorization(kind, DenseOperator(M), np.ones(10),
                                      ell=ell, k_max=k_max)
-        for _ in range(6):
+        for _ in range(5):
             fact.expand(np.ones(n))
         U = fact.U
-        gap = U.T @ U - np.eye(7)
+        gap = U.T @ U - np.eye(6)
         if ell is not None:
             i, j = np.indices(gap.shape)
             gap[np.abs(i - j) > ell] = 0.0
@@ -469,7 +482,7 @@ def test_factorization_refuses_a_non_finite_preconditioner(bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_row_basis_refuses_a_non_finite_vector(bad):
     rng = _rng(15)
-    qr = RowBasis(5)
+    qr = RowBasis(5, 2)
     qr.append(rng.standard_normal(5))
     v = rng.standard_normal(5)
     v[3] = bad
@@ -487,33 +500,54 @@ def test_row_basis_refuses_a_non_finite_vector(bad):
 
 @pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
 def test_bases_sized_from_k_max_do_not_grow(kind):
-    # with a k_max hint every buffer is allocated once, and the factorization
-    # is bitwise the unsized one; past the hint the buffers still double
+    # every buffer is allocated once for k_max steps, and the factorization
+    # is bitwise the one sized for min(m, n) steps
     rng = _rng(16)
-    n, steps = 30, 2 * RowBasis.INITIAL_ROWS + 3
+    n, steps = 30, 19
     M = rng.standard_normal((n, n))
     b = rng.standard_normal(n)
-    weights = [rng.random(n) + 0.2 for _ in range(steps + 2)]
+    weights = [rng.random(n) + 0.2 for _ in range(steps)]
     sized = FlexibleFactorization(kind, DenseOperator(M), b, ell=4,
                                   k_max=steps)
     plain = FlexibleFactorization(kind, DenseOperator(M), b, ell=4)
     sized.expand(weights[0])
     first = (sized.U, sized.V, sized.Z, sized.H)
-    for w_inv in weights[1:steps]:
+    for w_inv in weights[1:]:
         sized.expand(w_inv)
     # Golub-Kahan's V window moves down its one buffer of ell + 1 rows
     kept_V = sized.V if kind == "arnoldi" else sized._V.Q
     for early, now in zip(first, (sized.U, kept_V, sized.Z, sized.H)):
         assert np.shares_memory(early, now)
-    for w_inv in weights[:steps]:
+    for w_inv in weights:
         plain.expand(w_inv)
     for got, want in zip((sized.U, sized.V, sized.Z, sized.H),
                          (plain.U, plain.V, plain.Z, plain.H)):
         assert got.tobytes() == want.tobytes()
-    for w_inv in weights[steps:]:
-        sized.expand(w_inv)
-    assert sized.k == steps + 2 and not np.shares_memory(first[2], sized.Z)
-    assert RowBasis(4, 0)._rows.shape == (1, 4)
+
+
+@pytest.mark.parametrize("kind", ["arnoldi", "golub_kahan"])
+@pytest.mark.parametrize("ell", [None, 2])
+def test_factorization_refuses_a_step_past_k_max(kind, ell):
+    # k_max None is min(m, n); the step past k_max raises before it applies
+    # A or writes U, V, Z or H, and leaves the breakdown flag as it was
+    rng = _rng(19)
+    m, n = (12, 12) if kind == "arnoldi" else (12, 7)
+    M = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    assert FlexibleFactorization(kind, DenseOperator(M), b).k_max == n
+    op = _CountingDense(M)
+    fact = FlexibleFactorization(kind, op, b, ell=ell, k_max=4)
+    for _ in range(4):
+        fact.expand(rng.random(n) + 0.2)
+    bases = [q for q in (fact._U, fact._V, fact._Z) if q is not None]
+
+    def state():  # every buffer's bytes and counters, H, applies, the flag
+        return ([(q.k, q.lo, q._rows.tobytes()) for q in bases],
+                fact._H.tobytes(), op.calls, fact.breakdown)
+    before = state()
+    with pytest.raises(RuntimeError, match="k_max = 4"):
+        fact.expand(np.ones(n))
+    assert state() == before and fact.k == 4
 
 
 def _list_cgs2(q, basis, window):
@@ -559,7 +593,7 @@ def test_factorization_is_bitwise_the_list_recurrence(kind, ell):
     m, n = (30, 30) if kind == "arnoldi" else (40, 30)
     M = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    steps = 2 * RowBasis.INITIAL_ROWS + 3  # the buffers grow twice
+    steps = 19
     weights = [rng.random(n) + 0.2 for _ in range(steps)]
     fact = FlexibleFactorization(kind, DenseOperator(M), b, ell=ell)
     for w_inv in weights:
@@ -584,10 +618,10 @@ def test_row_basis_cgs2_is_orthogonal_on_an_ill_conditioned_input(window):
     V = np.linalg.qr(rng.standard_normal((n, n)))[0]
     M = U @ np.diag(np.geomspace(1.0, 1e-8, n)) @ V.T
     M[:, 17] = 0.0
-    qr = RowBasis(m)
+    qr, R = RowBasis(m, n), np.zeros((n, n))
     for j in range(n):
-        qr.append(M[:, j], window)
-    Q, R = qr.Q, qr.R
+        R[: j + 1, j] = qr.append(M[:, j], window)
+    Q = qr.Q
     assert not np.any(Q[:, 17]) and not np.any(R[:, 17])
     live = np.ones(n)
     live[17] = 0.0
@@ -618,7 +652,7 @@ def test_only_golub_kahan_allocates_a_v_buffer():
     assert 3 * k_max + 1 <= rows["golub_kahan", None] < 3 * k_max + 2
     assert (2 * k_max + 1 + ell + 1 <= rows["golub_kahan", ell]
             < 2 * k_max + ell + 3)
-    window = RowBasis(n, keep=ell + 1)
+    window = RowBasis(n, 4 * ell, keep=ell + 1)
     v = np.ones(n)
     for _ in range(ell + 1):
         window.push(v)
@@ -666,11 +700,10 @@ def test_row_basis_column_qr_with_a_dependent_column():
     M[:, 0] = 0.0
     M[0, 0] = 3.0
     M[:, 5] = 2.0 * M[:, 0]  # exactly in span(q_1): rho = 0
-    qr = RowBasis(30)
+    qr, R = RowBasis(30, 12), np.zeros((12, 12))
     for j in range(12):
-        col = qr.append(M[:, j])
-        np.testing.assert_array_equal(col, qr.R[: j + 1, j])
-    Q, R = qr.Q, qr.R
+        R[: j + 1, j] = qr.append(M[:, j])
+    Q = qr.Q
     assert Q.shape == (30, 12) and R.shape == (12, 12)
     assert R[5, 5] == 0.0 and not np.any(Q[:, 5])
     np.testing.assert_array_equal(np.tril(R, -1), 0.0)
@@ -680,28 +713,24 @@ def test_row_basis_column_qr_with_a_dependent_column():
                                rtol=0, atol=1e-12)
 
 
-def test_bases_are_views_that_survive_growth():
+def test_bases_are_views_of_one_allocation():
+    # U, Z and H are views of buffers allocated once: a view taken early
+    # shares memory with a later one, and no step rewrites what it holds
     rng = _rng(13)
     n = 40
     M = rng.standard_normal((n, n))
     fact = FlexibleFactorization("golub_kahan", DenseOperator(M),
                                  rng.standard_normal(n), ell=4)
-    for _ in range(RowBasis.INITIAL_ROWS - 1):
+    for _ in range(7):
         fact.expand(np.ones(n))
-    Z_early, U_early, H_early = fact.Z, fact.U, fact.H
-    Z_copy, U_copy, H_copy = Z_early.copy(), U_early.copy(), H_early.copy()
-    assert np.shares_memory(fact.Z, fact.Z)
-    assert np.shares_memory(fact.U, U_early)
-    qr = RowBasis(n)
-    qr.append(rng.standard_normal(n))
-    assert np.shares_memory(qr.Q, qr.Q) and np.shares_memory(qr.R, qr.R)
-    for _ in range(2 * RowBasis.INITIAL_ROWS):  # the buffers double
+    early = (fact.Z, fact.U, fact.H)
+    copies = [a.copy() for a in early]
+    for _ in range(16):
         fact.expand(rng.random(n) + 0.5)
-    assert not np.shares_memory(fact.Z, Z_early)
-    for early, copy in ((Z_early, Z_copy), (U_early, U_copy),
-                        (H_early, H_copy)):
-        np.testing.assert_array_equal(early, copy)
-    k = Z_copy.shape[1]
-    np.testing.assert_array_equal(fact.Z[:, :k], Z_copy)
-    np.testing.assert_array_equal(fact.U[:, : k + 1], U_copy)
-    np.testing.assert_array_equal(fact.H[: k + 1, :k], H_copy)
+    k = copies[0].shape[1]
+    for old, copy, now in zip(early, copies, (fact.Z[:, :k],
+                                              fact.U[:, : k + 1],
+                                              fact.H[: k + 1, :k])):
+        assert np.shares_memory(old, now)
+        np.testing.assert_array_equal(old, copy)
+        np.testing.assert_array_equal(now, copy)

@@ -242,6 +242,19 @@ def test_sketch_operator_validation():
         build_leverage_sketch(np.ones(4), 0, seed=0)
 
 
+@pytest.mark.parametrize("rows", [[-1, 0], [0, 3], [0.0, 1.0]],
+                         ids=["negative", "past_m", "float"])
+def test_sketch_operator_refuses_rows_outside_0_to_m(rows):
+    # with m = 3, row -1 gathered row 2, and row 3 or a float row raised
+    # IndexError only when the sketch was applied
+    with pytest.raises(ValueError, match=r"integers in \[0, 3\)"):
+        SketchOperator(s=2, m=3, selected_rows=np.array(rows),
+                       scales=np.ones(2))
+    S = SketchOperator(s=2, m=3, selected_rows=np.array([2, 0]),
+                       scales=np.ones(2))
+    assert np.array_equal(apply_sketch(S, np.arange(3.0)), [2.0, 0.0])
+
+
 def _golub_kahan_reference(A, b, depth):
     """Textbook Golub-Kahan bidiagonalization of (A, b) with full classical
     Gram-Schmidt reorthogonalization (two passes); stops at breakdown."""
