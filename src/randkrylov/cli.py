@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import os
@@ -222,10 +223,7 @@ def write_bundle(inst, outdir):
     for name, vec in (("x_true", inst.x_true), ("b", inst.b),
                       ("b_exact", inst.b_exact)):
         vec.astype("<f8").tofile(os.path.join(outdir, f"{name}.f64"))
-    if inst.A.kind in ("dense", "radon", "convolution2d", "identity"):
-        inst.A.materialize().astype("<f8").tofile(
-            os.path.join(outdir, "A.f64")
-        )
+    inst.A.materialize().astype("<f8").tofile(os.path.join(outdir, "A.f64"))
     with open(os.path.join(outdir, "A.meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -268,12 +266,12 @@ def load_bundle(path):
 # ---------------------------------------------------------------------------
 # solver dispatch
 
-# What the solvers build from each problem, once per problem: the QR of a
-# dense [A, b] (read by IRN, FISTA and the irn-s2p leverage scores), those
-# leverage scores of A, the irn-s2p sketch Gram of each (multiplier, seed)
-# and the flex sketches of each (b, k_max, multiplier, seed). An entry lives
-# only as long as its A and holds no reference to it, so no run's problem
-# outlives the run.
+# What the solvers build from each problem, once per problem: the QR of
+# [A, b] (read by IRN and FISTA on a dense A, and by irn-s2p on any A, whose
+# leverage scores take its R), those leverage scores of A, the irn-s2p
+# sketch Gram of each (multiplier, seed) and the flex sketches of each (b,
+# k_max, multiplier, seed). An entry lives only as long as its A and holds
+# no reference to it, so no run's problem outlives the run.
 _problem_lock = threading.Lock()
 _problem_cache = weakref.WeakKeyDictionary()
 
@@ -287,15 +285,16 @@ def _per_problem(A, key, build):
         return cache[key]
 
 
-def _reduced(A, b):
-    """The reduced system of a dense A and b, once per problem: IRN's inner
-    solves and lambda rules, FISTA's iteration and the R of the irn-s2p
-    leverage scores read it. None for a matrix-free A, which FISTA never
-    reduces and IRN only when it materializes A anyway."""
-    if not hasattr(A, "matrix"):
+def _reduced(A, b, dense=None):
+    """The reduced system of A and b, once per problem: IRN's inner solves
+    and lambda rules, FISTA's iteration and the R of the irn-s2p leverage
+    scores read it. A matrix-free A is reduced only given ``dense``, the
+    getter of its dense matrix that irn-s2p passes; else it is None, as
+    FISTA never reduces such an A and IRN only when it materializes A."""
+    if dense is None and not hasattr(A, "matrix"):
         return None
-    return _per_problem(A, ("reduced", b.tobytes()),
-                        lambda: _reduce_system(A.matrix, b))
+    return _per_problem(A, ("reduced", b.tobytes()), lambda: _reduce_system(
+        A.matrix if dense is None else dense(), b))
 
 
 def _solver_call(name, cfg, inst):
@@ -362,15 +361,15 @@ def _solver_call(name, cfg, inst):
         return lambda: irn_solve(A, b, config, x_true, _reduced(A, b))
     if family == "irn_s2p":
         def solve():
-            # a matrix-free A is materialized once per solve, and reduced
-            M = _dense_system_matrix(A)
-            reduced = _reduced(A, b) or _reduce_system(M, b)
+            # A is materialized at most once, for a build not cached yet
+            dense = functools.cache(lambda: _dense_system_matrix(A))
+            reduced = _reduced(A, b, dense)
             p = _per_problem(A, "leverage", lambda: estimate_leverage_scores(
-                M, reduced.R))
+                dense(), reduced.R))
             S = build_leverage_sketch(p, mult * A.ncols, seed)
             C0 = _per_problem(A, ("sketch gram", mult, seed),
-                              lambda: _sketched_gram(S, M))
-            del M  # the loop reads only the reduced system and C0
+                              lambda: _sketched_gram(S, dense()))
+            del dense  # the loop reads only the reduced system and C0
             return irn_s2p_solve(A, b, config, S, x_true, reduced, C0)
         return solve
     if family == "flex":

@@ -32,7 +32,6 @@ class SketchOperator:
     selected_rows: np.ndarray  # int indices in [0, m)
     scales: np.ndarray
     seed: int | None = None
-    kind: str = "row_sampling"
 
     def __post_init__(self):
         rows = self.selected_rows
@@ -49,9 +48,8 @@ class SketchOperator:
 
 def identity_sketch(m):
     """The trivial s = m sketch selecting every row once with unit scale."""
-    return SketchOperator(
-        s=m, m=m, selected_rows=np.arange(m), scales=np.ones(m), kind="identity"
-    )
+    return SketchOperator(s=m, m=m, selected_rows=np.arange(m),
+                          scales=np.ones(m))
 
 
 # Below this estimate of R's reciprocal condition number (LAPACK dtrcon, in
@@ -124,7 +122,10 @@ def build_flex_sketches(A, b, k_max, multiplier, seed):
     against the left (data-space) and S2 against the right (solution-space)
     basis of a Golub-Kahan pilot factorization of (A, b) with unit weights.
     Its depth min(k_max, 20, m - 1, n) keeps the m-by-(depth+1) U and the
-    n-by-depth V no wider than tall."""
+    n-by-depth V no wider than tall. Full CGS2 makes both bases orthonormal
+    to rounding, so their leverage scores are their squared row norms, and
+    no basis is factored again: a breakdown's zero column adds 0, and an
+    empty V (m = 1, or A^T b = 0) gives uniform scores."""
     depth = min(k_max, 20, A.nrows - 1, A.ncols)
     pilot = FlexibleFactorization("golub_kahan", A, b, k_max=max(depth, 1))
     ones = np.ones(A.ncols)
@@ -132,10 +133,9 @@ def build_flex_sketches(A, b, k_max, multiplier, seed):
         pilot.expand(ones)
     U, V = pilot.U, pilot.V
     s = max(multiplier * k_max, U.shape[1] + 1)
-    S1 = build_leverage_sketch(estimate_leverage_scores(U), s, seed)
-    if not V.size:
-        V = np.eye(A.ncols)
-    S2 = build_leverage_sketch(estimate_leverage_scores(V), s, seed + 1)
+    S1 = build_leverage_sketch(np.einsum("ij,ij->i", U, U), s, seed)
+    S2 = build_leverage_sketch(np.einsum("ij,ij->i", V, V) if V.size
+                               else ones, s, seed + 1)
     return S1, S2
 
 
@@ -153,8 +153,6 @@ def apply_sketch(S, M):
 
 def commute_diagonal(S, w):
     """Weights w-bar with S @ diag(w) == diag(w-bar) @ S; the gather w[rows]."""
-    if S.kind not in ("row_sampling", "identity"):
-        raise ValueError("diagonal commutation needs a row-sampling sketch")
     w = np.asarray(w, dtype=np.float64)
     if w.shape[0] != S.m:
         raise ValueError(f"expected {S.m} diagonal entries, got {w.shape[0]}")

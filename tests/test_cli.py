@@ -921,12 +921,12 @@ def test_no_problem_outlives_its_run(tmp_path, monkeypatch):
     assert [ref() for ref in problems] == [None]
 
 
-def test_irn_on_a_matrix_free_A_materializes_it_once_per_solver(
-        tmp_path, monkeypatch):
-    # each irn_s2p solve materializes the blur once for its reduced system,
-    # leverage scores and sketch Gram, and an irn with dp once for its
-    # reduced system: 3 calls, where the leverage scores, each Gram and each
-    # loop once took one apiece (6); an irn at fixed lambda takes none
+STARFIELD16 = ("problem.generator = starfield\nproblem.nx = 16\n"
+               "problem.seed = 3\nproblem.nl = 0.01\nproblem.noise_seed = 4\n")
+
+
+def _count_materialize(monkeypatch):
+    """The shape of each operator materialized since the spy was set."""
     calls = []
     real = LinearOperator.materialize
 
@@ -935,6 +935,27 @@ def test_irn_on_a_matrix_free_A_materializes_it_once_per_solver(
         return real(op)
 
     monkeypatch.setattr(LinearOperator, "materialize", counted)
+    return calls
+
+
+def test_irn_on_a_matrix_free_A_materializes_it_once_per_solver(
+        tmp_path, monkeypatch):
+    # each irn_s2p solve materializes the blur once, for its sketch Gram,
+    # and the first also for the reduced system and leverage scores, which
+    # the second reads from the per-problem cache; an irn with dp
+    # materializes it once and reduces it in its loop: 3 materializations
+    # (6 when the leverage scores, each Gram and each loop took one apiece)
+    # and 2 reductions (3 when each irn_s2p solve took its own); an irn at
+    # fixed lambda takes neither
+    calls, reductions = _count_materialize(monkeypatch), []
+    real_reduce = cli._reduce_system
+
+    def counted_reduce(M, b):
+        reductions.append(M.shape)
+        return real_reduce(M, b)
+
+    for module in (cli, irn):
+        monkeypatch.setattr(module, "_reduce_system", counted_reduce)
     solvers = "".join(
         f"solver.{name}.family = {family}\nsolver.{name}.seed = {seed}\n"
         f"solver.{name}.outer_max = 2\nsolver.{name}.{keys}\n"
@@ -943,9 +964,32 @@ def test_irn_on_a_matrix_free_A_materializes_it_once_per_solver(
             ("s2p-2", "irn_s2p", 2, "lambda = 0.001"),
             ("dp", "irn", 1, "lambda_policy = dp\nsolver.dp.nl = 0.01"),
             ("fixed", "irn", 1, "lambda = 0.001")))
-    cfg = _write(tmp_path, (
-        "problem.generator = starfield\nproblem.nx = 16\n"
-        "problem.seed = 3\nproblem.nl = 0.01\nproblem.noise_seed = 4\n"
-        + solvers), "free.cfg")
+    cfg = _write(tmp_path, STARFIELD16 + solvers, "free.cfg")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
     assert calls == [(256, 256)] * 3
+    assert reductions == [(256, 256)] * 2
+
+
+def test_irn_s2p_pair_on_a_matrix_free_A_materializes_it_once(
+        tmp_path, monkeypatch):
+    # two irn_s2p solvers with one seed and multiplier: the second finds the
+    # reduced system, the leverage scores and the sketch Gram cached, so it
+    # materializes nothing, and each returns the bytes it returns alone
+    calls = _count_materialize(monkeypatch)
+    solvers = {
+        name: (f"solver.{name}.family = irn_s2p\nsolver.{name}.seed = 1\n"
+               f"solver.{name}.outer_max = 2\nsolver.{name}.{keys}\n")
+        for name, keys in (("fixed", "lambda = 0.001"),
+                           ("dp", "lambda_policy = dp\nsolver.dp.nl = 0.01"))}
+    both = _write(tmp_path, STARFIELD16 + "".join(solvers.values()),
+                  "both.cfg")
+    assert main(["run", "--config", both,
+                 "--out", str(tmp_path / "both")]) == 0
+    assert calls == [(256, 256)]
+    for name, text in solvers.items():
+        alone = _write(tmp_path, STARFIELD16 + text, f"{name}.cfg")
+        assert main(["run", "--config", alone,
+                     "--out", str(tmp_path / name)]) == 0
+        for ext in ("trace.csv", "x.f64"):
+            assert (tmp_path / "both" / f"{name}.{ext}").read_bytes() == \
+                (tmp_path / name / f"{name}.{ext}").read_bytes(), (name, ext)

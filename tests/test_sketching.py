@@ -6,8 +6,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randkrylov import sketching
 from randkrylov.irn import _reduce_system
-from randkrylov.operators import IdentityOperator
+from randkrylov.krylov import FlexibleFactorization
+from randkrylov.operators import DenseOperator, IdentityOperator
 from randkrylov.problems import (
     add_noise,
     gen_starfield_deblur,
@@ -282,9 +284,14 @@ def _golub_kahan_reference(A, b, depth):
 
 def _pilot_problem(name):
     """(A, b, k_max, seed): the criterion-4 problems, the deblurring and
-    tomography experiments, and an operator that breaks down at once."""
+    tomography experiments, an operator that breaks down at once (U gets a
+    zero column), and a 60x40 A of rank 5, whose V breaks down at step 6."""
     if name == "identity":
         return IdentityOperator(12), _rng(5).standard_normal(12), 6, 7
+    if name == "rank5":
+        rng = _rng(51)
+        M = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))
+        return DenseOperator(M), rng.standard_normal(60), 10, 53
     inst, k_max, seed = {
         "subset": (lambda: add_noise(gen_subset_selection(200, 50, seed=41),
                                      0.02, 42), 40, 45),
@@ -300,15 +307,52 @@ def _pilot_problem(name):
 
 
 @pytest.mark.parametrize("name", ["subset", "starfield32", "deblur", "tomo",
-                                  "identity"])
-def test_flex_sketches_match_reference_pilot(name):
-    # S1 samples the left and S2 the right pilot basis, depth min(k_max, 20)
+                                  "identity", "rank5"])
+def test_flex_sketches_match_reference_pilot(name, monkeypatch):
+    # S1 samples the left and S2 the right pilot basis, depth min(k_max, 20),
+    # by the pivoted-QR scores of the textbook bases; the pilot's own bases
+    # are orthonormal (but for a breakdown's zero column), so their squared
+    # row norms serve, and no basis is factored again
     A, b, k_max, seed = _pilot_problem(name)
     U, V = _golub_kahan_reference(A, b, min(k_max, 20))
     s = max(4 * k_max, U.shape[1] + 1)
     refs = (build_leverage_sketch(estimate_leverage_scores(U), s, seed),
             build_leverage_sketch(estimate_leverage_scores(V), s, seed + 1))
+    pilots = []
+
+    class Recorded(FlexibleFactorization):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pilots.append(self)
+
+    monkeypatch.setattr(sketching, "FlexibleFactorization", Recorded)
+    monkeypatch.setattr(sketching, "estimate_leverage_scores", None)
+    calls = _spy_pivoted_qr(monkeypatch)
     for got, ref in zip(build_flex_sketches(A, b, k_max, 4, seed), refs):
         assert got.s == s
         np.testing.assert_array_equal(got.selected_rows, ref.selected_rows)
         np.testing.assert_allclose(got.scales, ref.scales, rtol=1e-12)
+    assert calls == []
+    for Q in (pilots[0].U, pilots[0].V):
+        Q = Q[:, np.linalg.norm(Q, axis=0) > 0]
+        assert np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1])) <= 1e-13
+        assert np.abs(np.einsum("ij,ij->i", Q, Q)
+                      - estimate_leverage_scores(Q)).max() <= 1e-13
+
+
+def test_flex_sketches_of_one_row_sample_x_uniformly():
+    # m = 1: the pilot takes no step and V is empty, so S2 samples uniform
+    # scores, with no n-by-n identity formed or factored
+    n, seed = 2000, 9
+    A = DenseOperator(_rng(13).standard_normal((1, n)))
+    tracemalloc.start()
+    try:
+        S1, S2 = build_flex_sketches(A, np.array([1.5]), 10, 4, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    ref = build_leverage_sketch(np.ones(n), 40, seed + 1)
+    assert np.array_equal(S2.selected_rows, ref.selected_rows)
+    assert np.array_equal(S2.scales, ref.scales)
+    assert np.array_equal(S1.selected_rows, np.zeros(40, dtype=int))
