@@ -9,7 +9,6 @@ import numpy as np
 
 from .irn import _TraceRecorder
 from .krylov import _check_count, _finite_rhs, gmres_solve, lsqr_solve
-from .operators import DenseOperator
 from .weights import WeightSpec
 
 
@@ -26,8 +25,7 @@ def fista_solve(A, b, lam, n_iter=200, weight=None, x_true=None,
     b = _finite_rhs(b)
     # the iteration's operator and right-hand side: A and b, or R and Q^T b
     op, rhs, beta_perp = ((A, b, 0.0) if reduced is None else
-                          (DenseOperator(reduced.R), reduced.qtb,
-                           reduced.beta_perp))
+                          (reduced.op, reduced.qtb, reduced.beta_perp))
     L = op.norm_estimate() ** 2
     if L == 0.0:
         raise ValueError("zero operator")

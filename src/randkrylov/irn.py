@@ -22,7 +22,10 @@ Beyond A, the dense path holds O(n^2) whatever m is: the QR streams
 [A, b] in row blocks into an (n+1)-square triangle, the irn-s2p Gram
 C0 = (S A)^T (S A) gathers one block of sketched rows at a time, A's
 finiteness is checked block by block, and each outer iteration holds one
-n-by-n preconditioner, only for its inner solve.
+n-by-n preconditioner, only for its inner solve, and for dp or gcv one
+n-by-n R W_k^{-1}, which becomes its own Gram and then that Gram's
+tridiagonal form. When m >= n the reduced R is square and upper
+triangular, and every solve applies it as a triangle (BLAS trmv).
 
 ``_TraceRecorder`` writes the trace of every solver (these loops, flex and
 the ``baselines``); IRN's ``cum_inner`` adds inner iterations.
@@ -34,11 +37,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dlauum
 
 from .krylov import _check_count, _finite_rhs, lsqr_solve
-from .operators import CompositeOperator, DenseOperator, DiagonalOperator
-from .regparam import (LambdaPolicy, SpectralPair, select_lambda, svd_factors,
-                       tridiagonal_pair)
+from .operators import (CompositeOperator, DenseOperator, DiagonalOperator,
+                        TriangularOperator)
+from .regparam import (LambdaPolicy, SpectralPair, _lapack, select_lambda,
+                       svd_factors, tridiagonal_pair)
 from .sketching import _ROW_BLOCK, apply_sketch
 from .weights import WeightSpec, compute_weights, objective_values
 
@@ -129,14 +134,21 @@ def _dense_system_matrix(A):
 @dataclass(frozen=True)
 class _ReducedSystem:
     """What the inner solves and the lambda rules read of A = Q R and b,
-    with Q never formed: the k-by-n R (k = min(m, n)), Q^T b, beta_perp =
-    |b - Q Q^T b|, the row count m and |b|."""
+    with Q never formed: the k-by-n R (k = min(m, n)), upper triangular,
+    Q^T b, beta_perp = |b - Q Q^T b|, the row count m and |b|."""
 
     R: np.ndarray
     qtb: np.ndarray
     beta_perp: float
     m: int
     b_norm: float
+
+    @property
+    def op(self):
+        """R as the operator that every solve on the reduced system
+        applies: by trmv when R is square (m >= n), dense when wide."""
+        k, n = self.R.shape
+        return TriangularOperator(self.R) if k == n else DenseOperator(self.R)
 
 
 def _reduce_system(M, b):
@@ -193,8 +205,11 @@ def _reweighted_pair(system, w_inv, coef=False):
     and Q^T b; GCV still counts all m rows. With ``coef`` (the optimal
     oracle, which reads V) it is the ``SpectralPair`` of NumPy's SVD of M:
     A W^{-1} = (Q U) diag(sigma) V^T whenever M = U diag(sigma) V^T. Else
-    it is the ``TridiagonalPair`` of the left Gram M M^T = R W^{-2} R^T,
-    formed by one GEMM and reduced in place, which dp and gcv read."""
+    it is the ``TridiagonalPair`` of the left Gram G = M M^T = R W^{-2} R^T,
+    which dp and gcv read. A square M is upper triangular, and LAPACK
+    dlauum overwrites it with G's upper triangle (in n^3/3 flops, against
+    n^3 for a GEMM), which ``tridiagonal_pair`` reduces in place: M's
+    buffer is the rule's only n-by-n array. A wide M's G is a GEMM."""
     with np.errstate(all="ignore"):  # a non-finite M or G: both pairs raise
         M = system.R * w_inv[None, :]
         if coef:
@@ -202,8 +217,11 @@ def _reweighted_pair(system, w_inv, coef=False):
             return SpectralPair(sv, beta_t, system.beta_perp, V,
                                 float(sv[0] ** 2) if sv.size else 1.0,
                                 system.m)
-        G = M @ M.T
-    del M  # G and its reflectors' copy are the only k-by-k arrays from here
+        if M.shape[0] == M.shape[1]:  # M.T is the lower L, and L^T L = G
+            G = _lapack(dlauum, M.T, lower=1, overwrite_c=1)[0].T
+        else:
+            G = M @ M.T
+    del M  # a wide M is freed; a square one's buffer is G's
     return tridiagonal_pair(G, system.qtb, system.beta_perp, system.m)
 
 
@@ -307,8 +325,7 @@ def _irn_loop(A, b, config, x_true, sketch, reduced, C0=None):
 
     # the inner solves' operator and right-hand side: A and b, or R and Q^T b
     op, rhs, beta_perp = ((A, b, 0.0) if reduced is None else
-                          (DenseOperator(reduced.R), reduced.qtb,
-                           reduced.beta_perp))
+                          (reduced.op, reduced.qtb, reduced.beta_perp))
     atb = op.apply_adjoint(rhs)  # A^T b = R^T Q^T b: the stopping targets
     x, r = np.zeros(n), rhs  # r = rhs - op x, each inner solve's start
     rec = _TraceRecorder(A, b, weight, x_true)

@@ -25,6 +25,11 @@ import numpy as np
 import scipy.linalg
 
 BREAKDOWN_RTOL = 1e-14
+# A factorization step breaks down when CGS2 leaves at most this fraction of
+# the new vector's norm: one that lies in the basis keeps about k eps of it
+# (2.7e-13 for the Golub-Kahan u_6 of a rank-5 A, b in its range), while a
+# step of the deblurring and tomography problems keeps at least 0.23.
+CGS2_BREAKDOWN_RTOL = 1e-10
 
 
 def _finite_rhs(b, what="right-hand side"):
@@ -182,22 +187,27 @@ class FlexibleFactorization:
         if not (np.all(np.isfinite(w_inv)) and np.all(w_inv > 0)):
             raise ValueError("preconditioner entries must be finite and "
                              "positive")
-        floor = BREAKDOWN_RTOL * self.beta1
         v = self._U.Q[:, -1]
         if self.kind == "golub_kahan":
-            vhat = self.A.apply_adjoint(v)
-            if self._V.append(vhat, self.ell, floor)[-1] <= floor:
+            if self._append(self._V, self.A.apply_adjoint(v))[1]:
                 self.breakdown = True
                 return None
             v = self._V.Q[:, -1]
 
         z = w_inv * v
         q_raw = self.A.apply(z)
-        col = self._U.append(q_raw, self.ell, floor)
+        col, self.breakdown = self._append(self._U, q_raw)
         self._H[: k + 2, k] = col
-        self.breakdown = col[-1] <= floor
         self._Z.push(z)
         return q_raw
+
+    def _append(self, basis, q):
+        """``RowBasis.append`` of q to ``basis`` in the window, and whether
+        q broke down: CGS2 left at most ``CGS2_BREAKDOWN_RTOL`` |q| of it,
+        and the zero vector was stored."""
+        floor = CGS2_BREAKDOWN_RTOL * np.linalg.norm(q)
+        col = basis.append(q, self.ell, floor)
+        return col, col[-1] <= floor
 
 
 @dataclass

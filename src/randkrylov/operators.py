@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg.blas import dtrmv
 
 
 class DimensionMismatch(ValueError):
@@ -112,6 +113,28 @@ class DenseOperator(LinearOperator):
 
     def materialize(self):
         return self.matrix.copy()
+
+
+class TriangularOperator(LinearOperator):
+    """A square upper-triangular R, of which only the upper triangle is
+    read. R.T is the same bits as a Fortran-ordered lower triangle, so BLAS
+    dtrmv applies R (transposed) and R^T from it with no copy, in half a
+    GEMV's flops."""
+
+    kind = "triangular"
+
+    def __init__(self, R):
+        R = np.ascontiguousarray(R, dtype=np.float64)
+        if R.ndim != 2 or R.shape[0] != R.shape[1]:
+            raise ValueError("triangular operator needs a square 2-D array")
+        super().__init__(*R.shape)
+        self.R = R
+
+    def _apply(self, x):
+        return dtrmv(self.R.T, x, lower=1, trans=1)
+
+    def _apply_adjoint(self, y):
+        return dtrmv(self.R.T, y, lower=1)
 
 
 class DiagonalOperator(LinearOperator):

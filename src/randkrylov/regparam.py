@@ -231,16 +231,21 @@ def _lapack(routine, *args, **kwargs):
 
 def tridiagonal_pair(G, b, beta_perp, m):
     """``TridiagonalPair`` of the Gram G = M M^T, which it overwrites: T by
-    blocked dsytrd, Q^T b by dormqr on its reflectors, T's largest
-    eigenvalue by dstebz. A non-finite G or b raises LinAlgError first."""
+    blocked dsytrd, which reads only G's upper triangle, Q^T b by dormqr on
+    the reflectors that dsytrd leaves in G's buffer, T's largest eigenvalue
+    by dstebz. A non-finite G or b raises LinAlgError first."""
     if not (np.isfinite(G).all() and np.isfinite(b).all()):
         raise np.linalg.LinAlgError("the Gram matrix and b must be finite")
     k, qtb = G.shape[0], np.array(b, dtype=np.float64)
-    if k > 1:  # G.T is G in Fortran order. Q = diag(1, Q1), and Q1's
-        # reflectors sit below the subdiagonal as a QR factor's do
+    if k > 1:  # G.T's lower triangle is G's upper in Fortran order
         a, d, e, tau = _lapack(dsytrd, G.T, lower=1, overwrite_a=1,
                                lwork=int(dsytrd_lwork(k, lower=1)[0]))
-        qtb[1:] = _lapack(dormqr, "L", "T", a[1:, :-1], tau, qtb[1:, None],
+        # Q = diag(1, Q1), and Q1's reflectors sit below the subdiagonal as
+        # a QR factor's do: a[1:, :-1], read with no copy as a Fortran view
+        # one row into a's buffer, of leading dimension k (its last row,
+        # past Q1's k - 1, is never read)
+        refl = np.ndarray((k, k - 1), np.float64, a, 8, (8, 8 * k), "F")
+        qtb[1:] = _lapack(dormqr, "L", "T", refl, tau, qtb[1:, None],
                           lwork=k)[0][:, 0]
     else:  # no reflector; f2py wants a non-empty off-diagonal
         d, e = G[0].copy(), np.zeros(1)

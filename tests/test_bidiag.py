@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import randkrylov.regparam as regparam
-from randkrylov.irn import _ReducedSystem, _reweighted_pair
+from randkrylov.irn import _ReducedSystem, _reduce_system, _reweighted_pair
 
 
 def _rng(seed=0):
@@ -31,9 +31,18 @@ def _matrix(shape, seed=4):
     return M
 
 
+def _system(M, q):
+    """(M, q) as they are, as a reduced system."""
+    return _ReducedSystem(M, q, 0.0, M.shape[0], float(np.linalg.norm(q)))
+
+
 def _pair(M, q):
-    """The tridiagonal pair of M itself: the reduced system (M, q), W = I."""
-    system = _ReducedSystem(M, q, 0.0, M.shape[0], float(np.linalg.norm(q)))
+    """The tridiagonal pair of M itself, W = I. A square M is first reduced
+    to the triangular R of ``_reduce_system(M, q)``, the only square system
+    IRN passes; a tall or wide M is passed as it is, so the pair has a row
+    per row of M."""
+    square = M.shape[0] == M.shape[1]
+    system = _reduce_system(M, q) if square else _system(M, q)
     return _reweighted_pair(system, np.ones(M.shape[1]))
 
 
@@ -94,5 +103,5 @@ def test_bidiag_svd_refuses_non_finite_input_before_lapack(monkeypatch,
     M, q = _matrix("square"), np.ones(16)
     (M if where == "M" else q)[3] = bad
     with pytest.raises(np.linalg.LinAlgError):
-        _pair(M, q)
+        _reweighted_pair(_system(M, q), np.ones(16))
     assert not called

@@ -194,6 +194,8 @@ def test_qr_reweighted_pair_matches_svd_pair(shape):
     b = M @ x_true + 0.05 * rng.standard_normal(m)
     b_norm = float(np.linalg.norm(b))
     system = _reduce_system(M, b)
+    # a square R is a triangle, squared by dlauum; a wide one stays dense
+    assert system.op.kind == ("dense" if shape == "wide" else "triangular")
     for trial in range(3):
         w_inv = rng.uniform(0.1, 10.0, n)
         got = _reweighted_pair(system, w_inv)  # dp and gcv: the Gram's T

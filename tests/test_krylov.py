@@ -664,6 +664,26 @@ def test_only_golub_kahan_allocates_a_v_buffer():
     assert moved < 8 * n and window.lo == 3 * ell
 
 
+def test_golub_kahan_breaks_down_on_a_u_in_the_basis():
+    # b = A x for a 60x40 A of rank 5: u_1..u_5 span range(A), so CGS2
+    # leaves 1.1e-11 of A v_5 (2.7e-13 of its norm, about 40). That is a
+    # breakdown relative to A v_5, though above 1e-14 |b| = 1.5e-12: u_6 is
+    # stored as zero, not as a unit vector of rounding
+    rng = _rng(51)
+    M = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 40))
+    fact = FlexibleFactorization("golub_kahan", DenseOperator(M),
+                                 M @ rng.standard_normal(40))
+    for k in range(1, 6):
+        assert fact.expand(np.ones(40)) is not None
+        assert fact.breakdown == (k == 5) and fact.k == k
+    assert abs(fact.H[5, 4]) <= 1e-10 * np.linalg.norm(fact.H[:, 4])
+    assert not np.any(fact.U[:, 5])
+    np.testing.assert_allclose(fact.U[:, :5].T @ fact.U[:, :5], np.eye(5),
+                               rtol=0, atol=1e-13)
+    with pytest.raises(RuntimeError, match="broke down"):
+        fact.expand(np.ones(40))
+
+
 def test_golub_kahan_breakdown_inside_a_window():
     # lower bidiagonal B from e1: u_j = e_j and v_j = e_j, whatever the
     # weights, until alpha_5 = 0 makes B^T u_5 = beta_5 e_4 lie in the

@@ -13,6 +13,7 @@ from randkrylov.operators import (
     DimensionMismatch,
     IdentityOperator,
     RadonOperator,
+    TriangularOperator,
     _siddon_rays,
     gaussian_kernel,
 )
@@ -44,6 +45,7 @@ def _adjoint_gap(op, rng, trials=20):
                                  DiagonalOperator(r.random(6) + 0.5)]),
     lambda r: Convolution2DOperator(12, sigma=1.3),
     lambda r: RadonOperator(10, np.array([20.0, 75.0, 130.0]), 15),
+    lambda r: TriangularOperator(r.standard_normal((9, 9))),
 ])
 def test_adjoint_consistency(make):
     rng = _rng(42)
@@ -56,6 +58,7 @@ def test_adjoint_consistency(make):
     lambda r: DiagonalOperator(r.standard_normal(6) + 2.5),
     lambda r: Convolution2DOperator(8, sigma=0.9),
     lambda r: RadonOperator(6, np.array([10.0, 100.0]), 9),
+    lambda r: TriangularOperator(r.standard_normal((7, 7))),
 ])
 def test_materialize_matches_apply(make):
     rng = _rng(7)
@@ -67,6 +70,20 @@ def test_materialize_matches_apply(make):
         y = rng.standard_normal(op.nrows)
         np.testing.assert_allclose(op.apply_adjoint(y), M.T @ y,
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_triangular_operator_reads_only_the_upper_triangle():
+    rng = _rng(8)
+    R = rng.standard_normal((6, 6))
+    op = TriangularOperator(R)  # the strict lower triangle is ignored
+    x, y = rng.standard_normal(6), rng.standard_normal(6)
+    np.testing.assert_allclose(op.apply(x), np.triu(R) @ x, rtol=1e-12,
+                               atol=1e-12)
+    np.testing.assert_allclose(op.apply_adjoint(y), np.triu(R).T @ y,
+                               rtol=1e-12, atol=1e-12)
+    assert op.R is R  # a C-ordered float64 R is not copied
+    with pytest.raises(ValueError, match="square"):
+        TriangularOperator(np.ones((3, 4)))
 
 
 def test_dimension_mismatch_raises():

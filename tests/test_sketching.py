@@ -259,23 +259,24 @@ def test_sketch_operator_refuses_rows_outside_0_to_m(rows):
 
 def _golub_kahan_reference(A, b, depth):
     """Textbook Golub-Kahan bidiagonalization of (A, b) with full classical
-    Gram-Schmidt reorthogonalization (two passes); stops at breakdown."""
-    tol = 1e-14 * np.linalg.norm(b)
+    Gram-Schmidt reorthogonalization (two passes); stops at breakdown, when
+    a vector keeps at most 1e-10 of its norm."""
 
     def cgs2(q, basis):
         rows = np.array(basis).reshape(-1, q.size)
+        q0 = q
         for _ in range(2):
             q = q - (rows @ q) @ rows
-        return q
+        return q, np.linalg.norm(q) <= 1e-10 * np.linalg.norm(q0)
 
     us, vs = [b / np.linalg.norm(b)], []
     for _ in range(depth):
-        v = cgs2(A.apply_adjoint(us[-1]), vs)
-        if np.linalg.norm(v) <= tol:
+        v, down = cgs2(A.apply_adjoint(us[-1]), vs)
+        if down:
             break
         vs.append(v / np.linalg.norm(v))
-        u = cgs2(A.apply(vs[-1]), us)
-        if np.linalg.norm(u) <= tol:
+        u, down = cgs2(A.apply(vs[-1]), us)
+        if down:
             break
         us.append(u / np.linalg.norm(u))
     return np.stack(us, axis=1), (np.stack(vs, axis=1) if vs
